@@ -1,7 +1,8 @@
 """Command-line interface: describe, flops, detect, bench, selftest.
 
 Exit codes: 0 success, 2 bad configuration, 3 unreadable input, 4 weight-file
-failure, 5 selftest failure.
+failure, 5 selftest failure, 6 any other package error (a shape, graph or
+non-finite-value failure while running).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import network as N
 from . import selftest as S
 from . import tensor as T
 from . import weights_io as W
-from .errors import ConfigError, InputError, WeightFileError
+from .errors import ConfigError, InputError, WeightFileError, YoliteError
 
 SEED_ENV = "YOLITE_SEED"
 
@@ -29,6 +30,7 @@ EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_WEIGHTS = 4
 EXIT_SELFTEST = 5
+EXIT_RUNTIME = 6
 
 _BUILDERS = {"v4tiny": N.build_yolov4_tiny, "proposed": N.build_proposed}
 
@@ -81,7 +83,11 @@ def _parse_anchors(text: str) -> D.AnchorSet:
 def _config_from_args(args) -> Config:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get(SEED_ENV, "42"))
+        text = os.environ.get(SEED_ENV, "42")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ConfigError(f"${SEED_ENV} must be an integer, got {text!r}") from None
     cfg = Config(model=args.model, classes=args.classes, input_size=args.input_size,
                  conf_thresh=args.conf_thresh, iou_thresh=args.iou_thresh,
                  anchors=_parse_anchors(args.anchors) if args.anchors else None,
@@ -263,12 +269,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except WeightFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WEIGHTS
+    except YoliteError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -45,6 +45,8 @@ def read_ppm(path) -> np.ndarray:
         fields.append(int(token))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if width == 0 or height == 0:
+        raise InputError(f"{path}: image has zero size ({width}x{height})")
     if maxval != 255:
         raise InputError(f"{path}: only maxval 255 supported, got {maxval}")
     need = width * height * 3
@@ -73,6 +75,8 @@ def read_raw_tensor(path) -> np.ndarray:
     if len(data) < 16:
         raise InputError(f"{path}: truncated YLTI header")
     h, w, c = struct.unpack("<III", data[4:16])
+    if min(h, w, c) == 0:
+        raise InputError(f"{path}: raw tensor has a zero dimension ({h}x{w}x{c})")
     need = h * w * c * 4
     if len(data) != 16 + need:
         raise InputError(f"{path}: expected {need} data bytes, got {len(data) - 16}")

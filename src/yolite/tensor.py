@@ -4,9 +4,10 @@ Every operation here is a pure function with a pinned arithmetic contract:
 single-precision IEEE arithmetic, one rounding per multiply and per add, and a
 fixed accumulation order (input channel as the slow index, then kernel row,
 then kernel column).  That makes results bit-identical to a naive scalar
-reference loop, repeatable across runs, and independent of the optional
-thread-parallel execution mode, which only splits *which* output elements a
-worker computes, never how a single element is accumulated.
+reference loop, repeatable across runs, and independent of memory layout,
+tiling and the optional thread-parallel execution mode, all of which only
+decide *which* output elements are computed together, never how a single
+element is accumulated.
 """
 
 from __future__ import annotations
@@ -19,18 +20,33 @@ from .errors import NonFiniteError, ShapeError
 
 BN_EPSILON = 1e-5
 
+# Convolution schedule rule: output maps with more pixels than this run in
+# NCHW layout over blocks of output channels; smaller maps run channel-last,
+# so the innermost loop is a contiguous run over output channels.
+CHANNEL_LAST_MAX_PIXELS = 26 * 26
+# Byte size of one NCHW accumulator block; it and its product buffer stay in
+# a core's L2 cache.
+ACC_BLOCK_BYTES = 512 * 1024
+
 _parallel_workers = 0  # 0 = serial execution
+_pool: ThreadPoolExecutor | None = None
 
 
 def set_parallel(workers: int) -> None:
-    """Enable thread-parallel convolution over output-channel slices.
+    """Enable thread-parallel convolution on a persistent pool of ``workers``.
 
-    ``workers=0`` restores serial execution.  Output is bit-identical either
+    ``workers=0`` restores serial execution.  Changing the count shuts the
+    previous pool down and joins its threads.  Output is bit-identical either
     way; this only trades wall-clock time.
     """
     if workers < 0:
         raise ValueError("workers must be >= 0")
-    global _parallel_workers
+    global _parallel_workers, _pool
+    if workers == _parallel_workers:
+        return
+    if _pool is not None:
+        _pool.shutdown(wait=True)
+    _pool = ThreadPoolExecutor(max_workers=workers) if workers else None
     _parallel_workers = workers
 
 
@@ -184,8 +200,10 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     Each output element is accumulated in float32 with one rounding per
     product and per add, walking terms with the input channel as the slow
     index and the kernel window row-major within it.  The vectorization below
-    applies one (channel, ky, kx) term to every output element per step, so
-    the per-element fold order equals the scalar reference exactly.
+    applies one (channel, ky, kx) term to a block of output elements per
+    step, so the per-element fold order equals the scalar reference exactly.
+    Which elements form a block, and in what memory layout, depends only on
+    the output shape (see ``CHANNEL_LAST_MAX_PIXELS``).
     """
     n, c, h, w = x.shape
     if c != params.in_channels:
@@ -203,40 +221,78 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float32)
         xp[:, :, p:p + h, p:p + w] = x.array
 
-    kernel = params.kernel
-    out = np.empty((n, oc, oh, ow), dtype=np.float32)
-
-    def fill(oc_lo: int, oc_hi: int) -> None:
-        acc = np.zeros((n, oc_hi - oc_lo, oh, ow), dtype=np.float32)
-        tmp = np.empty_like(acc)
-        wk = kernel[oc_lo:oc_hi]
-        for ci in range(c):
-            for ky in range(k):
-                for kx in range(k):
-                    xs = xp[:, ci, ky:ky + s * oh:s, kx:kx + s * ow:s]
-                    np.multiply(xs[:, None, :, :], wk[:, ci, ky, kx][None, :, None, None], out=tmp)
-                    np.add(acc, tmp, out=acc)
-        np.add(acc, params.bias[None, oc_lo:oc_hi, None, None], out=acc)
-        if params.bn is not None:
-            bn = params.bn
-            scale = bn.gamma[oc_lo:oc_hi] / np.sqrt(bn.running_var[oc_lo:oc_hi]
-                                                    + np.float32(bn.epsilon))
-            np.subtract(acc, bn.running_mean[None, oc_lo:oc_hi, None, None], out=acc)
-            np.multiply(acc, scale[None, :, None, None], out=acc)
-            np.add(acc, bn.beta[None, oc_lo:oc_hi, None, None], out=acc)
-        out[:, oc_lo:oc_hi] = acc
-
-    if _parallel_workers > 0 and oc > 1:
-        workers = min(_parallel_workers, oc)
-        step = -(-oc // workers)
-        bounds = [(lo, min(lo + step, oc)) for lo in range(0, oc, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+    wt = np.ascontiguousarray(params.kernel.transpose(1, 2, 3, 0))  # (in, ky, kx, out)
+    workers = max(_parallel_workers, 1)
+    if oh * ow > CHANNEL_LAST_MAX_PIXELS:
+        out = np.empty((n, oc, oh, ow), dtype=np.float32)
+        step = min(max(1, ACC_BLOCK_BYTES // (4 * n * oh * ow)), -(-oc // workers))
+        _run(_fill_blocked, oc, step, xp, wt, s, out)
     else:
-        fill(0, oc)
+        acc = np.empty((n, oh, ow, oc), dtype=np.float32)
+        _run(_fill_channel_last, oh, -(-oh // workers), xp, wt, s, acc)
+        out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
 
+    np.add(out, params.bias[None, :, None, None], out=out)
+    if params.bn is not None:
+        bn = params.bn
+        scale = bn.gamma / np.sqrt(bn.running_var + np.float32(bn.epsilon))
+        np.subtract(out, bn.running_mean[None, :, None, None], out=out)
+        np.multiply(out, scale[None, :, None, None], out=out)
+        np.add(out, bn.beta[None, :, None, None], out=out)
     _check_finite(out, "conv2d")
     return Tensor(out, _trusted=True)
+
+
+def _run(fill, total: int, step: int, *args) -> None:
+    """Call ``fill(lo, hi, *args)`` for each ``step``-wide range of [0, total),
+    on the pool if there is one."""
+    bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    if _pool is not None and len(bounds) > 1:
+        list(_pool.map(lambda b: fill(*b, *args), bounds))
+    else:
+        for lo, hi in bounds:
+            fill(lo, hi, *args)
+
+
+def _fill_blocked(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
+                  out: np.ndarray) -> None:
+    """Output channels [lo, hi) in NCHW layout.
+
+    Each input channel's k*k strided windows are first copied into a
+    contiguous buffer, so every product runs over a whole (oh, ow) plane.
+    """
+    n, c = xp.shape[:2]
+    k = wt.shape[1]
+    oh, ow = out.shape[2:]
+    acc = np.zeros((n, hi - lo, oh, ow), dtype=np.float32)
+    tmp = np.empty_like(acc)
+    cols = np.empty((k, k, n, 1, oh, ow), dtype=np.float32)
+    for ci in range(c):
+        for ky in range(k):
+            for kx in range(k):
+                cols[ky, kx, :, 0] = xp[:, ci, ky:ky + s * oh:s, kx:kx + s * ow:s]
+        for ky in range(k):
+            for kx in range(k):
+                np.multiply(cols[ky, kx], wt[ci, ky, kx, lo:hi, None, None], out=tmp)
+                np.add(acc, tmp, out=acc)
+    out[:, lo:hi] = acc
+
+
+def _fill_channel_last(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
+                       out: np.ndarray) -> None:
+    """Output rows [lo, hi) of a channel-last (n, oh, ow, oc) accumulator."""
+    n, c = xp.shape[:2]
+    k = wt.shape[1]
+    ow = out.shape[2]
+    acc = np.zeros((n, hi - lo) + out.shape[2:], dtype=np.float32)
+    tmp = np.empty_like(acc)
+    for ci in range(c):
+        for ky in range(k):
+            band = xp[:, ci, ky + s * lo:ky + s * (hi - 1) + 1:s]
+            for kx in range(k):
+                np.multiply(band[:, :, kx:kx + s * ow:s, None], wt[ci, ky, kx], out=tmp)
+                np.add(acc, tmp, out=acc)
+    out[:, lo:hi] = acc
 
 
 def pool2d(x: Tensor, kind: str, k: int, s: int) -> Tensor:

@@ -19,7 +19,8 @@ File format ("YLTW", little-endian throughout):
         arrays                the declared elements as float32
 
 Loading is all-or-nothing: the whole file is parsed and validated against the
-graph before any parameter array is touched.
+graph, and every array checked for finite values (and non-negative running
+variances), before any parameter array is touched.
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ import numpy as np
 from . import network as N
 from . import tensor as T
 from .errors import (ArrayLengthError, BadMagicError, FingerprintMismatchError,
-                     TruncatedFileError, UnsupportedVersionError)
+                     TruncatedFileError, UnsupportedVersionError, WeightFileError)
 
 MAGIC = b"YLTW"
 FORMAT_VERSION = 1
 
 _U64 = (1 << 64) - 1
+
+_ARRAY_NAMES = ("weights", "bias", "gamma", "beta", "running_mean", "running_var")
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -198,8 +201,9 @@ def load(g: N.NetworkGraph, path) -> None:
     """Read ``path`` into the graph's parameters.
 
     Raises a distinct error per failure mode (bad magic, unknown version,
-    fingerprint mismatch, truncation, array-length mismatch) and leaves the
-    graph untouched unless every check passes.
+    fingerprint mismatch, truncation, array-length mismatch; a plain
+    ``WeightFileError`` for non-finite values or a negative running variance)
+    and leaves the graph untouched unless every check passes.
     """
     with open(path, "rb") as fh:
         rd = _Reader(fh.read())
@@ -228,9 +232,13 @@ def load(g: N.NetworkGraph, path) -> None:
             raise ArrayLengthError(
                 f"layer {ident!r} declares array lengths {list(lengths)}, expected {expected}")
         arrays = []
-        for n in lengths:
-            raw = rd.take(4 * n)
-            arrays.append(np.frombuffer(raw, dtype="<f4").astype(np.float32))
+        for name, n in zip(_ARRAY_NAMES, lengths):
+            arr = np.frombuffer(rd.take(4 * n), dtype="<f4").astype(np.float32)
+            if not np.isfinite(arr).all():
+                raise WeightFileError(f"layer {ident!r}: {name} holds non-finite values")
+            arrays.append(arr)
+        if (arrays[5] < 0).any():
+            raise WeightFileError(f"layer {ident!r}: running_var entries must be >= 0")
         staged.append(arrays)
     if rd.pos != len(rd.data):
         raise ArrayLengthError(f"{len(rd.data) - rd.pos} unexpected trailing bytes")

@@ -152,6 +152,12 @@ class TestDetect:
         assert "error" in err
         code, _, _ = run_cli(capsys, "detect", str(tmp_path / "missing.ppm"))
         assert code == 3
+        code, _, _ = run_cli(capsys, "detect", str(tmp_path))  # a directory
+        assert code == 3
+        img = make_gray_ppm(tmp_path / "g.ppm", 64, 64)
+        code, _, _ = run_cli(capsys, "detect", "--input-size", "64",
+                             "--weights", str(tmp_path), str(img))
+        assert code == 3
 
     def test_fingerprint_mismatch_exits_4(self, capsys, tmp_path):
         g = N.build_yolov4_tiny(4)
@@ -162,6 +168,46 @@ class TestDetect:
                                "--weights", str(wpath), str(img))
         assert code == 4
         assert "fingerprint" in err
+
+    def test_zero_size_images_exit_3(self, capsys, tmp_path):
+        ppm = tmp_path / "empty.ppm"
+        ppm.write_bytes(b"P6\n0 0\n255\n")
+        code, _, err = run_cli(capsys, "detect", "--input-size", "64", str(ppm))
+        assert code == 3
+        assert "zero size" in err
+        raw = tmp_path / "empty.ylti"
+        I.write_raw_tensor(raw, np.zeros((0, 5, 3), np.float32))
+        code, _, err = run_cli(capsys, "detect", "--input-size", "64", str(raw))
+        assert code == 3
+        assert "zero dimension" in err
+
+    @pytest.mark.parametrize("bad_value", [np.nan, -1.0])
+    def test_invalid_running_var_in_weight_file_exits_4(self, capsys, tmp_path, bad_value):
+        g = N.build_yolov4_tiny(4)
+        W.init_seeded(g, 3)
+        last_bn = [p for _, p in N.iter_conv_entries(g) if p.bn is not None][-1]
+        last_bn.bn.running_var[-1] = bad_value
+        wpath = tmp_path / "bad.yltw"
+        W.save(g, wpath)
+        img = make_gray_ppm(tmp_path / "g.ppm", 64, 64)
+        code, _, err = run_cli(capsys, "detect", "--classes", "4", "--input-size", "64",
+                               "--weights", str(wpath), str(img))
+        assert code == 4
+        assert "running_var" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_during_forward_exits_6(self, capsys, tmp_path):
+        g = N.build_yolov4_tiny(4)
+        W.init_seeded(g, 3)
+        for _, p in N.iter_conv_entries(g):
+            p.weights[:] = 1e30  # finite, so the file loads; activations overflow
+        wpath = tmp_path / "huge.yltw"
+        W.save(g, wpath)
+        img = make_gray_ppm(tmp_path / "g.ppm", 64, 64)
+        code, _, err = run_cli(capsys, "detect", "--classes", "4", "--input-size", "64",
+                               "--weights", str(wpath), str(img))
+        assert code == 6
+        assert "NonFiniteError" in err
 
 
 class TestBench:
@@ -222,6 +268,13 @@ class TestSeedEnvFallback:
         _, out_flag, _ = run_cli(capsys, "detect", "--classes", "2", "--input-size", "64",
                                  "--seed", "9", "--format", "json", str(img))
         assert out_env == out_flag
+
+    def test_non_integer_env_seed_exits_2(self, capsys, tmp_path, monkeypatch):
+        img = make_gray_ppm(tmp_path / "g.ppm", 64, 64)
+        monkeypatch.setenv(C.SEED_ENV, "abc")
+        code, _, err = run_cli(capsys, "detect", "--input-size", "64", str(img))
+        assert code == 2
+        assert C.SEED_ENV in err
 
 
 class TestConsoleEntry:

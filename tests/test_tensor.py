@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,23 @@ def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
 def rand_tensor(rng, n, c, h, w, lo=-1.0, hi=1.0):
     arr = (rng.random((n, c, h, w), dtype=np.float32) * (hi - lo) + lo).astype(np.float32)
     return T.Tensor(arr)
+
+
+def force_schedule(monkeypatch, schedule, n=1, oh=1, ow=1, block=1):
+    """Route conv2d through one schedule whatever the map size.
+
+    "blocked" sends every map through the NCHW path with accumulator blocks
+    of ``block`` output channels (for an (n, *, oh, ow) output);
+    "channel_last" sends every map through the channel-last path.
+    """
+    if schedule == "blocked":
+        monkeypatch.setattr(T, "CHANNEL_LAST_MAX_PIXELS", 0)
+        monkeypatch.setattr(T, "ACC_BLOCK_BYTES", 4 * n * oh * ow * block)
+    else:
+        monkeypatch.setattr(T, "CHANNEL_LAST_MAX_PIXELS", 1 << 30)
+
+
+SCHEDULES = ("default", "blocked", "channel_last")
 
 
 class TestTensorType:
@@ -140,18 +160,50 @@ class TestConv2d:
         for _ in range(3):
             assert bits_equal(T.conv2d(x, p).array, first)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         rng = np.random.default_rng(9)
-        x = rand_tensor(rng, 1, 6, 10, 10)
-        kern = (rng.random((8, 6, 3, 3), dtype=np.float32) * 2 - 1)
-        p = T.ConvParams(6, 8, 3, padding=1, weights=kern.reshape(-1))
-        serial = T.conv2d(x, p).array
-        T.set_parallel(4)
+        x = rand_tensor(rng, 2, 6, 10, 10)
+        kern = (rng.random((11, 6, 3, 3), dtype=np.float32) * 2 - 1)
+        p = T.ConvParams(6, 11, 3, padding=1, weights=kern.reshape(-1))
+        switch = sys.getswitchinterval()
+        for schedule in SCHEDULES:
+            with monkeypatch.context() as mp:
+                if schedule != "default":
+                    force_schedule(mp, schedule, 2, 10, 10, block=3)
+                serial = T.conv2d(x, p).array
+                for workers in (4, 2):
+                    # more workers than cores, switching threads as often as possible
+                    T.set_parallel(workers)
+                    sys.setswitchinterval(1e-6)
+                    try:
+                        par = T.conv2d(x, p).array
+                    finally:
+                        sys.setswitchinterval(switch)
+                        T.set_parallel(0)
+                    assert bits_equal(serial, par), f"{schedule} with {workers} workers"
+
+    def test_set_parallel_keeps_one_pool_and_joins_it(self):
+        rng = np.random.default_rng(10)
+        x = rand_tensor(rng, 1, 3, 40, 40)
+        p = T.ConvParams(3, 8, 3, padding=1,
+                         weights=rng.random(8 * 3 * 9, dtype=np.float32))
+        before = threading.active_count()
         try:
-            par = T.conv2d(x, p).array
+            T.set_parallel(4)
+            pool = T._pool
+            T.conv2d(x, p)
+            T.set_parallel(4)
+            T.conv2d(x, p)
+            assert T._pool is pool
+            assert before < threading.active_count() <= before + 4
+            T.set_parallel(2)
+            assert T._pool is not pool
+            T.conv2d(x, p)
+            assert before < threading.active_count() <= before + 2
         finally:
             T.set_parallel(0)
-        assert bits_equal(serial, par)
+        assert T._pool is None
+        assert threading.active_count() == before
 
 
 class TestPool2d:
@@ -322,24 +374,33 @@ class TestUpsample:
 class TestRandomizedOracleBattery:
     """Seeded randomized comparison against the scalar references."""
 
-    def test_conv_battery(self):
+    def test_conv_battery(self, monkeypatch):
+        # Every case runs under the shape rule and under each forced schedule,
+        # the blocked one with a random block width that need not divide oc.
         rng = np.random.default_rng(1234)
         for case in range(30):
-            c = int(rng.integers(1, 7))
-            oc = int(rng.integers(1, 7))
-            h = int(rng.integers(3, 15))
-            w = int(rng.integers(3, 15))
-            k = int(rng.choice([1, 3]))
+            n = int(rng.integers(1, 3))
+            k = int(rng.choice([1, 3, 7]))
+            c = int(rng.integers(1, 3 if k == 7 else 6))
+            oc = 1 if case % 5 == 0 else int(rng.integers(2, 11))
+            h = int(rng.integers(k, 13))
+            w = int(rng.integers(k, 13))
             s = int(rng.integers(1, 3))
-            p = int(rng.integers(0, 2)) if k > 1 else 0
-            x = rand_tensor(rng, 1, c, h, w)
+            p = k // 2 if rng.random() < 0.5 else 0
+            x = rand_tensor(rng, n, c, h, w)
             kern = (rng.random((oc, c, k, k), dtype=np.float32) * 2 - 1)
             bias = (rng.random(oc, dtype=np.float32) * 2 - 1)
             params = T.ConvParams(c, oc, k, stride=s, padding=p,
                                   weights=kern.reshape(-1), bias=bias)
-            got = T.conv2d(x, params).array
             ref = oracles.conv2d_naive(x.array, kern, bias, s, p)
-            assert bits_equal(got, ref), f"conv case {case} diverged"
+            oh, ow = ref.shape[2:]
+            block = int(rng.integers(1, 5))
+            for schedule in SCHEDULES:
+                with monkeypatch.context() as mp:
+                    if schedule != "default":
+                        force_schedule(mp, schedule, n, oh, ow, block)
+                    got = T.conv2d(x, params).array
+                assert bits_equal(got, ref), f"conv case {case} diverged under {schedule}"
 
     def test_pool_battery(self):
         rng = np.random.default_rng(99)

@@ -79,6 +79,30 @@ class TestGoldenMaster:
         assert W.tensor_checksum(h26) == self.GOLDEN_H26
 
 
+class TestGoldenMasterProposed:
+    # Frozen from the single-layout conv2d that preceded the shape-chosen
+    # schedules, so it checks them independently: proposed model,
+    # 80 classes, seed 42, uniform 0.5 input at 64.  Pins the ResBlock-D,
+    # auxiliary and attention arithmetic, which the baseline golden never runs.
+    GOLDEN_PARAMS = "263e70af19416f70e633f42346bdd6b6dc78beb0f29d4b3abd5b7bac829b5523"
+    GOLDEN_H13 = "befbb28b4b76f79f48e50e4ac562d472955c017d3ba4cb8dfd6986732ac453dd"
+    GOLDEN_H26 = "44c5d02fcfb97572589e21ec1d29ff0d0cfd6f4b7bacc605215a7666867f05dd"
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_seed42_reproduces_golden_heads(self, workers):
+        from yolite import tensor as T
+        g = N.build_proposed(80)
+        W.init_seeded(g, 42)
+        assert W.params_checksum(g) == self.GOLDEN_PARAMS
+        T.set_parallel(workers)
+        try:
+            h13, h26 = N.forward(g, T.Tensor.full((1, 3, 64, 64), 0.5))
+        finally:
+            T.set_parallel(0)
+        assert W.tensor_checksum(h13) == self.GOLDEN_H13
+        assert W.tensor_checksum(h26) == self.GOLDEN_H26
+
+
 class TestSaveLoad:
     def test_round_trip_preserves_params(self, small_graph, tmp_path):
         path = tmp_path / "w.yltw"
@@ -145,6 +169,22 @@ class TestSaveLoad:
                 W.load(target, path)
             assert isinstance(err.value, (TruncatedFileError, ArrayLengthError))
             assert W.params_checksum(target) == before
+
+    @pytest.mark.parametrize("array, value", [("weights", np.inf), ("running_var", np.nan),
+                                              ("running_var", -0.5)])
+    def test_invalid_values_rejected_and_graph_intact(self, small_graph, tmp_path,
+                                                      array, value):
+        entry_id, p = N.iter_conv_entries(small_graph)[-2]
+        target = p.weights if array == "weights" else p.bn.running_var
+        target[-1] = value
+        path = tmp_path / "w.yltw"
+        W.save(small_graph, path)
+        fresh = N.build_yolov4_tiny(2)
+        W.init_seeded(fresh, 5)
+        before = W.params_checksum(fresh)
+        with pytest.raises(WeightFileError, match=f"{entry_id}.*{array}"):
+            W.load(fresh, path)
+        assert W.params_checksum(fresh) == before
 
     def test_truncation_mid_array_reports_layer_id(self, small_graph, tmp_path):
         path = tmp_path / "w.yltw"
