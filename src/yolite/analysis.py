@@ -2,7 +2,7 @@
 
 The cost convention counts one operation per multiply-accumulate and assigns
 cost only to convolutions (M^2 * K^2 * C_in * C_out over the output map) and
-to explicit pooling layers (C * M^2 * K^2).  Activations, batch-norm,
+to the stages' downsampling pools (C * M^2 * K^2).  Activations, batch-norm,
 elementwise add/concat, and the attention gate's pooled-vector MLP are free
 under this model.  All totals are exact integers.
 """
@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import blocks as B
 from . import network as N
+from . import tensor as T
 
 __all__ = ["ConvCost", "PoolCost", "FlopsEntry", "FlopsReport", "ReceptiveField",
            "flops_of_layer", "flops_of_pool", "flops_of_list", "flops_of_graph",
@@ -138,54 +140,35 @@ RESBLOCK_D_REFERENCE_COSTS = (
 )
 
 
+def _conv_cost(p: T.ConvParams, m_in: int, layer_id: str) -> ConvCost:
+    m = T.conv_out_size(m_in, p.kernel_size, p.stride, p.padding)
+    return ConvCost(m, p.kernel_size, p.in_channels, p.out_channels, layer_id)
+
+
 def _graph_costs(g: N.NetworkGraph, shapes: dict[str, tuple]):
     """Expand every node into its conv/pool cost descriptors.
 
-    The attention gate contributes only its spatial convolution; its global
-    pools and pooled-vector MLP are free under this cost model.
+    Geometry comes from the node's own ConvParams; a block's ``cost_sites``
+    says which map each of its convs and its pool reads, and leaves out the
+    attention gate's free pooled-vector MLP.
     """
     items: list = []
     for node in g.nodes:
-        in_shape = shapes[node.inputs[0].split(".")[0]] if node.inputs else None
-        out_shape = shapes[node.id]
-        if node.kind in ("conv", "head"):
-            p = node.payload
-            items.append(ConvCost(out_shape[2], p.kernel_size, p.in_channels,
-                                  p.out_channels, node.id))
-        elif node.kind == "pool":
-            kind, k, _ = node.payload
-            items.append(PoolCost(out_shape[2], k, out_shape[1], node.id))
-        elif node.kind == "csp":
-            blk = node.payload
-            m_in, c = in_shape[2], blk.channels
-            items += [
-                ConvCost(m_in, 3, c, c, f"{node.id}.conv0"),
-                ConvCost(m_in, 3, c // 2, c // 2, f"{node.id}.conv1"),
-                ConvCost(m_in, 3, c // 2, c // 2, f"{node.id}.conv2"),
-                ConvCost(m_in, 1, c, c, f"{node.id}.conv3"),
-                PoolCost(m_in // 2, 2, 2 * c, f"{node.id}.pool"),
-            ]
-        elif node.kind == "resblock_d":
-            blk = node.payload
-            m_in, c = in_shape[2], blk.channels
-            m_out = m_in // 2
-            items += [
-                ConvCost(m_in, 1, c, c // 2, f"{node.id}.a1"),
-                ConvCost(m_out, 3, c // 2, c // 2, f"{node.id}.a2"),
-                ConvCost(m_out, 1, c // 2, 2 * c, f"{node.id}.a3"),
-                PoolCost(m_out, 2, c, f"{node.id}.pool"),
-                ConvCost(m_out, 1, c, 2 * c, f"{node.id}.b1"),
-            ]
-        elif node.kind == "aux":
-            blk = node.payload
-            m_out, c = in_shape[2] // 2, blk.channels
-            items += [
-                ConvCost(m_out, 3, c, c, f"{node.id}.conv1"),
-                ConvCost(m_out, 3, c, c, f"{node.id}.conv2"),
-                ConvCost(m_out, 7, 2, 1, f"{node.id}.cbam.spatial"),
-            ]
-        elif node.kind == "cbam":
-            items.append(ConvCost(out_shape[2], 7, 2, 1, f"{node.id}.spatial"))
+        blk = node.payload
+        if blk is None:
+            continue
+        m = shapes[node.inputs[0]][2]
+        if isinstance(blk, T.ConvParams):
+            items.append(_conv_cost(blk, m, node.id))
+            continue
+        convs = dict(blk.convs())
+        for name, m_in, *pool_channels in blk.cost_sites(m):
+            layer_id = f"{node.id}.{name}"
+            if pool_channels:
+                m_out = T.conv_out_size(m_in, B.POOL, B.POOL, 0)
+                items.append(PoolCost(m_out, B.POOL, pool_channels[0], layer_id))
+            else:
+                items.append(_conv_cost(convs[name], m_in, layer_id))
     return items
 
 

@@ -14,6 +14,7 @@ from . import tensor as T
 from .errors import ShapeError
 
 LEAKY_A = 10.0  # negative branch divisor, i.e. slope 0.1
+POOL = 2  # window and stride of the stages' downsampling pools
 
 
 def conv_bn_params(c_in: int, c_out: int, k: int, stride: int = 1,
@@ -59,6 +60,13 @@ class CspBlock:
         return [("conv0", self.conv0), ("conv1", self.conv1),
                 ("conv2", self.conv2), ("conv3", self.conv3)]
 
+    def cost_sites(self, m: int):
+        """Side of the map each costed op reads, for an m x m input, in
+        ledger order: (conv name, side) per conv, ("pool", side, channels)
+        for the pool."""
+        return [("conv0", m), ("conv1", m), ("conv2", m), ("conv3", m),
+                ("pool", m, self.out_channels)]
+
     @property
     def out_channels(self) -> int:
         return 2 * self.channels
@@ -77,7 +85,7 @@ def csp_forward_with_route(block: CspBlock, x: T.Tensor) -> tuple[T.Tensor, T.Te
     x1 = cbl(second_half, block.conv1)
     x2 = cbl(x1, block.conv2)
     x3 = cbl(T.concat_channels(x2, x1), block.conv3)
-    out = T.pool2d(T.concat_channels(x0, x3), "max", 2, 2)
+    out = T.pool2d(T.concat_channels(x0, x3), "max", POOL, POOL)
     return out, x3
 
 
@@ -106,6 +114,11 @@ class ResBlockD:
     def convs(self):
         return [("a1", self.a1), ("a2", self.a2), ("a3", self.a3), ("b1", self.b1)]
 
+    def cost_sites(self, m: int):
+        """As ``CspBlock.cost_sites``; a3 and b1 read the half-size map."""
+        return [("a1", m), ("a2", m), ("a3", m // 2), ("pool", m, self.channels),
+                ("b1", m // 2)]
+
     @property
     def out_channels(self) -> int:
         return 2 * self.channels
@@ -120,7 +133,7 @@ def resblock_d_forward(block: ResBlockD, x: T.Tensor) -> T.Tensor:
     pa = cbl(x, block.a1)
     pa = cbl(pa, block.a2)
     pa = T.conv2d(pa, block.a3)
-    pb = T.conv2d(T.pool2d(x, "avg", 2, 2), block.b1)
+    pb = T.conv2d(T.pool2d(x, "avg", POOL, POOL), block.b1)
     if pa.shape != pb.shape:
         raise ShapeError(f"residual paths disagree: {pa.shape} vs {pb.shape}")
     return T.leaky_relu(T.add(pa, pb), LEAKY_A)
@@ -186,6 +199,11 @@ class AuxBlock:
     def convs(self):
         return [("conv1", self.conv1), ("conv2", self.conv2)] + [
             (f"cbam.{name}", p) for name, p in self.cbam.convs()]
+
+    def cost_sites(self, m: int):
+        """As ``CspBlock.cost_sites``; the attention MLP (cbam.fc1/fc2) is
+        free under the cost model, so only its spatial conv is listed."""
+        return [("conv1", m), ("conv2", m // 2), ("cbam.spatial", m // 2)]
 
     @property
     def out_channels(self) -> int:

@@ -40,7 +40,8 @@ def read_ppm(path) -> np.ndarray:
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
         token = data[start:pos]
-        if not token.isdigit():
+        # int() refuses more than 4300 digits; no real dimension needs 20
+        if not token.isdigit() or len(token) > 20:
             raise InputError(f"{path}: malformed PPM header near byte {start}")
         fields.append(int(token))
     pos += 1  # single whitespace after maxval

@@ -2,37 +2,99 @@
 
 A graph is an ordered list of named nodes; every node consumes earlier nodes
 only (the reserved id ``input`` denotes the network input, and ``<id>.route``
-addresses a node's secondary output).  Both builders produce two detection
-heads: one at 1/32 of the input resolution and one at 1/16, so a 416x416
-input yields 13x13 and 26x26 prediction maps.
+addresses a node's secondary output).  Node kinds are the keys of ``OPS``:
+conv, head, upsample, concat, add, and the three stage kinds csp,
+resblock_d and aux.  Both builders produce two detection heads: one at 1/32
+of the input resolution and one at 1/16, so a 416x416 input yields 13x13 and
+26x26 prediction maps.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import blocks as B
 from . import tensor as T
 from .errors import GraphError, ShapeError
 
 INPUT_ID = "input"
-STRIDE_COARSE = 32
-STRIDE_FINE = 16
 
 
 @dataclass
 class LayerNode:
     """One graph node.  ``payload`` holds the kind-specific parameters:
-    ConvParams for conv/head, a block instance for csp/resblock_d/aux/cbam,
-    a (kind, k, s) tuple for pool, nothing for upsample/concat/add."""
+    ConvParams for conv/head, a block instance for csp/resblock_d/aux,
+    nothing for upsample/concat/add."""
 
     id: str
     kind: str
     inputs: list[str] = field(default_factory=list)
     payload: object = None
 
-    KINDS = ("conv", "pool", "upsample", "concat", "add", "csp",
-             "resblock_d", "aux", "cbam", "head")
+
+def _conv_shape(p: T.ConvParams, ins):
+    n, c, h, w = ins[0]
+    if c != p.in_channels:
+        raise ShapeError(f"channels {c} != conv in_channels {p.in_channels}")
+    return (n, p.out_channels,
+            T.conv_out_size(h, p.kernel_size, p.stride, p.padding),
+            T.conv_out_size(w, p.kernel_size, p.stride, p.padding))
+
+
+def _upsample_shape(_, ins):
+    n, c, h, w = ins[0]
+    return (n, c, 2 * h, 2 * w)
+
+
+def _concat_shape(_, ins):
+    n, c, h, w = ins[0]
+    for nn, cc, hh, ww in ins[1:]:
+        if (nn, hh, ww) != (n, h, w):
+            raise ShapeError(f"concat mismatch: {(nn, hh, ww)} vs {(n, h, w)}")
+        c += cc
+    return (n, c, h, w)
+
+
+def _add_shape(_, ins):
+    if ins[0] != ins[1]:
+        raise ShapeError(f"add mismatch: {ins[0]} vs {ins[1]}")
+    return ins[0]
+
+
+def _stage_shape(blk, ins):
+    n, c, h, w = ins[0]
+    if c != blk.channels:
+        raise ShapeError(f"channels {c} != stage channels {blk.channels}")
+    if h % 2 or w % 2:
+        raise ShapeError(f"stage needs even spatial dims, got ({h}, {w})")
+    return (n, blk.out_channels, h // 2, w // 2)
+
+
+class Op(NamedTuple):
+    """How one node kind runs: ``forward(payload, inputs)`` and
+    ``shape(payload, input_shapes)``.  A ``routed`` kind returns a
+    (main, route) pair from both; the route is stored under ``id.route``."""
+
+    forward: Callable
+    shape: Callable
+    routed: bool = False
+
+
+# The forwards look blocks and tensor ops up through their module at call
+# time, so a wrapper installed on a module attribute sees every call.
+OPS = {
+    "conv": Op(lambda p, xs: B.cbl(xs[0], p), _conv_shape),
+    "head": Op(lambda p, xs: T.conv2d(xs[0], p), _conv_shape),
+    "upsample": Op(lambda p, xs: T.upsample_nearest2x(xs[0]), _upsample_shape),
+    "concat": Op(lambda p, xs: functools.reduce(T.concat_channels, xs), _concat_shape),
+    "add": Op(lambda p, xs: B.fuse(xs[0], xs[1]), _add_shape),
+    "csp": Op(lambda p, xs: B.csp_forward_with_route(p, xs[0]),
+              lambda p, ins: (_stage_shape(p, ins), ins[0]), routed=True),
+    "resblock_d": Op(lambda p, xs: B.resblock_d_forward(p, xs[0]), _stage_shape),
+    "aux": Op(lambda p, xs: B.aux_forward(p, xs[0]), _stage_shape),
+}
 
 
 class NetworkGraph:
@@ -44,28 +106,20 @@ class NetworkGraph:
         self.classes = classes
         self.nodes = nodes
         self.outputs = outputs
-        self._by_id = {}
         seen: set[str] = {INPUT_ID}
         for node in nodes:
-            if node.kind not in LayerNode.KINDS:
+            if node.kind not in OPS:
                 raise GraphError(f"unknown node kind {node.kind!r}", node.id)
-            if node.id in self._by_id or node.id == INPUT_ID:
+            if node.id in seen:
                 raise GraphError("duplicate node id", node.id)
             for ref in node.inputs:
                 if ref.split(".")[0] not in seen:
                     raise GraphError(f"input {ref!r} does not reference an earlier node",
                                      node.id)
-            self._by_id[node.id] = node
             seen.add(node.id)
         for head_name, node_id in outputs.items():
-            if node_id not in self._by_id:
+            if node_id not in seen or node_id == INPUT_ID:
                 raise GraphError(f"output {head_name} references missing node", node_id)
-
-    def node(self, node_id: str) -> LayerNode:
-        return self._by_id[node_id]
-
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self._by_id
 
 
 def _stage_tail(classes: int) -> list[LayerNode]:
@@ -146,47 +200,7 @@ def forward_all(g: NetworkGraph, x: T.Tensor) -> dict[str, T.Tensor]:
     """Like ``forward`` but returns every node's output (secondary outputs
     under ``id.route``), for inspection and shape-contract checks."""
     _check_input_shape(x.shape)
-    values: dict[str, T.Tensor] = {INPUT_ID: x}
-    for node in g.nodes:
-        try:
-            args = [values[ref] for ref in node.inputs]
-            if node.kind == "conv":
-                out = B.cbl(args[0], node.payload)
-            elif node.kind == "head":
-                out = T.conv2d(args[0], node.payload)
-            elif node.kind == "pool":
-                kind, k, s = node.payload
-                out = T.pool2d(args[0], kind, k, s)
-            elif node.kind == "upsample":
-                out = T.upsample_nearest2x(args[0])
-            elif node.kind == "concat":
-                out = args[0]
-                for extra in args[1:]:
-                    out = T.concat_channels(out, extra)
-            elif node.kind == "add":
-                out = B.fuse(args[0], args[1])
-            elif node.kind == "csp":
-                out, route = B.csp_forward_with_route(node.payload, args[0])
-                values[f"{node.id}.route"] = route
-            elif node.kind == "resblock_d":
-                out = B.resblock_d_forward(node.payload, args[0])
-            elif node.kind == "aux":
-                out = B.aux_forward(node.payload, args[0])
-            else:  # cbam
-                out = B.cbam_forward(node.payload, args[0])
-        except (ShapeError, KeyError) as exc:
-            raise GraphError(f"evaluation failed: {exc}", node.id) from exc
-        values[node.id] = out
-    return values
-
-
-def _conv_out_shape(shape, p: T.ConvParams):
-    n, c, h, w = shape
-    if c != p.in_channels:
-        raise ShapeError(f"channels {c} != conv in_channels {p.in_channels}")
-    return (n, p.out_channels,
-            T.conv_out_size(h, p.kernel_size, p.stride, p.padding),
-            T.conv_out_size(w, p.kernel_size, p.stride, p.padding))
+    return _walk(g, x, "forward", "evaluation failed")
 
 
 def infer_shapes(g: NetworkGraph, input_shape) -> dict[str, tuple]:
@@ -194,50 +208,23 @@ def infer_shapes(g: NetworkGraph, input_shape) -> dict[str, tuple]:
     ``id.route`` for secondary outputs).  Raises GraphError naming the first
     node whose inputs cannot be reconciled."""
     _check_input_shape(input_shape)
-    shapes: dict[str, tuple] = {INPUT_ID: tuple(input_shape)}
+    return _walk(g, tuple(input_shape), "shape", "shape inference failed")
+
+
+def _walk(g: NetworkGraph, first, step: str, failure: str) -> dict:
+    """Apply each node's ``OPS`` entry callable named ``step`` in order,
+    starting from ``first`` as the value of ``input``."""
+    out_by_id = {INPUT_ID: first}
     for node in g.nodes:
+        op = OPS[node.kind]
         try:
-            ins = [shapes[ref] for ref in node.inputs]
-            if node.kind in ("conv", "head"):
-                out = _conv_out_shape(ins[0], node.payload)
-            elif node.kind == "pool":
-                kind, k, s = node.payload
-                n, c, h, w = ins[0]
-                if h < k or w < k:
-                    raise ShapeError(f"spatial dims ({h}, {w}) smaller than pool kernel {k}")
-                out = (n, c, (h - k) // s + 1, (w - k) // s + 1)
-            elif node.kind == "upsample":
-                n, c, h, w = ins[0]
-                out = (n, c, 2 * h, 2 * w)
-            elif node.kind == "concat":
-                n, c, h, w = ins[0]
-                for nn, cc, hh, ww in ins[1:]:
-                    if (nn, hh, ww) != (n, h, w):
-                        raise ShapeError(f"concat mismatch: {(nn, hh, ww)} vs {(n, h, w)}")
-                    c += cc
-                out = (n, c, h, w)
-            elif node.kind == "add":
-                if ins[0] != ins[1]:
-                    raise ShapeError(f"add mismatch: {ins[0]} vs {ins[1]}")
-                out = ins[0]
-            elif node.kind in ("csp", "resblock_d", "aux"):
-                n, c, h, w = ins[0]
-                if c != node.payload.channels:
-                    raise ShapeError(f"channels {c} != stage channels {node.payload.channels}")
-                if h % 2 or w % 2:
-                    raise ShapeError(f"stage needs even spatial dims, got ({h}, {w})")
-                out = (n, 2 * c, h // 2, w // 2)
-                if node.kind == "csp":
-                    shapes[f"{node.id}.route"] = (n, c, h, w)
-            else:  # cbam
-                n, c, h, w = ins[0]
-                if c != node.payload.channels:
-                    raise ShapeError(f"channels {c} != attention channels {node.payload.channels}")
-                out = ins[0]
+            out = getattr(op, step)(node.payload, [out_by_id[ref] for ref in node.inputs])
         except (ShapeError, KeyError) as exc:
-            raise GraphError(f"shape inference failed: {exc}", node.id) from exc
-        shapes[node.id] = out
-    return shapes
+            raise GraphError(f"{failure}: {exc}", node.id) from exc
+        if op.routed:
+            out, out_by_id[f"{node.id}.route"] = out
+        out_by_id[node.id] = out
+    return out_by_id
 
 
 def iter_conv_entries(g: NetworkGraph) -> list[tuple[str, T.ConvParams]]:
@@ -245,9 +232,9 @@ def iter_conv_entries(g: NetworkGraph) -> list[tuple[str, T.ConvParams]]:
     with composite blocks expanded (entry ids are ``node.subconv``)."""
     entries: list[tuple[str, T.ConvParams]] = []
     for node in g.nodes:
-        if node.kind in ("conv", "head"):
+        if isinstance(node.payload, T.ConvParams):
             entries.append((node.id, node.payload))
-        elif node.kind in ("csp", "resblock_d", "aux", "cbam"):
+        elif node.payload is not None:
             for sub, p in node.payload.convs():
                 entries.append((f"{node.id}.{sub}", p))
     return entries

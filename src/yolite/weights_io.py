@@ -222,23 +222,24 @@ def load(g: N.NetworkGraph, path) -> None:
     staged = []
     for entry_id, p in entries:
         (id_len,) = rd.unpack("<H")
-        ident = rd.take(id_len).decode("utf-8")
-        rd.layer_id = ident
-        if ident != entry_id:
-            raise ArrayLengthError(f"layer id {ident!r} does not match expected {entry_id!r}")
+        ident = rd.take(id_len)
+        if ident != entry_id.encode("utf-8"):
+            raise ArrayLengthError(f"layer id {ident.decode('utf-8', 'replace')!r} "
+                                   f"does not match expected {entry_id!r}")
+        rd.layer_id = entry_id
         lengths = rd.unpack("<6I")
         expected = [a.size for a in _param_arrays(p)]
         if list(lengths) != expected:
             raise ArrayLengthError(
-                f"layer {ident!r} declares array lengths {list(lengths)}, expected {expected}")
+                f"layer {entry_id!r} declares array lengths {list(lengths)}, expected {expected}")
         arrays = []
         for name, n in zip(_ARRAY_NAMES, lengths):
             arr = np.frombuffer(rd.take(4 * n), dtype="<f4").astype(np.float32)
             if not np.isfinite(arr).all():
-                raise WeightFileError(f"layer {ident!r}: {name} holds non-finite values")
+                raise WeightFileError(f"layer {entry_id!r}: {name} holds non-finite values")
             arrays.append(arr)
         if (arrays[5] < 0).any():
-            raise WeightFileError(f"layer {ident!r}: running_var entries must be >= 0")
+            raise WeightFileError(f"layer {entry_id!r}: running_var entries must be >= 0")
         staged.append(arrays)
     if rd.pos != len(rd.data):
         raise ArrayLengthError(f"{len(rd.data) - rd.pos} unexpected trailing bytes")

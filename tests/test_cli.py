@@ -195,6 +195,18 @@ class TestDetect:
         assert code == 4
         assert "running_var" in err
 
+    def test_non_utf8_layer_id_in_weight_file_exits_4(self, capsys, tmp_path):
+        wpath = tmp_path / "bad.yltw"
+        W.save(N.build_yolov4_tiny(4), wpath)
+        data = bytearray(wpath.read_bytes())
+        data[22] = 0xFF  # first byte of the first layer id
+        wpath.write_bytes(bytes(data))
+        img = make_gray_ppm(tmp_path / "g.ppm", 64, 64)
+        code, _, err = run_cli(capsys, "detect", "--classes", "4", "--input-size", "64",
+                               "--weights", str(wpath), str(img))
+        assert code == 4
+        assert "layer id" in err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_during_forward_exits_6(self, capsys, tmp_path):
         g = N.build_yolov4_tiny(4)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from yolite import blocks as B
 from yolite import network as N
 from yolite import tensor as T
 from yolite import weights_io as W
@@ -68,6 +69,37 @@ class TestBuilders:
                  N.LayerNode("b", "upsample", [N.INPUT_ID])]
         with pytest.raises(GraphError):
             N.NetworkGraph("broken", 1, nodes, {})
+
+    def test_node_kinds(self):
+        assert set(N.OPS) == {"conv", "head", "upsample", "concat", "add",
+                              "csp", "resblock_d", "aux"}
+
+    @pytest.mark.parametrize("kind", ["pool", "cbam", "bogus"])
+    def test_unknown_kind_rejected(self, kind):
+        nodes = [N.LayerNode("a", kind, [N.INPUT_ID])]
+        with pytest.raises(GraphError, match="unknown node kind"):
+            N.NetworkGraph("broken", 1, nodes, {})
+
+    @pytest.mark.parametrize("ids, output", [(["a", "a"], "a"), (["input"], "input"),
+                                             (["a"], "b"), (["a"], "input")])
+    def test_bad_ids_and_outputs_rejected(self, ids, output):
+        nodes = [N.LayerNode(i, "upsample", [N.INPUT_ID]) for i in ids]
+        with pytest.raises(GraphError):
+            N.NetworkGraph("broken", 1, nodes, {"head": output})
+
+    @pytest.mark.parametrize("node", [
+        N.LayerNode("bad", "add", ["up", N.INPUT_ID]),
+        N.LayerNode("bad", "concat", ["up", N.INPUT_ID]),
+        N.LayerNode("bad", "csp", ["up"], B.CspBlock(4)),
+        N.LayerNode("bad", "conv", ["up"], B.conv_bn_params(4, 8, 3)),
+    ], ids=lambda node: node.kind)
+    def test_mismatch_names_node_in_both_walks(self, node):
+        g = N.NetworkGraph("broken", 1, [N.LayerNode("up", "upsample", [N.INPUT_ID]), node],
+                           {"head": "bad"})
+        with pytest.raises(GraphError, match="node 'bad'"):
+            N.infer_shapes(g, (1, 3, 32, 32))
+        with pytest.raises(GraphError, match="node 'bad'"):
+            N.forward_all(g, T.Tensor.zeros(1, 3, 32, 32))
 
 
 class TestParameterCounts:

@@ -186,6 +186,15 @@ class TestSaveLoad:
             W.load(fresh, path)
         assert W.params_checksum(fresh) == before
 
+    def test_non_utf8_layer_id_rejected(self, small_graph, tmp_path):
+        path = tmp_path / "w.yltw"
+        W.save(small_graph, path)
+        data = bytearray(path.read_bytes())
+        data[22] = 0xFF  # first byte of the first layer id
+        path.write_bytes(bytes(data))
+        with pytest.raises(ArrayLengthError, match="does not match expected 'stem1'"):
+            W.load(N.build_yolov4_tiny(2), path)
+
     def test_truncation_mid_array_reports_layer_id(self, small_graph, tmp_path):
         path = tmp_path / "w.yltw"
         W.save(small_graph, path)
