@@ -17,7 +17,8 @@ from . import tensor as T
 
 __all__ = ["ConvCost", "PoolCost", "FlopsEntry", "FlopsReport", "ReceptiveField",
            "flops_of_layer", "flops_of_pool", "flops_of_list", "flops_of_graph",
-           "receptive_field", "CSP_REFERENCE_COSTS", "RESBLOCK_D_REFERENCE_COSTS"]
+           "format_table", "receptive_field", "CSP_REFERENCE_COSTS",
+           "RESBLOCK_D_REFERENCE_COSTS"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,13 @@ def flops_of_pool(m: int, k: int, c: int) -> int:
     if min(m, k, c) < 1:
         raise ValueError("all cost-model arguments must be >= 1")
     return c * m * m * k * k
+
+
+def format_table(rows) -> list[str]:
+    """Left-aligned text columns two spaces apart, each as wide as its widest
+    cell, one line per row with trailing spaces stripped."""
+    widths = [max(map(len, col)) for col in zip(*rows)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 
 
 @dataclass(frozen=True)
@@ -96,9 +104,7 @@ class FlopsReport:
         for e in self.entries:
             rows.append((e.layer_id, e.kind, str(e.m), str(e.k),
                          str(e.c_in), str(e.c_out), f"{e.flops:,}"))
-        widths = [max(len(r[i]) for r in rows) for i in range(7)]
-        lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-                 for row in rows]
+        lines = format_table(rows)
         lines.append("-" * len(lines[0]))
         for kind, subtotal in sorted(self.by_kind().items()):
             lines.append(f"{kind} subtotal: {subtotal:,}")

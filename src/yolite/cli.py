@@ -114,9 +114,7 @@ def cmd_describe(cfg: Config) -> int:
         rows.append((node["id"], node["kind"],
                      "x".join(str(v) for v in node["output_shape"]),
                      f"{node['params']:,}"))
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    for row in rows:
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    print("\n".join(A.format_table(rows)))
     for name, shape in doc["heads"].items():
         print(f"{name}: {'x'.join(str(v) for v in shape)}")
     return EXIT_OK

@@ -112,13 +112,10 @@ def load_image(path) -> np.ndarray:
 class LetterboxTransform:
     """Remembers scale and padding so boxes can be mapped back."""
 
-    def __init__(self, scale: float, pad_x: int, pad_y: int,
-                 orig_w: int, orig_h: int):
+    def __init__(self, scale: float, pad_x: int, pad_y: int):
         self.scale = scale
         self.pad_x = pad_x
         self.pad_y = pad_y
-        self.orig_w = orig_w
-        self.orig_h = orig_h
 
     def box_to_original(self, box: Box) -> Box:
         return Box((box.cx - self.pad_x) / self.scale,
@@ -143,4 +140,4 @@ def letterbox(image: np.ndarray, size: int) -> tuple[Tensor, LetterboxTransform]
     canvas = np.full((size, size, c), PAD_VALUE, dtype=np.float32)
     canvas[pad_y:pad_y + new_h, pad_x:pad_x + new_w] = resized
     tensor = Tensor(np.ascontiguousarray(canvas.transpose(2, 0, 1))[None, :, :, :])
-    return tensor, LetterboxTransform(scale, pad_x, pad_y, w, h)
+    return tensor, LetterboxTransform(scale, pad_x, pad_y)

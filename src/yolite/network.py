@@ -74,26 +74,32 @@ def _stage_shape(blk, ins):
 
 class Op(NamedTuple):
     """How one node kind runs: ``forward(payload, inputs)`` and
-    ``shape(payload, input_shapes)``.  A ``routed`` kind returns a
-    (main, route) pair from both; the route is stored under ``id.route``."""
+    ``shape(payload, input_shapes)``.  ``payload`` is the type a node's
+    payload must have and ``arity`` its (min, max) input count, max None
+    for unbounded.  A ``routed`` kind returns a (main, route) pair from both;
+    the route is stored under ``id.route``."""
 
     forward: Callable
     shape: Callable
+    payload: type = type(None)
+    arity: tuple[int, int | None] = (1, 1)
     routed: bool = False
 
 
 # The forwards look blocks and tensor ops up through their module at call
 # time, so a wrapper installed on a module attribute sees every call.
 OPS = {
-    "conv": Op(lambda p, xs: B.cbl(xs[0], p), _conv_shape),
-    "head": Op(lambda p, xs: T.conv2d(xs[0], p), _conv_shape),
+    "conv": Op(lambda p, xs: B.cbl(xs[0], p), _conv_shape, T.ConvParams),
+    "head": Op(lambda p, xs: T.conv2d(xs[0], p), _conv_shape, T.ConvParams),
     "upsample": Op(lambda p, xs: T.upsample_nearest2x(xs[0]), _upsample_shape),
-    "concat": Op(lambda p, xs: functools.reduce(T.concat_channels, xs), _concat_shape),
-    "add": Op(lambda p, xs: B.fuse(xs[0], xs[1]), _add_shape),
+    "concat": Op(lambda p, xs: functools.reduce(T.concat_channels, xs), _concat_shape,
+                 arity=(2, None)),
+    "add": Op(lambda p, xs: B.fuse(xs[0], xs[1]), _add_shape, arity=(2, 2)),
     "csp": Op(lambda p, xs: B.csp_forward_with_route(p, xs[0]),
-              lambda p, ins: (_stage_shape(p, ins), ins[0]), routed=True),
-    "resblock_d": Op(lambda p, xs: B.resblock_d_forward(p, xs[0]), _stage_shape),
-    "aux": Op(lambda p, xs: B.aux_forward(p, xs[0]), _stage_shape),
+              lambda p, ins: (_stage_shape(p, ins), ins[0]), B.CspBlock, routed=True),
+    "resblock_d": Op(lambda p, xs: B.resblock_d_forward(p, xs[0]), _stage_shape,
+                     B.ResBlockD),
+    "aux": Op(lambda p, xs: B.aux_forward(p, xs[0]), _stage_shape, B.AuxBlock),
 }
 
 
@@ -108,8 +114,17 @@ class NetworkGraph:
         self.outputs = outputs
         seen: set[str] = {INPUT_ID}
         for node in nodes:
-            if node.kind not in OPS:
+            op = OPS.get(node.kind)
+            if op is None:
                 raise GraphError(f"unknown node kind {node.kind!r}", node.id)
+            lo, hi = op.arity
+            if len(node.inputs) < lo or (hi is not None and len(node.inputs) > hi):
+                want = f"at least {lo}" if hi is None else str(lo)
+                raise GraphError(f"{node.kind} takes {want} input(s), got {len(node.inputs)}",
+                                 node.id)
+            if not isinstance(node.payload, op.payload):
+                raise GraphError(f"{node.kind} payload must be {op.payload.__name__}, "
+                                 f"got {type(node.payload).__name__}", node.id)
             if node.id in seen:
                 raise GraphError("duplicate node id", node.id)
             for ref in node.inputs:

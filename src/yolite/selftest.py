@@ -57,6 +57,9 @@ def _check_elementwise_ops() -> str:
     pooled = T.pool2d(T.Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], np.float32)),
                       "avg", 2, 2)
     assert pooled.array[0, 0, 0, 0] == 2.5
+    tie = T.pool2d(T.Tensor(np.array([[[[0.0, -0.0], [-0.0, -0.0]]]], np.float32)),
+                   "max", 2, 2)
+    assert not np.signbit(tie.array[0, 0, 0, 0]), "max pool did not keep the earlier +0 on a tie"
     return "activation and pooling identities hold"
 
 

@@ -95,14 +95,6 @@ class Tensor:
         arr = np.full(shape, value, dtype=np.float32)
         return cls(arr)
 
-    @classmethod
-    def from_flat(cls, shape: tuple[int, int, int, int], flat: np.ndarray) -> "Tensor":
-        flat = np.asarray(flat, dtype=np.float32)
-        n, c, h, w = shape
-        if flat.size != n * c * h * w:
-            raise ShapeError(f"flat data length {flat.size} != n*c*h*w = {n * c * h * w}")
-        return cls(flat.reshape(shape).copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
@@ -258,7 +250,7 @@ def _fill_blocked(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
                   out: np.ndarray) -> None:
     """Output channels [lo, hi) in NCHW layout.
 
-    Each input channel's k*k strided windows are first copied into a
+    Each input channel's k*k strided windows are copied in turn into a
     contiguous buffer, so every product runs over a whole (oh, ow) plane.
     """
     n, c = xp.shape[:2]
@@ -266,15 +258,13 @@ def _fill_blocked(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
     oh, ow = out.shape[2:]
     acc = np.zeros((n, hi - lo, oh, ow), dtype=np.float32)
     tmp = np.empty_like(acc)
-    cols = np.empty((k, k, n, 1, oh, ow), dtype=np.float32)
+    col = np.empty((n, 1, oh, ow), dtype=np.float32)
     for ci in range(c):
-        for ky in range(k):
-            for kx in range(k):
-                cols[ky, kx, :, 0] = xp[:, ci, ky:ky + s * oh:s, kx:kx + s * ow:s]
-        for ky in range(k):
-            for kx in range(k):
-                np.multiply(cols[ky, kx], wt[ci, ky, kx, lo:hi, None, None], out=tmp)
-                np.add(acc, tmp, out=acc)
+        taps = wt[ci].reshape(k * k, -1)[:, lo:hi, None, None]
+        for window, tap in zip(_windows(xp[:, ci], k, s, oh, ow), taps):
+            col[:, 0] = window
+            np.multiply(col, tap, out=tmp)
+            np.add(acc, tmp, out=acc)
     out[:, lo:hi] = acc
 
 
@@ -295,11 +285,34 @@ def _fill_channel_last(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
     out[:, lo:hi] = acc
 
 
-def pool2d(x: Tensor, kind: str, k: int, s: int) -> Tensor:
-    """Windowed max or average pooling, no padding.
+def _windows(a: np.ndarray, k: int, s: int, oh: int, ow: int) -> list[np.ndarray]:
+    """The k*k views of ``a`` that a k x k window at stride ``s`` reads to
+    make an (oh, ow) map from the last two axes, window row-major."""
+    return [a[..., ky:ky + s * oh:s, kx:kx + s * ow:s] for ky in range(k) for kx in range(k)]
 
-    Average accumulates the k*k window row-major in float32 and divides once.
+
+def _fold(views, kind: str) -> np.ndarray:
+    """Fold equally shaped arrays, in order, into a new float32 array with one
+    rounding per step.
+
+    ``avg`` sums and divides once by the count.  ``max`` replaces the running
+    value only where a later one is strictly greater, so a tie (including
+    +0 against -0) keeps the earlier value, as the scalar reference does.
     """
+    acc = np.array(views[0], dtype=np.float32, order="C")
+    for v in views[1:]:
+        if kind == "max":
+            np.copyto(acc, v, where=v > acc)
+        else:
+            np.add(acc, v, out=acc)
+    if kind == "avg":
+        np.divide(acc, np.float32(len(views)), out=acc)
+    return acc
+
+
+def pool2d(x: Tensor, kind: str, k: int, s: int) -> Tensor:
+    """Windowed max or average pooling, no padding; each window folds
+    row-major."""
     if kind not in ("max", "avg"):
         raise ValueError(f"unknown pool kind {kind!r}")
     if k < 1 or s < 1:
@@ -308,24 +321,9 @@ def pool2d(x: Tensor, kind: str, k: int, s: int) -> Tensor:
     if h < k or w < k:
         raise ShapeError(f"spatial dims ({h}, {w}) smaller than pool kernel {k}")
     oh, ow = (h - k) // s + 1, (w - k) // s + 1
-    first = x.array[:, :, 0:s * oh:s, 0:s * ow:s]
-    if kind == "max":
-        acc = first.copy()
-        for ky in range(k):
-            for kx in range(k):
-                if ky == 0 and kx == 0:
-                    continue
-                np.maximum(acc, x.array[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s], out=acc)
-    else:
-        acc = first.astype(np.float32, copy=True)
-        for ky in range(k):
-            for kx in range(k):
-                if ky == 0 and kx == 0:
-                    continue
-                np.add(acc, x.array[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s], out=acc)
-        np.divide(acc, np.float32(k * k), out=acc)
+    acc = _fold(_windows(x.array, k, s, oh, ow), kind)
     _check_finite(acc, "pool2d")
-    return Tensor(np.ascontiguousarray(acc), _trusted=True)
+    return Tensor(acc, _trusted=True)
 
 
 def leaky_relu(x: Tensor, a: float = 10.0) -> Tensor:
@@ -338,8 +336,8 @@ def leaky_relu(x: Tensor, a: float = 10.0) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(x, 0)."""
-    return Tensor(np.maximum(x.array, np.float32(0)), _trusted=True)
+    """Elementwise max(x, 0); -0 maps to +0."""
+    return Tensor(np.where(x.array > 0, x.array, np.float32(0)), _trusted=True)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -408,44 +406,26 @@ def broadcast_mul(a: Tensor, m: Tensor) -> Tensor:
 
 
 def channel_pool(x: Tensor, kind: str) -> Tensor:
-    """Global spatial reduction per channel, to shape (n, c, 1, 1).
-
-    The average folds pixels in row-major order in float32, matching the
-    scalar reference bit for bit.
-    """
+    """Global spatial reduction per channel, to shape (n, c, 1, 1); pixels
+    fold in row-major order."""
     if kind not in ("max", "avg"):
         raise ValueError(f"unknown reduction kind {kind!r}")
     n, c, h, w = x.shape
     if min(n, c, h, w) == 0:
         raise ShapeError("channel_pool needs a non-empty tensor")
     flat = x.array.reshape(n, c, h * w)
-    acc = flat[:, :, 0].copy()
-    for i in range(1, h * w):
-        if kind == "max":
-            np.maximum(acc, flat[:, :, i], out=acc)
-        else:
-            np.add(acc, flat[:, :, i], out=acc)
-    if kind == "avg":
-        np.divide(acc, np.float32(h * w), out=acc)
-    return Tensor(acc.reshape(n, c, 1, 1), _trusted=True)
+    return Tensor(_fold(np.moveaxis(flat, 2, 0), kind).reshape(n, c, 1, 1), _trusted=True)
 
 
 def spatial_pool(x: Tensor, kind: str) -> Tensor:
-    """Across-channel reduction per pixel, to shape (n, 1, h, w)."""
+    """Across-channel reduction per pixel, to shape (n, 1, h, w); channels
+    fold in order."""
     if kind not in ("max", "avg"):
         raise ValueError(f"unknown reduction kind {kind!r}")
     n, c, h, w = x.shape
     if min(n, c, h, w) == 0:
         raise ShapeError("spatial_pool needs a non-empty tensor")
-    acc = x.array[:, 0].copy()
-    for ci in range(1, c):
-        if kind == "max":
-            np.maximum(acc, x.array[:, ci], out=acc)
-        else:
-            np.add(acc, x.array[:, ci], out=acc)
-    if kind == "avg":
-        np.divide(acc, np.float32(c), out=acc)
-    return Tensor(acc.reshape(n, 1, h, w), _trusted=True)
+    return Tensor(_fold(np.moveaxis(x.array, 1, 0), kind).reshape(n, 1, h, w), _trusted=True)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:

@@ -244,11 +244,6 @@ def load(g: N.NetworkGraph, path) -> None:
     if rd.pos != len(rd.data):
         raise ArrayLengthError(f"{len(rd.data) - rd.pos} unexpected trailing bytes")
 
-    for (entry_id, p), arrays in zip(entries, staged):
-        p.weights[:] = arrays[0]
-        p.bias[:] = arrays[1]
-        if p.bn is not None:
-            p.bn.gamma[:] = arrays[2]
-            p.bn.beta[:] = arrays[3]
-            p.bn.running_mean[:] = arrays[4]
-            p.bn.running_var[:] = arrays[5]
+    for (_, p), arrays in zip(entries, staged):
+        for dst, src in zip(_param_arrays(p), arrays):
+            dst[:] = src

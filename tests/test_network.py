@@ -87,6 +87,34 @@ class TestBuilders:
         with pytest.raises(GraphError):
             N.NetworkGraph("broken", 1, nodes, {"head": output})
 
+    @pytest.mark.parametrize("node, message", [
+        (N.LayerNode("bad", "add", [N.INPUT_ID]), "add takes 2 input"),
+        (N.LayerNode("bad", "add", [N.INPUT_ID] * 3), "add takes 2 input"),
+        (N.LayerNode("bad", "concat", [N.INPUT_ID]), "concat takes at least 2 input"),
+        (N.LayerNode("bad", "upsample", []), "upsample takes 1 input"),
+        (N.LayerNode("bad", "conv", [N.INPUT_ID, N.INPUT_ID], B.conv_bn_params(3, 8, 3)),
+         "conv takes 1 input"),
+        (N.LayerNode("bad", "conv", [N.INPUT_ID]),
+         "conv payload must be ConvParams, got NoneType"),
+        (N.LayerNode("bad", "head", [N.INPUT_ID], B.CspBlock(4)),
+         "head payload must be ConvParams, got CspBlock"),
+        (N.LayerNode("bad", "csp", [N.INPUT_ID], B.ResBlockD(4)),
+         "csp payload must be CspBlock, got ResBlockD"),
+        (N.LayerNode("bad", "resblock_d", [N.INPUT_ID]), "resblock_d payload must be ResBlockD"),
+        (N.LayerNode("bad", "aux", [N.INPUT_ID], B.CspBlock(4)), "aux payload must be AuxBlock"),
+        (N.LayerNode("bad", "upsample", [N.INPUT_ID], B.conv_bn_params(3, 8, 3)),
+         "upsample payload must be NoneType, got ConvParams"),
+    ], ids=["add-1", "add-3", "concat-1", "upsample-0", "conv-2", "conv-none", "head-csp",
+            "csp-resblock_d", "resblock_d-none", "aux-csp", "upsample-conv"])
+    def test_arity_and_payload_checked_at_build(self, node, message):
+        with pytest.raises(GraphError, match=f"node 'bad': {message}"):
+            N.NetworkGraph("broken", 1, [node], {})
+
+    def test_concat_takes_more_than_two_inputs(self):
+        g = N.NetworkGraph("wide", 1, [N.LayerNode("cat", "concat", [N.INPUT_ID] * 3)],
+                           {"head": "cat"})
+        assert N.infer_shapes(g, (1, 3, 32, 32))["cat"] == (1, 9, 32, 32)
+
     @pytest.mark.parametrize("node", [
         N.LayerNode("bad", "add", ["up", N.INPUT_ID]),
         N.LayerNode("bad", "concat", ["up", N.INPUT_ID]),

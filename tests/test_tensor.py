@@ -1,3 +1,4 @@
+import inspect
 import sys
 import threading
 
@@ -239,6 +240,15 @@ class TestPool2d:
 
 
 class TestActivations:
+    def test_relu_bit_pattern(self):
+        x = T.Tensor(np.array([[[[-0.0, 0.0, -1.5, 2.0]]]], np.float32))
+        want = np.array([[[[0.0, 0.0, 0.0, 2.0]]]], np.float32)
+        assert bits_equal(T.relu(x).array, want)
+
+    def test_no_operand_order_dependent_max(self):
+        # np.maximum's result on a +0/-0 tie differs between CPUs.
+        assert "np.maximum" not in inspect.getsource(T)
+
     def test_leaky_branches(self):
         x = T.Tensor(np.array([[[[5.0, -10.0], [0.0, -1.0]]]], np.float32))
         y = T.leaky_relu(x, 10.0)
@@ -401,6 +411,22 @@ class TestRandomizedOracleBattery:
                         force_schedule(mp, schedule, n, oh, ow, block)
                     got = T.conv2d(x, params).array
                 assert bits_equal(got, ref), f"conv case {case} diverged under {schedule}"
+
+    @pytest.mark.parametrize("op", ["pool2d", "channel_pool", "spatial_pool"])
+    def test_signed_zero_ties(self, op):
+        # All 16 sign patterns of four zeros, each folded in order: one 2x2
+        # window or channel per pattern, or for spatial_pool one pixel per
+        # pattern across four channels.
+        signs = (np.arange(16)[:, None] >> np.arange(4)) & 1
+        zeros = np.where(signs == 1, -0.0, 0.0).astype(np.float32)
+        if op == "spatial_pool":
+            x = np.ascontiguousarray(zeros.T).reshape(1, 4, 4, 4)
+        else:
+            x = zeros.reshape(1, 16, 2, 2)
+        args = (2, 2) if op == "pool2d" else ()
+        for kind in ("max", "avg"):
+            got = getattr(T, op)(T.Tensor(x), kind, *args).array
+            assert bits_equal(got, getattr(oracles, f"{op}_naive")(x, kind, *args)), kind
 
     def test_pool_battery(self):
         rng = np.random.default_rng(99)
