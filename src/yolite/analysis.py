@@ -15,29 +15,10 @@ from . import blocks as B
 from . import network as N
 from . import tensor as T
 
-__all__ = ["ConvCost", "PoolCost", "FlopsEntry", "FlopsReport", "ReceptiveField",
+__all__ = ["FlopsEntry", "FlopsReport", "ReceptiveField",
            "flops_of_layer", "flops_of_pool", "flops_of_list", "flops_of_graph",
            "format_table", "receptive_field", "CSP_REFERENCE_COSTS",
            "RESBLOCK_D_REFERENCE_COSTS"]
-
-
-@dataclass(frozen=True)
-class ConvCost:
-    """Descriptor of one convolution: output map size M, kernel K, channels."""
-    m: int
-    k: int
-    c_in: int
-    c_out: int
-    layer_id: str = ""
-
-
-@dataclass(frozen=True)
-class PoolCost:
-    """Descriptor of one pooling layer: output map size M, window K, channels C."""
-    m: int
-    k: int
-    c: int
-    layer_id: str = ""
 
 
 def flops_of_layer(m: int, k: int, c_in: int, c_out: int) -> int:
@@ -112,47 +93,45 @@ class FlopsReport:
         return "\n".join(lines)
 
 
-def _entry(item) -> FlopsEntry:
-    if isinstance(item, ConvCost):
-        return FlopsEntry(item.layer_id, "conv", item.m, item.k, item.c_in,
-                          item.c_out, flops_of_layer(item.m, item.k, item.c_in, item.c_out))
-    if isinstance(item, PoolCost):
-        return FlopsEntry(item.layer_id, "pool", item.m, item.k, item.c, item.c,
-                          flops_of_pool(item.m, item.k, item.c))
-    raise TypeError(f"expected ConvCost or PoolCost, got {type(item).__name__}")
+def _conv(layer_id: str, m: int, k: int, c_in: int, c_out: int) -> FlopsEntry:
+    return FlopsEntry(layer_id, "conv", m, k, c_in, c_out, flops_of_layer(m, k, c_in, c_out))
+
+
+def _pool(layer_id: str, m: int, k: int, c: int) -> FlopsEntry:
+    return FlopsEntry(layer_id, "pool", m, k, c, c, flops_of_pool(m, k, c))
 
 
 def flops_of_list(items, label: str = "") -> FlopsReport:
-    """Cost a flat list of ConvCost/PoolCost descriptors."""
-    return FlopsReport([_entry(i) for i in items], label=label)
+    """Report a flat list of FlopsEntry rows."""
+    return FlopsReport(items, label=label)
 
 
 # Reference cost tables for one 104x104, 64-channel stage of each block
 # variant, used by the `flops --paper-fixtures` command and the acceptance
 # suite.  Intentionally independent of the graph builders.
 CSP_REFERENCE_COSTS = (
-    ConvCost(104, 3, 64, 64, "entry3x3"),
-    ConvCost(104, 3, 64, 32, "squeeze3x3"),
-    ConvCost(104, 3, 32, 32, "inner3x3"),
-    ConvCost(104, 1, 64, 64, "merge1x1"),
+    _conv("entry3x3", 104, 3, 64, 64),
+    _conv("squeeze3x3", 104, 3, 64, 32),
+    _conv("inner3x3", 104, 3, 32, 32),
+    _conv("merge1x1", 104, 1, 64, 64),
 )
 
 RESBLOCK_D_REFERENCE_COSTS = (
-    ConvCost(104, 1, 64, 32, "a_squeeze1x1"),
-    ConvCost(52, 3, 32, 32, "a_strided3x3"),
-    ConvCost(52, 1, 32, 64, "a_expand1x1"),
-    PoolCost(52, 2, 64, "b_avgpool"),
-    ConvCost(52, 1, 64, 64, "b_expand1x1"),
+    _conv("a_squeeze1x1", 104, 1, 64, 32),
+    _conv("a_strided3x3", 52, 3, 32, 32),
+    _conv("a_expand1x1", 52, 1, 32, 64),
+    _pool("b_avgpool", 52, 2, 64),
+    _conv("b_expand1x1", 52, 1, 64, 64),
 )
 
 
-def _conv_cost(p: T.ConvParams, m_in: int, layer_id: str) -> ConvCost:
+def _conv_cost(p: T.ConvParams, m_in: int, layer_id: str) -> FlopsEntry:
     m = T.conv_out_size(m_in, p.kernel_size, p.stride, p.padding)
-    return ConvCost(m, p.kernel_size, p.in_channels, p.out_channels, layer_id)
+    return _conv(layer_id, m, p.kernel_size, p.in_channels, p.out_channels)
 
 
 def _graph_costs(g: N.NetworkGraph, shapes: dict[str, tuple]):
-    """Expand every node into its conv/pool cost descriptors.
+    """Expand every node into its conv/pool cost rows.
 
     Geometry comes from the node's own ConvParams; a block's ``cost_sites``
     says which map each of its convs and its pool reads, and leaves out the
@@ -172,7 +151,7 @@ def _graph_costs(g: N.NetworkGraph, shapes: dict[str, tuple]):
             layer_id = f"{node.id}.{name}"
             if pool_channels:
                 m_out = T.conv_out_size(m_in, B.POOL, B.POOL, 0)
-                items.append(PoolCost(m_out, B.POOL, pool_channels[0], layer_id))
+                items.append(_pool(layer_id, m_out, B.POOL, pool_channels[0]))
             else:
                 items.append(_conv_cost(convs[name], m_in, layer_id))
     return items

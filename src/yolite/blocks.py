@@ -17,26 +17,21 @@ LEAKY_A = 10.0  # negative branch divisor, i.e. slope 0.1
 POOL = 2  # window and stride of the stages' downsampling pools
 
 
-def conv_bn_params(c_in: int, c_out: int, k: int, stride: int = 1,
-                   padding: int | None = None) -> T.ConvParams:
-    """Zero-weight conv with identity batch-norm ("same" padding by default)."""
-    if padding is None:
-        padding = (k - 1) // 2
-    return T.ConvParams(c_in, c_out, k, stride=stride, padding=padding,
+def conv_bn_params(c_in: int, c_out: int, k: int, stride: int = 1) -> T.ConvParams:
+    """Zero-weight conv with identity batch-norm and "same" padding."""
+    return T.ConvParams(c_in, c_out, k, stride=stride, padding=(k - 1) // 2,
                         bn=T.BatchNorm.identity(c_out))
 
 
-def conv_linear_params(c_in: int, c_out: int, k: int, stride: int = 1,
-                       padding: int | None = None) -> T.ConvParams:
-    """Zero-weight plain conv with bias, no normalization, no activation."""
-    if padding is None:
-        padding = (k - 1) // 2
-    return T.ConvParams(c_in, c_out, k, stride=stride, padding=padding)
+def conv_linear_params(c_in: int, c_out: int, k: int) -> T.ConvParams:
+    """Zero-weight plain stride-1 conv with bias and "same" padding, no
+    normalization, no activation."""
+    return T.ConvParams(c_in, c_out, k, padding=(k - 1) // 2)
 
 
-def cbl(x: T.Tensor, params: T.ConvParams, a: float = LEAKY_A) -> T.Tensor:
+def cbl(x: T.Tensor, params: T.ConvParams) -> T.Tensor:
     """Convolution + batch-norm (inside conv2d) + leaky activation."""
-    return T.leaky_relu(T.conv2d(x, params), a)
+    return T.leaky_relu(T.conv2d(x, params), LEAKY_A)
 
 
 class CspBlock:

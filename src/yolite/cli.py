@@ -43,7 +43,7 @@ class Config:
     conf_thresh: float = 0.25
     iou_thresh: float = 0.45
     anchors: D.AnchorSet | None = None
-    seed: int = 42
+    seed: int | None = None  # None: $YOLITE_SEED, else 42
     weights: str | None = None
     fmt: str = "text"
 
@@ -57,15 +57,34 @@ class Config:
         for name, v in (("conf-thresh", self.conf_thresh), ("iou-thresh", self.iou_thresh)):
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie within [0, 1], got {v}")
-        if self.seed < 0 or self.seed >= 2 ** 64:
+        if self.seed is not None and not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        if self.anchors is not None:
+            counts = {s: len(pairs) for s, pairs in self.anchors.by_stride.items()}
+            if counts != {32: N.HEAD_ANCHORS, 16: N.HEAD_ANCHORS}:
+                raise ConfigError(f"anchors need {N.HEAD_ANCHORS} (w, h) pairs for each of "
+                                  f"strides 32 and 16, got {counts}")
+
+    def _weight_seed(self) -> int:
+        """``seed``, else $YOLITE_SEED, else 42.  Called only where weights are
+        seeded, so commands that seed nothing never read the variable."""
+        if self.seed is not None:
+            return self.seed
+        text = os.environ.get(SEED_ENV, "42")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ConfigError(f"${SEED_ENV} must be an integer, got {text!r}") from None
+        if not 0 <= seed < 2 ** 64:
+            raise ConfigError(f"${SEED_ENV} must fit in an unsigned 64-bit integer, got {text!r}")
+        return seed
 
     def build_graph(self, model: str | None = None) -> N.NetworkGraph:
         g = _BUILDERS[model or self.model](self.classes)
         if self.weights is not None:
             W.load(g, self.weights)
         else:
-            W.init_seeded(g, self.seed)
+            W.init_seeded(g, self._weight_seed())
         return g
 
     def anchor_set(self) -> D.AnchorSet:
@@ -81,17 +100,10 @@ def _parse_anchors(text: str) -> D.AnchorSet:
 
 
 def _config_from_args(args) -> Config:
-    seed = args.seed
-    if seed is None:
-        text = os.environ.get(SEED_ENV, "42")
-        try:
-            seed = int(text)
-        except ValueError:
-            raise ConfigError(f"${SEED_ENV} must be an integer, got {text!r}") from None
     cfg = Config(model=args.model, classes=args.classes, input_size=args.input_size,
                  conf_thresh=args.conf_thresh, iou_thresh=args.iou_thresh,
                  anchors=_parse_anchors(args.anchors) if args.anchors else None,
-                 seed=seed, weights=args.weights, fmt=args.format)
+                 seed=args.seed, weights=args.weights, fmt=args.format)
     cfg.validate()
     return cfg
 

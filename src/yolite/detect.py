@@ -101,8 +101,8 @@ class AnchorSet:
         self.by_stride = {}
         for stride, pairs in (by_stride or self.DEFAULT).items():
             pairs = tuple((float(w), float(h)) for w, h in pairs)
-            if not pairs or any(w <= 0 or h <= 0 for w, h in pairs):
-                raise ValueError(f"anchors for stride {stride} must be positive pairs")
+            if not pairs or not all(0 < v < math.inf for pair in pairs for v in pair):
+                raise ValueError(f"anchors for stride {stride} must be positive finite pairs")
             self.by_stride[int(stride)] = pairs
 
     def for_scale(self, scale: int, input_size: int):
@@ -182,7 +182,7 @@ def _sig6(v: float) -> float:
     return float(f"{v:.6g}")
 
 
-def detections_to_json(dets: list[Detection], class_names=None) -> list[dict]:
+def detections_to_json(dets: list[Detection]) -> list[dict]:
     """JSON-ready records with floats at six significant digits."""
     out = []
     for d in dets:
@@ -190,7 +190,5 @@ def detections_to_json(dets: list[Detection], class_names=None) -> list[dict]:
                "confidence": _sig6(d.confidence),
                "box": {"cx": _sig6(d.box.cx), "cy": _sig6(d.box.cy),
                        "w": _sig6(d.box.w), "h": _sig6(d.box.h)}}
-        if class_names is not None and 0 <= d.class_id < len(class_names):
-            rec["class_name"] = class_names[d.class_id]
         out.append(rec)
     return out

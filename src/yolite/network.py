@@ -20,6 +20,7 @@ from . import tensor as T
 from .errors import GraphError, ShapeError
 
 INPUT_ID = "input"
+HEAD_ANCHORS = 3  # prior boxes per head cell, each predicting 5 + classes channels
 
 
 @dataclass
@@ -139,7 +140,7 @@ class NetworkGraph:
 
 def _stage_tail(classes: int) -> list[LayerNode]:
     """Trunk conv, neck, both heads, and the upsample path between scales."""
-    head_ch = 3 * (5 + classes)
+    head_ch = HEAD_ANCHORS * (5 + classes)
     return [
         LayerNode("trunk", "conv", ["stage3"], B.conv_bn_params(512, 512, 3)),
         LayerNode("neck", "conv", ["trunk"], B.conv_bn_params(512, 256, 1)),
@@ -173,11 +174,10 @@ def build_yolov4_tiny(classes: int = 80) -> NetworkGraph:
                         {"head_13": "head_13", "head_26": "head_26"})
 
 
-def build_proposed(classes: int = 80, aux: bool = True) -> NetworkGraph:
+def build_proposed(classes: int = 80) -> NetworkGraph:
     """Modified variant: the first two stages become downsampling residual
     blocks, each paired with an auxiliary block fed from the stage input and
-    merged back by elementwise sum.  Pass ``aux=False`` to drop the auxiliary
-    paths (shapes are unchanged; useful for ablation)."""
+    merged back by elementwise sum."""
     if classes < 1:
         raise ValueError("classes must be >= 1")
     nodes = _stem()
@@ -185,12 +185,9 @@ def build_proposed(classes: int = 80, aux: bool = True) -> NetworkGraph:
     for idx, ch in ((1, 64), (2, 128)):
         stage = f"stage{idx}"
         nodes.append(LayerNode(stage, "resblock_d", [prev], B.ResBlockD(ch)))
-        if aux:
-            nodes.append(LayerNode(f"{stage}_aux", "aux", [prev], B.AuxBlock(ch)))
-            nodes.append(LayerNode(f"{stage}_fuse", "add", [stage, f"{stage}_aux"]))
-            prev = f"{stage}_fuse"
-        else:
-            prev = stage
+        nodes.append(LayerNode(f"{stage}_aux", "aux", [prev], B.AuxBlock(ch)))
+        nodes.append(LayerNode(f"{stage}_fuse", "add", [stage, f"{stage}_aux"]))
+        prev = f"{stage}_fuse"
     nodes.append(LayerNode("stage3", "csp", [prev], B.CspBlock(256)))
     nodes += _stage_tail(classes)
     return NetworkGraph("proposed", classes, nodes,

@@ -43,60 +43,41 @@ _U64 = (1 << 64) - 1
 _ARRAY_NAMES = ("weights", "bias", "gamma", "beta", "running_mean", "running_var")
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    """Advance a splitmix64 state; return (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _U64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-    return state, z ^ (z >> 31)
+# xoshiro256** runs across LANES independent lanes, stepped together; the
+# lane count is part of the output contract and must not change.
+LANES = 256
 
 
-class XoshiroLanes:
-    """xoshiro256** advanced across independent lanes in lockstep.
+def _splitmix64(seeds, count: int) -> np.ndarray:
+    """The first ``count`` splitmix64 outputs of each seed's stream (shape
+    ``seeds.shape + (count,)``).  Output i is a fixed mix of
+    seed + (i+1)*gamma mod 2**64, so no state is carried between outputs."""
+    z = np.asarray(seeds, dtype=np.uint64)[..., None] + (
+        np.arange(1, count + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
 
-    Lane states come from one splitmix64 stream (lane-major order); outputs
-    are emitted round-robin across lanes, one generator step at a time.  The
-    lane count is part of the output contract and must not change.
-    """
 
-    LANES = 256
+def _uniform(seed, count: int) -> np.ndarray:
+    """``count`` doubles in [0, 1) from xoshiro256** over LANES lanes.
 
-    def __init__(self, seed: int):
-        state = seed & _U64
-        words = []
-        for _ in range(4 * self.LANES):
-            state, z = _splitmix64(state)
-            words.append(z)
-        arr = np.array(words, dtype=np.uint64).reshape(self.LANES, 4)
-        self.s = [arr[:, i].copy() for i in range(4)]
-
-    @staticmethod
-    def _rotl(x: np.ndarray, k: int) -> np.ndarray:
-        return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
-
-    def next_block(self) -> np.ndarray:
-        """One output per lane, advancing every lane one step."""
-        s0, s1, s2, s3 = self.s
-        result = self._rotl(s1 * np.uint64(5), 7) * np.uint64(9)
-        t = s1 << np.uint64(17)
-        s2 = s2 ^ s0
-        s3 = s3 ^ s1
-        s1 = s1 ^ s2
-        s0 = s0 ^ s3
-        s2 = s2 ^ t
-        s3 = self._rotl(s3, 45)
-        self.s = [s0, s1, s2, s3]
-        return result
-
-    def uniform(self, count: int) -> np.ndarray:
-        """``count`` doubles in [0, 1): the top 53 bits of each output."""
-        steps = -(-count // self.LANES)
-        blocks = np.empty((steps, self.LANES), dtype=np.uint64)
-        for i in range(steps):
-            blocks[i] = self.next_block()
-        bits = blocks.reshape(-1)[:count]
-        return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    Lane states are 4*LANES splitmix64 words of ``seed``, four per lane in
+    lane-major order; outputs go round-robin across lanes, one step per row,
+    and each keeps its top 53 bits."""
+    s0, s1, s2, s3 = np.ascontiguousarray(_splitmix64(seed, 4 * LANES).reshape(LANES, 4).T)
+    rows = np.empty((-(-count // LANES), LANES), dtype=np.uint64)
+    for row in rows:
+        x = s1 * 5
+        np.multiply((x << 7) | (x >> 57), 9, out=row)
+        t = s1 << 17
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.bitwise_or(s3 << 45, s3 >> 19, out=s3)
+    return (rows.reshape(-1)[:count] >> 11).astype(np.float64) * (2.0 ** -53)
 
 
 def fnv1a64(data: bytes) -> int:
@@ -124,12 +105,10 @@ def init_seeded(g: N.NetworkGraph, seed: int) -> None:
     its own generator, sub-seeded from one master splitmix64 stream, so the
     result depends only on (seed, layer table).
     """
-    master = seed & _U64
-    for _, p in N.iter_conv_entries(g):
-        master, sub_seed = _splitmix64(master)
-        rng = XoshiroLanes(sub_seed)
+    entries = N.iter_conv_entries(g)
+    for (_, p), sub_seed in zip(entries, _splitmix64(seed & _U64, len(entries))):
         bound = np.sqrt(2.0 / (p.kernel_size ** 2 * p.in_channels))
-        u = rng.uniform(p.weights.size)
+        u = _uniform(sub_seed, p.weights.size)
         p.weights[:] = ((2.0 * u - 1.0) * bound).astype(np.float32)
         p.bias[:] = 0.0
         if p.bn is not None:

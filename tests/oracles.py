@@ -246,3 +246,44 @@ def cbam_naive(x: np.ndarray, fc1_w, fc1_b, fc2_w, fc2_b, sp_w, sp_b) -> np.ndar
                 ms = sigmoid_scalar(acc)
                 out[bi, :, y, xx] = f1[:, y, xx] * ms
     return out.astype(np.float32)
+
+
+_U64 = (1 << 64) - 1
+
+
+def splitmix64(state: int) -> tuple[int, int]:
+    """Advance a splitmix64 state by one output; return (new_state, output)."""
+    state = (state + 0x9E3779B97F4A7C15) & _U64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+    return state, z ^ (z >> 31)
+
+
+def xoshiro_lanes(seed: int, count: int, lanes: int = 256) -> list[int]:
+    """First ``count`` outputs of xoshiro256** run across ``lanes`` lanes.
+
+    Lane l's state is words 4l..4l+3 of the splitmix64 stream of ``seed``;
+    each round steps every lane once, in lane order, and emits its output.
+    """
+    state, words = seed & _U64, []
+    for _ in range(4 * lanes):
+        state, z = splitmix64(state)
+        words.append(z)
+    states = [words[4 * l:4 * l + 4] for l in range(lanes)]
+
+    def rotl(x, k):
+        return ((x << k) | (x >> (64 - k))) & _U64
+
+    out = []
+    while len(out) < count:
+        for s in states:
+            out.append(rotl((s[1] * 5) & _U64, 7) * 9 & _U64)
+            t = (s[1] << 17) & _U64
+            s[2] ^= s[0]
+            s[3] ^= s[1]
+            s[1] ^= s[2]
+            s[0] ^= s[3]
+            s[2] ^= t
+            s[3] = rotl(s[3], 45)
+    return out[:count]

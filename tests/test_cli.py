@@ -288,6 +288,14 @@ class TestSeedEnvFallback:
         assert code == 2
         assert C.SEED_ENV in err
 
+    @pytest.mark.parametrize("argv", [("describe",), ("flops", "--paper-fixtures")],
+                             ids=["describe", "flops-paper-fixtures"])
+    def test_env_seed_ignored_where_nothing_is_seeded(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv(C.SEED_ENV, "abc")
+        code, out, _ = run_cli(capsys, *argv, "--classes", "2", "--input-size", "64")
+        assert code == 0
+        assert out
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):
@@ -300,11 +308,28 @@ class TestConsoleEntry:
 
     def test_anchor_override(self, capsys, tmp_path):
         img = make_gray_ppm(tmp_path / "g.ppm", 64, 64)
-        anchors = json.dumps({"32": [[10, 10]], "16": [[5, 5]]})
+        anchors = json.dumps({"32": [[10, 10], [20, 20], [30, 30]],
+                              "16": [[5, 5], [8, 8], [12, 12]]})
         code, out, _ = run_cli(capsys, "detect", "--classes", "2", "--input-size", "64",
-                               "--anchors", anchors, "--format", "json", str(img))
+                               "--conf-thresh", "0", "--anchors", anchors, "--format", "json",
+                               str(img))
         assert code == 0
-        json.loads(out)
+        dets = json.loads(out)["detections"]
+        assert dets and all(d["class_id"] < 2 for d in dets)
+
+    @pytest.mark.parametrize("anchors", [
+        {"32": [[1, 1], [2, 2], [3, 3]]},
+        {"32": [[10, 10]], "16": [[5, 5]]},
+        {"32": [[1, 1], [2, 2], [3, 3], [4, 4]], "16": [[1, 1], [2, 2], [3, 3], [4, 4]]},
+        {"32": [[float("nan"), 1], [2, 2], [3, 3]], "16": [[1, 1], [2, 2], [float("inf"), 3]]},
+    ], ids=["stride16-missing", "one-pair", "four-pairs", "non-finite"])
+    def test_anchor_rule_is_config_error(self, capsys, tmp_path, anchors):
+        img = make_gray_ppm(tmp_path / "g.ppm", 64, 64)
+        code, out, err = run_cli(capsys, "detect", "--classes", "2", "--input-size", "64",
+                                 "--anchors", json.dumps(anchors), str(img))
+        assert code == 2
+        assert out == ""
+        assert "anchors" in err
 
     def test_bad_anchor_json_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "describe", "--anchors", "{not json")

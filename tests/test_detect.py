@@ -89,8 +89,9 @@ class TestAnchorSet:
         assert a.for_scale(10, 320) == a.for_scale(13, 416)
 
     def test_positive_dimensions_required(self):
-        with pytest.raises(ValueError):
-            D.AnchorSet({32: ((0.0, 5.0),)})
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                D.AnchorSet({32: ((bad, 5.0),)})
 
 
 class TestDecodeHead:
@@ -212,8 +213,3 @@ class TestJsonSerialization:
         assert rec["box"]["cy"] == 0.000123457
         assert rec["confidence"] == 0.987654
         assert "class_name" not in rec
-
-    def test_class_names_attached(self):
-        det = D.Detection(D.Box(1, 1, 1, 1), 1, 0.9, 0.9)
-        rec = D.detections_to_json([det], class_names=["cat", "dog"])[0]
-        assert rec["class_name"] == "dog"

@@ -38,12 +38,6 @@ class TestBuilders:
         with pytest.raises(ValueError):
             N.build_proposed(0)
 
-    def test_dropping_aux_changes_no_shape(self):
-        full = N.infer_shapes(N.build_proposed(80), (1, 3, 416, 416))
-        bare = N.infer_shapes(N.build_proposed(80, aux=False), (1, 3, 416, 416))
-        for node_id, shape in bare.items():
-            assert full[node_id] == shape
-
     def test_every_node_reaches_a_head(self):
         for g in (N.build_yolov4_tiny(80), N.build_proposed(80)):
             consumers: dict[str, set] = {}

@@ -6,6 +6,8 @@ from yolite import weights_io as W
 from yolite.errors import (ArrayLengthError, BadMagicError, FingerprintMismatchError,
                            TruncatedFileError, UnsupportedVersionError, WeightFileError)
 
+import oracles
+
 
 @pytest.fixture
 def small_graph():
@@ -15,25 +17,40 @@ def small_graph():
 
 
 class TestPrng:
+    SEEDS = (0, 42, 2 ** 64 - 1)
+    COUNTS = (1, 255, 256, 257, 1000)
+
     def test_splitmix_reference_values(self):
         # first three outputs for seed 1234567, the published test vector
-        state = 1234567
-        outs = []
-        for _ in range(3):
-            state, z = W._splitmix64(state)
-            outs.append(z)
-        assert outs == [0x599ED017FB08FC85, 0x2C73F08458540FA5, 0x883EBCE5A3F27C77]
+        assert W._splitmix64(1234567, 3).tolist() == [
+            0x599ED017FB08FC85, 0x2C73F08458540FA5, 0x883EBCE5A3F27C77]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_splitmix_matches_scalar_oracle(self, seed):
+        state, want = seed, []
+        for _ in range(max(self.COUNTS)):
+            state, z = oracles.splitmix64(state)
+            want.append(z)
+        for count in self.COUNTS:
+            assert W._splitmix64(seed, count).tolist() == want[:count]
+        assert W._splitmix64([seed, seed], 3).tolist() == [want[:3], want[:3]]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_uniform_matches_lane_oracle(self, seed):
+        words = oracles.xoshiro_lanes(seed, max(self.COUNTS))
+        for count in self.COUNTS:
+            want = [(w >> 11) * 2.0 ** -53 for w in words[:count]]
+            assert W._uniform(seed, count).tolist() == want
 
     def test_uniform_range_and_determinism(self):
-        a = W.XoshiroLanes(99).uniform(10_000)
-        b = W.XoshiroLanes(99).uniform(10_000)
+        a = W._uniform(99, 10_000)
+        b = W._uniform(99, 10_000)
         assert np.array_equal(a, b)
         assert a.min() >= 0.0 and a.max() < 1.0
         assert abs(a.mean() - 0.5) < 0.02
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(W.XoshiroLanes(1).uniform(100),
-                                  W.XoshiroLanes(2).uniform(100))
+        assert not np.array_equal(W._uniform(1, 100), W._uniform(2, 100))
 
 
 class TestInitSeeded:
