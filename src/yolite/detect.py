@@ -2,9 +2,10 @@
 
 The raw head layout per anchor is (tx, ty, tw, th, to, class scores...): cell
 offsets pass through a sigmoid, box sizes scale the anchor exponentially,
-objectness and per-class scores are sigmoids.  Decoding is done per element
-in double precision, so the emitted boxes are an exact function of the head
-values regardless of platform vector math.
+objectness and per-class scores are sigmoids.  Decoding runs over whole
+arrays in double precision with ``math.exp`` per element, so the emitted
+boxes are an exact function of the head values regardless of platform
+vector math.
 """
 
 from __future__ import annotations
@@ -12,21 +13,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ShapeError
+from .network import HEAD_ANCHORS
 from .tensor import Tensor
 
 _TINY = 5e-324          # smallest positive double
 _ALMOST_ONE = 1.0 - 2.0 ** -53
 
 
-def sigmoid(v: float) -> float:
-    """Scalar logistic, clamped into the open interval (0, 1)."""
-    if v >= 0:
-        out = 1.0 / (1.0 + math.exp(-v))
-    else:
-        ez = math.exp(v)
-        out = ez / (1.0 + ez)
-    return min(max(out, _TINY), _ALMOST_ONE)
+# math.exp per element: numpy's vectorized exp may differ in the last bit.
+_exp_objects = np.frompyfunc(math.exp, 1, 1)
+
+
+def _exp(v: np.ndarray) -> np.ndarray:
+    return _exp_objects(v).astype(np.float64)
+
+
+def sigmoid(v: np.ndarray) -> np.ndarray:
+    """Elementwise float64 logistic, clamped into the open interval (0, 1).
+
+    Each element takes the branch of the scalar formula its sign selects:
+    1 / (1 + e^-v) for v >= 0, e^v / (1 + e^v) otherwise.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    pos = v >= 0
+    ez = _exp(np.where(pos, -v, v))
+    out = np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return np.clip(out, _TINY, _ALMOST_ONE)
 
 
 @dataclass(frozen=True)
@@ -123,34 +138,73 @@ def decode_head(head: Tensor, anchors: AnchorSet, scale: int, input_size: int) -
         raise ShapeError(f"decode_head expects batch size 1, got {n}")
     if hh != scale or ww != scale:
         raise ShapeError(f"head spatial size {hh}x{ww} != expected scale {scale}")
-    priors = anchors.for_scale(scale, input_size)
+    priors = np.array(anchors.for_scale(scale, input_size))
     b = len(priors)
+    if b != HEAD_ANCHORS:
+        raise ShapeError(f"decode_head needs {HEAD_ANCHORS} anchor pairs per scale, got {b}")
     if ch % b != 0 or ch // b < 6:
         raise ShapeError(f"head channel count {ch} incompatible with {b} anchors")
-    n_classes = ch // b - 5
     cell = input_size / scale
-    vals = head.array[0]
-    out: list[Detection] = []
-    for gy in range(scale):
-        for gx in range(scale):
-            for ai in range(b):
-                base = ai * (5 + n_classes)
-                tx = float(vals[base + 0, gy, gx])
-                ty = float(vals[base + 1, gy, gx])
-                tw = float(vals[base + 2, gy, gx])
-                th = float(vals[base + 3, gy, gx])
-                to = float(vals[base + 4, gy, gx])
-                box = Box((sigmoid(tx) + gx) * cell,
-                          (sigmoid(ty) + gy) * cell,
-                          priors[ai][0] * math.exp(tw),
-                          priors[ai][1] * math.exp(th))
-                best_c, best_p = 0, -1.0
-                for ci in range(n_classes):
-                    p = sigmoid(float(vals[base + 5 + ci, gy, gx]))
-                    if p > best_p:
-                        best_c, best_p = ci, p
-                out.append(Detection(box, best_c, sigmoid(to), best_p))
-    return out
+    # rows in (gy, gx, anchor) order, columns (tx, ty, tw, th, to, classes...)
+    t = (head.array[0].reshape(b, ch // b, scale, scale)
+         .transpose(2, 3, 0, 1).reshape(-1, ch // b).astype(np.float64))
+    gy, gx, _ = np.indices((scale, scale, b), dtype=np.float64).reshape(3, -1)
+    cx = (sigmoid(t[:, 0]) + gx) * cell
+    cy = (sigmoid(t[:, 1]) + gy) * cell
+    wh = np.tile(priors, (scale * scale, 1)) * _exp(t[:, 2:4])
+    obj = sigmoid(t[:, 4])
+    # argmax over the clamped probabilities: logits that clamp to one value
+    # tie there, and the first (lower) class id wins
+    probs = sigmoid(t[:, 5:])
+    best = probs.argmax(axis=1)
+    best_p = probs[np.arange(len(best)), best]
+    return [Detection(Box(*box), c, o, p) for box, c, o, p in
+            zip(np.column_stack((cx, cy, wh)).tolist(), best.tolist(),
+                obj.tolist(), best_p.tolist())]
+
+
+# Suppression matrices are built in row blocks of at most this many entries,
+# so memory stays bounded however many candidates share one class.
+_NMS_BLOCK = 1 << 18
+
+
+def _suppresses(rows, cols, iou_thresh: float) -> np.ndarray:
+    """[i, j] is whether kept box ``rows[i]`` suppresses box ``cols[j]``:
+    ``iou(rows[i], cols[j]) > iou_thresh`` with `iou`'s float64 operations.
+    Each argument is (x1, y1, x2, y2, area) as column vectors."""
+    ax1, ay1, ax2, ay2, a_area = (v[:, None] for v in rows)
+    # Python's min/max keep their first argument, the kept box's corner,
+    # against a NaN second one; numpy's would return NaN
+    bx1, by1 = (np.where(np.isnan(v), -np.inf, v)[None, :] for v in cols[:2])
+    bx2, by2 = (np.where(np.isnan(v), np.inf, v)[None, :] for v in cols[2:4])
+    b_area = cols[4][None, :]
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = iw * ih
+    union = a_area + b_area - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = inter / union
+    return (iw > 0) & (ih > 0) & (union > 0) & (ratio > iou_thresh)
+
+
+def _greedy_keep(geom: np.ndarray, iou_thresh: float) -> np.ndarray:
+    """Greedy suppression within one class, boxes already in priority order.
+
+    ``geom`` is (5, k): x1, y1, x2, y2, area.  Returns the kept positions,
+    ascending.
+    """
+    k = geom.shape[1]
+    removed = np.zeros(k, dtype=bool)
+    kept = []
+    step = max(1, _NMS_BLOCK // k)
+    for start in range(0, k, step):
+        stop = min(start + step, k)
+        block = _suppresses(geom[:, start:stop], geom[:, start:], iou_thresh)
+        for r in range(stop - start):
+            if not removed[start + r]:
+                kept.append(start + r)
+                removed[start:] |= block[r]
+    return kept
 
 
 def filter_and_nms(dets: list[Detection], conf_thresh: float = 0.25,
@@ -165,17 +219,22 @@ def filter_and_nms(dets: list[Detection], conf_thresh: float = 0.25,
     for name, t in (("conf_thresh", conf_thresh), ("iou_thresh", iou_thresh)):
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"{name} must be within [0, 1], got {t}")
-    survivors = [(d.confidence, d.class_id, idx, d)
-                 for idx, d in enumerate(dets) if d.confidence > conf_thresh]
-    survivors.sort(key=lambda item: (-item[0], item[1], item[2]))
-    kept: list[Detection] = []
-    for _, _, _, cand in survivors:
-        suppressed = any(prev.class_id == cand.class_id
-                         and iou(prev.box, cand.box) > iou_thresh
-                         for prev in kept)
-        if not suppressed:
-            kept.append(cand)
-    return kept
+    conf = np.array([d.confidence for d in dets], dtype=np.float64)
+    idx = np.flatnonzero(conf > conf_thresh)
+    if len(idx) == 0:
+        return []
+    survivors = [dets[i] for i in idx.tolist()]
+    cls = np.array([d.class_id for d in survivors])
+    order = np.lexsort((idx, cls, -conf[idx]))
+    cls = cls[order]
+    cx, cy, w, h = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h)
+                             for d in survivors], dtype=np.float64)[order].T
+    geom = np.stack((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, w * h))
+    by_class = np.argsort(cls, kind="stable")
+    bounds = np.flatnonzero(np.diff(cls[by_class])) + 1
+    kept = [members[_greedy_keep(geom[:, members], iou_thresh)]
+            for members in np.split(by_class, bounds)]
+    return [survivors[i] for i in order[np.sort(np.concatenate(kept))].tolist()]
 
 
 def _sig6(v: float) -> float:

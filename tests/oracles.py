@@ -5,12 +5,15 @@ single elements, single-precision scalar arithmetic (one rounding per
 multiply and per add), accumulation with the input channel as the slow index
 and the kernel window row-major within it.  The fast implementations are
 required to match these references bit for bit where the module contracts
-say so; none of this code is shared with the package.
+say so.  None of this code is shared with the package, except that
+`nms_scalar` measures overlap with `detect.iou`, the IoU the contract names.
 """
 
 import math
 
 import numpy as np
+
+from yolite.detect import iou
 
 f32 = np.float32
 
@@ -198,6 +201,26 @@ def nms_naive(dets, conf_thresh: float, iou_thresh: float):
                 ok = False
                 break
         if ok:
+            kept.append(cand)
+    return kept
+
+
+def nms_scalar(dets, conf_thresh: float = 0.25, iou_thresh: float = 0.45):
+    """Scalar greedy per-class suppression over `detect.Detection` lists.
+
+    The loop `detect.filter_and_nms` replaced, kept as its exact reference:
+    unlike `nms_naive` it takes areas from `Box.area` (w*h) through
+    `detect.iou`, so IoU ties at the threshold resolve bit for bit.
+    """
+    survivors = [(d.confidence, d.class_id, idx, d)
+                 for idx, d in enumerate(dets) if d.confidence > conf_thresh]
+    survivors.sort(key=lambda item: (-item[0], item[1], item[2]))
+    kept = []
+    for _, _, _, cand in survivors:
+        suppressed = any(prev.class_id == cand.class_id
+                         and iou(prev.box, cand.box) > iou_thresh
+                         for prev in kept)
+        if not suppressed:
             kept.append(cand)
     return kept
 

@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yolite import detect as D
+from yolite import network as N
 from yolite import tensor as T
+from yolite import weights_io as W
 from yolite.errors import ShapeError
 
 import oracles
@@ -140,6 +146,32 @@ class TestDecodeHead:
         with pytest.raises(ShapeError):
             D.decode_head(head, D.AnchorSet(), 13, 416)
 
+    def test_anchor_count_must_match_head(self):
+        # 21 channels would otherwise split as 1 anchor x 16 classes
+        head = T.Tensor.zeros(1, 21, 2, 2)
+        with pytest.raises(ShapeError, match="anchor pairs"):
+            D.decode_head(head, D.AnchorSet({32: [(10, 10)], 16: [(5, 5)]}), 2, 64)
+
+    def test_class_tie_after_clamp_keeps_lower_id(self):
+        # logits 40 and 41 both clamp to 1 - 2^-53; the higher logit's class
+        # (3) loses to the lower class id (2)
+        arr = np.zeros((1, 27, 2, 2), dtype=np.float32)
+        arr[0, 5 + 2, 0, 0] = 40.0
+        arr[0, 5 + 3, 0, 0] = 41.0
+        dets = D.decode_head(T.Tensor(arr), D.AnchorSet(), 2, 64)
+        assert (dets[0].class_id, dets[0].class_prob) == (2, 1.0 - 2.0 ** -53)
+        ref = oracles.decode_naive(arr, D.AnchorSet().for_scale(2, 64), 64)
+        assert [(d.class_id, d.class_prob) for d in dets] == [(r[5], r[6]) for r in ref]
+
+    def test_sigmoid_matches_scalar_formula(self):
+        rng = np.random.default_rng(11)
+        v = np.concatenate([rng.normal(0, 4, 2000), rng.normal(0, 40, 2000),
+                            [0.0, -0.0, 36.7, -36.7, 40.0, 41.0, -745.0, -746.0,
+                             3.4e38, -3.4e38]])
+        got = D.sigmoid(v)
+        assert [x.hex() for x in got.tolist()] \
+            == [oracles.sigmoid_scalar(float(x)).hex() for x in v]
+
 
 class TestFilterAndNms:
     def test_single_survivor_unchanged(self):
@@ -202,6 +234,114 @@ class TestFilterAndNms:
             D.filter_and_nms([], -0.1, 0.5)
         with pytest.raises(ValueError):
             D.filter_and_nms([], 0.5, 1.1)
+
+
+def nms_both(dets, conf_thresh=0.25, iou_thresh=0.45):
+    kept = D.filter_and_nms(dets, conf_thresh, iou_thresh)
+    assert kept == oracles.nms_scalar(dets, conf_thresh, iou_thresh)
+    return kept
+
+
+class TestNmsEdgeCases:
+    """Each case is pinned against the scalar reference `oracles.nms_scalar`."""
+
+    def test_empty_input(self):
+        assert nms_both([]) == []
+
+    def test_no_survivors(self):
+        dets = [D.Detection(D.Box(5, 5, 2, 2), c, 0.5, 0.5) for c in range(3)]
+        assert nms_both(dets, 0.25) == []
+
+    def test_iou_equal_to_threshold_is_kept(self):
+        # corners (0, 0, 3, 1) and (1, 0, 4, 1): inter 2, union 4, IoU 0.5
+        a = D.Detection(D.Box(1.5, 0.5, 3.0, 1.0), 0, 0.9, 1.0)
+        b = D.Detection(D.Box(2.5, 0.5, 3.0, 1.0), 0, 0.8, 1.0)
+        assert D.iou(a.box, b.box) == 0.5
+        assert nms_both([a, b], 0.25, 0.5) == [a, b]
+        assert nms_both([a, b], 0.25, 0.4999) == [a]
+
+    def test_equal_confidences_order_by_class_then_index(self):
+        box = D.Box(5, 5, 2, 2)
+        dets = [D.Detection(box, c, 0.6, 1.0) for c in (2, 0, 1, 0, 2)]
+        dets.append(D.Detection(D.Box(50, 50, 2, 2), 0, 0.6, 1.0))
+        # dets[1] and dets[3] compare equal, so check identity too
+        kept = nms_both(dets)
+        assert [id(d) for d in kept] == [id(dets[i]) for i in (1, 5, 2, 0)]
+
+    def test_zero_width_boxes_never_suppress(self):
+        dets = [D.Detection(D.Box(5, 5, 0.0, 2), 0, 0.9, 1.0),
+                D.Detection(D.Box(5, 5, 0.0, 2), 0, 0.8, 1.0),
+                D.Detection(D.Box(5, 5, 2, 0.0), 0, 0.7, 1.0),
+                D.Detection(D.Box(5, 5, 2, 2), 0, 0.6, 1.0)]
+        assert nms_both(dets, 0.25, 0.0) == dets
+
+    def test_nan_center_follows_scalar_min_max(self):
+        # Python's min/max keep their first argument against NaN, so a later
+        # NaN-centred box is measured with the kept box's own width ...
+        kept_first = [D.Detection(D.Box(1, 1, 2, 2), 0, 0.9, 1.0),
+                      D.Detection(D.Box(math.nan, 1, 2, 2), 0, 0.8, 1.0)]
+        assert nms_both(kept_first) == kept_first[:1]
+        # ... while a kept NaN-centred box overlaps nothing
+        nan_first = [D.Detection(D.Box(math.nan, 1, 2, 2), 0, 0.9, 1.0),
+                     D.Detection(D.Box(1, 1, 2, 2), 0, 0.8, 1.0)]
+        assert nms_both(nan_first) == nan_first
+
+    def test_large_class_is_walked_in_blocks(self, monkeypatch):
+        monkeypatch.setattr(D, "_NMS_BLOCK", 64)
+        rng = np.random.default_rng(12)
+        dets = random_detections(rng, 120, n_classes=1, size=30.0)
+        nms_both(dets, 0.1, 0.3)
+
+
+_grid = st.sampled_from([0.0, 1.0, 1.5, 2.0, 4.0])
+_boxes = st.builds(D.Box, _grid, _grid, _grid, _grid)
+_probs = st.sampled_from([0.3, 0.5, 0.9, 1.0])
+_detections = st.builds(D.Detection, _boxes, st.integers(0, 2), _probs, _probs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(pool=st.lists(_detections, min_size=1, max_size=8),
+       picks=st.lists(st.integers(0, 7), max_size=40),
+       conf_thresh=st.sampled_from([0.0, 0.1, 0.25, 0.45]),
+       iou_thresh=st.sampled_from([0.0, 1 / 3, 0.45, 0.5, 1.0]))
+def test_nms_equals_scalar_reference(pool, picks, conf_thresh, iou_thresh):
+    """Lists drawn from a small pool repeat boxes, confidences and whole
+    detections; they hold up to 3 classes."""
+    dets = [pool[i % len(pool)] for i in picks]
+    nms_both(dets, conf_thresh, iou_thresh)
+
+
+@pytest.fixture(scope="module")
+def full_heads():
+    """416 px heads of both models (weight seed 42) on one non-constant
+    input, plus normal(0, 4) heads of the full 80-class shape."""
+    x = T.Tensor(np.random.default_rng(416).random((1, 3, 416, 416), dtype=np.float32))
+    heads = {}
+    T.set_parallel(2)
+    try:
+        for name, build in (("v4tiny", N.build_yolov4_tiny), ("proposed", N.build_proposed)):
+            g = build(80)
+            W.init_seeded(g, 42)
+            heads[name] = N.forward(g, x)
+    finally:
+        T.set_parallel(0)
+    rng = np.random.default_rng(4)
+    heads["normal"] = tuple(T.Tensor(rng.normal(0, 4, (1, 255, s, s))) for s in (13, 26))
+    return heads
+
+
+@pytest.mark.parametrize("source", ["v4tiny", "proposed", "normal"])
+def test_full_size_decode_and_nms_equal_scalar(full_heads, source):
+    dets = []
+    for head, scale in zip(full_heads[source], (13, 26)):
+        got = D.decode_head(head, D.AnchorSet(), scale, 416)
+        ref = oracles.decode_naive(head.array, D.AnchorSet().for_scale(scale, 416), 416)
+        assert [(d.box.cx, d.box.cy, d.box.w, d.box.h, d.objectness, d.class_id, d.class_prob)
+                for d in got] == ref
+        dets += got
+    assert len(dets) == 2535
+    kept = nms_both(dets, 0.25, 0.45)
+    assert len(kept) > 1000
 
 
 class TestJsonSerialization:
