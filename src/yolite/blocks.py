@@ -13,7 +13,6 @@ from __future__ import annotations
 from . import tensor as T
 from .errors import ShapeError
 
-LEAKY_A = 10.0  # negative branch divisor, i.e. slope 0.1
 POOL = 2  # window and stride of the stages' downsampling pools
 
 
@@ -31,7 +30,17 @@ def conv_linear_params(c_in: int, c_out: int, k: int) -> T.ConvParams:
 
 def cbl(x: T.Tensor, params: T.ConvParams) -> T.Tensor:
     """Convolution + batch-norm (inside conv2d) + leaky activation."""
-    return T.leaky_relu(T.conv2d(x, params), LEAKY_A)
+    return T.leaky_relu(T.conv2d(x, params))
+
+
+def check_stage_input(block, shape) -> None:
+    """The stage input rule shared by csp, resblock_d and aux blocks:
+    ``block.channels`` channels and even spatial sides."""
+    _, c, h, w = shape
+    if c != block.channels:
+        raise ShapeError(f"stage expects {block.channels} input channels, got {c}")
+    if h % 2 or w % 2:
+        raise ShapeError(f"stage needs even spatial dims, got ({h}, {w})")
 
 
 class CspBlock:
@@ -70,12 +79,9 @@ class CspBlock:
 def csp_forward_with_route(block: CspBlock, x: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
     """Run the CSP stage; also return the pre-merge 1x1 output used as the
     feature-pyramid route."""
+    check_stage_input(block, x.shape)
     c = block.channels
-    if x.shape[1] != c:
-        raise ShapeError(f"csp expects {c} input channels, got {x.shape[1]}")
     x0 = cbl(x, block.conv0)
-    if x0.shape[2] % 2 or x0.shape[3] % 2:
-        raise ShapeError(f"csp needs even spatial dims, got {x0.shape[2:]}")
     second_half = T.slice_channels(x0, c // 2, c)
     x1 = cbl(second_half, block.conv1)
     x2 = cbl(x1, block.conv2)
@@ -120,18 +126,12 @@ class ResBlockD:
 
 
 def resblock_d_forward(block: ResBlockD, x: T.Tensor) -> T.Tensor:
-    c = block.channels
-    if x.shape[1] != c:
-        raise ShapeError(f"resblock_d expects {c} input channels, got {x.shape[1]}")
-    if x.shape[2] % 2 or x.shape[3] % 2:
-        raise ShapeError(f"resblock_d needs even spatial dims, got {x.shape[2:]}")
+    check_stage_input(block, x.shape)
     pa = cbl(x, block.a1)
     pa = cbl(pa, block.a2)
     pa = T.conv2d(pa, block.a3)
     pb = T.conv2d(T.pool2d(x, "avg", POOL, POOL), block.b1)
-    if pa.shape != pb.shape:
-        raise ShapeError(f"residual paths disagree: {pa.shape} vs {pb.shape}")
-    return T.leaky_relu(T.add(pa, pb), LEAKY_A)
+    return T.leaky_relu(T.add(pa, pb))
 
 
 class Cbam:
@@ -144,14 +144,14 @@ class Cbam:
     """
 
     SPATIAL_KERNEL = 7
+    REDUCTION = 4  # channel MLP squeeze ratio
 
-    def __init__(self, channels: int, reduction: int = 4):
-        if channels % reduction:
+    def __init__(self, channels: int):
+        if channels % self.REDUCTION:
             raise ValueError(
-                f"channels ({channels}) must be divisible by reduction ({reduction})")
+                f"channels ({channels}) must be divisible by reduction ({self.REDUCTION})")
         self.channels = channels
-        self.reduction = reduction
-        hidden = channels // reduction
+        hidden = channels // self.REDUCTION
         self.fc1 = conv_linear_params(channels, hidden, 1)
         self.fc2 = conv_linear_params(hidden, channels, 1)
         self.spatial = conv_linear_params(2, 1, self.SPATIAL_KERNEL)
@@ -185,11 +185,11 @@ class AuxBlock:
     Matches the stage interface: (n, c, h, w) -> (n, 2c, h/2, w/2).
     """
 
-    def __init__(self, channels: int, reduction: int = 4):
+    def __init__(self, channels: int):
         self.channels = channels
         self.conv1 = conv_bn_params(channels, channels, 3, stride=2)
         self.conv2 = conv_bn_params(channels, channels, 3)
-        self.cbam = Cbam(channels, reduction)
+        self.cbam = Cbam(channels)
 
     def convs(self):
         return [("conv1", self.conv1), ("conv2", self.conv2)] + [
@@ -206,8 +206,7 @@ class AuxBlock:
 
 
 def aux_forward(block: AuxBlock, x: T.Tensor) -> T.Tensor:
-    if x.shape[1] != block.channels:
-        raise ShapeError(f"aux block expects {block.channels} input channels, got {x.shape[1]}")
+    check_stage_input(block, x.shape)
     a = cbl(x, block.conv1)
     b = cbl(a, block.conv2)
     return T.concat_channels(a, cbam_forward(block.cbam, b))
@@ -215,7 +214,4 @@ def aux_forward(block: AuxBlock, x: T.Tensor) -> T.Tensor:
 
 def fuse(stage_out: T.Tensor, aux_out: T.Tensor) -> T.Tensor:
     """Elementwise sum merging the auxiliary features into the backbone."""
-    if stage_out.shape != aux_out.shape:
-        raise ShapeError(
-            f"fuse needs identical shapes: {stage_out.shape} vs {aux_out.shape}")
     return T.add(stage_out, aux_out)

@@ -3,9 +3,9 @@
 The raw head layout per anchor is (tx, ty, tw, th, to, class scores...): cell
 offsets pass through a sigmoid, box sizes scale the anchor exponentially,
 objectness and per-class scores are sigmoids.  Decoding runs over whole
-arrays in double precision with ``math.exp`` per element, so the emitted
-boxes are an exact function of the head values regardless of platform
-vector math.
+arrays in double precision with ``tensor.exp`` and ``tensor.logistic``, which
+apply ``math.exp`` per element, so the emitted boxes are an exact function of
+the head values regardless of platform vector math.
 """
 
 from __future__ import annotations
@@ -15,33 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from . import tensor as T
+from .errors import NonFiniteError, ShapeError
 from .network import HEAD_ANCHORS
-from .tensor import Tensor
-
-_TINY = 5e-324          # smallest positive double
-_ALMOST_ONE = 1.0 - 2.0 ** -53
-
-
-# math.exp per element: numpy's vectorized exp may differ in the last bit.
-_exp_objects = np.frompyfunc(math.exp, 1, 1)
-
-
-def _exp(v: np.ndarray) -> np.ndarray:
-    return _exp_objects(v).astype(np.float64)
-
-
-def sigmoid(v: np.ndarray) -> np.ndarray:
-    """Elementwise float64 logistic, clamped into the open interval (0, 1).
-
-    Each element takes the branch of the scalar formula its sign selects:
-    1 / (1 + e^-v) for v >= 0, e^v / (1 + e^v) otherwise.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    pos = v >= 0
-    ez = _exp(np.where(pos, -v, v))
-    out = np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-    return np.clip(out, _TINY, _ALMOST_ONE)
 
 
 @dataclass(frozen=True)
@@ -127,11 +103,12 @@ class AnchorSet:
         return self.by_stride[stride]
 
 
-def decode_head(head: Tensor, anchors: AnchorSet, scale: int, input_size: int) -> list[Detection]:
+def decode_head(head: T.Tensor, anchors: AnchorSet, scale: int, input_size: int) -> list[Detection]:
     """Decode one head tensor into scale*scale*B detections.
 
     Emission order is row-major over grid cells, anchors innermost.  Every
-    candidate carries its argmax class (ties to the lower class id).
+    candidate carries its argmax class (ties to the lower class id).  Raises
+    NonFiniteError if a decoded box value is not finite.
     """
     n, ch, hh, ww = head.shape
     if n != 1:
@@ -149,18 +126,21 @@ def decode_head(head: Tensor, anchors: AnchorSet, scale: int, input_size: int) -
     t = (head.array[0].reshape(b, ch // b, scale, scale)
          .transpose(2, 3, 0, 1).reshape(-1, ch // b).astype(np.float64))
     gy, gx, _ = np.indices((scale, scale, b), dtype=np.float64).reshape(3, -1)
-    cx = (sigmoid(t[:, 0]) + gx) * cell
-    cy = (sigmoid(t[:, 1]) + gy) * cell
-    wh = np.tile(priors, (scale * scale, 1)) * _exp(t[:, 2:4])
-    obj = sigmoid(t[:, 4])
+    sig = T.logistic(t)  # the tw, th columns go unused
+    cx = (sig[:, 0] + gx) * cell
+    cy = (sig[:, 1] + gy) * cell
+    with np.errstate(over="ignore"):
+        wh = np.tile(priors, (scale * scale, 1)) * T.exp(t[:, 2:4])
+    boxes = np.column_stack((cx, cy, wh))
+    if not np.isfinite(boxes).all():
+        raise NonFiniteError("decoded boxes hold non-finite values")
     # argmax over the clamped probabilities: logits that clamp to one value
     # tie there, and the first (lower) class id wins
-    probs = sigmoid(t[:, 5:])
+    probs = sig[:, 5:]
     best = probs.argmax(axis=1)
     best_p = probs[np.arange(len(best)), best]
     return [Detection(Box(*box), c, o, p) for box, c, o, p in
-            zip(np.column_stack((cx, cy, wh)).tolist(), best.tolist(),
-                obj.tolist(), best_p.tolist())]
+            zip(boxes.tolist(), best.tolist(), sig[:, 4].tolist(), best_p.tolist())]
 
 
 # Suppression matrices are built in row blocks of at most this many entries,

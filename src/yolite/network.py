@@ -65,11 +65,8 @@ def _add_shape(_, ins):
 
 
 def _stage_shape(blk, ins):
-    n, c, h, w = ins[0]
-    if c != blk.channels:
-        raise ShapeError(f"channels {c} != stage channels {blk.channels}")
-    if h % 2 or w % 2:
-        raise ShapeError(f"stage needs even spatial dims, got ({h}, {w})")
+    B.check_stage_input(blk, ins[0])
+    n, _, h, w = ins[0]
     return (n, blk.out_channels, h // 2, w // 2)
 
 

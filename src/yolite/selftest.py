@@ -50,7 +50,7 @@ def _check_conv_against_naive() -> str:
 
 def _check_elementwise_ops() -> str:
     x = T.Tensor(np.array([[[[0.0, -10.0], [5.0, 2.0]]]], np.float32))
-    leaky = T.leaky_relu(x, 10.0).array
+    leaky = T.leaky_relu(x).array
     assert leaky[0, 0, 0, 1] == -1.0 and leaky[0, 0, 1, 0] == 5.0
     sig = T.sigmoid(T.Tensor.zeros(1, 1, 1, 1)).array
     assert sig[0, 0, 0, 0] == 0.5

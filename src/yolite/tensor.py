@@ -7,11 +7,14 @@ then kernel column).  That makes results bit-identical to a naive scalar
 reference loop, repeatable across runs, and independent of memory layout,
 tiling and the optional thread-parallel execution mode, all of which only
 decide *which* output elements are computed together, never how a single
-element is accumulated.
+element is accumulated.  The one exception to single precision is the
+float64 ``exp``/``logistic`` pair, shared by the attention gates and head
+decoding, which applies ``math.exp`` per element.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,6 +22,7 @@ import numpy as np
 from .errors import NonFiniteError, ShapeError
 
 BN_EPSILON = 1e-5
+LEAKY_A = np.float32(10.0)  # leaky activation divisor, i.e. slope 0.1
 
 # Convolution schedule rule: output maps with more pixels than this run in
 # NCHW layout over blocks of output channels; smaller maps run channel-last,
@@ -102,14 +106,13 @@ class Tensor:
 class BatchNorm:
     """Inference-mode per-channel affine using stored running statistics."""
 
-    __slots__ = ("gamma", "beta", "running_mean", "running_var", "epsilon")
+    __slots__ = ("gamma", "beta", "running_mean", "running_var")
 
-    def __init__(self, gamma, beta, running_mean, running_var, epsilon: float = BN_EPSILON):
+    def __init__(self, gamma, beta, running_mean, running_var):
         self.gamma = np.ascontiguousarray(gamma, dtype=np.float32)
         self.beta = np.ascontiguousarray(beta, dtype=np.float32)
         self.running_mean = np.ascontiguousarray(running_mean, dtype=np.float32)
         self.running_var = np.ascontiguousarray(running_var, dtype=np.float32)
-        self.epsilon = float(epsilon)
         n = self.gamma.size
         for name, arr in (("beta", self.beta), ("running_mean", self.running_mean),
                           ("running_var", self.running_var)):
@@ -227,7 +230,7 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     np.add(out, params.bias[None, :, None, None], out=out)
     if params.bn is not None:
         bn = params.bn
-        scale = bn.gamma / np.sqrt(bn.running_var + np.float32(bn.epsilon))
+        scale = bn.gamma / np.sqrt(bn.running_var + np.float32(BN_EPSILON))
         np.subtract(out, bn.running_mean[None, :, None, None], out=out)
         np.multiply(out, scale[None, :, None, None], out=out)
         np.add(out, bn.beta[None, :, None, None], out=out)
@@ -326,12 +329,10 @@ def pool2d(x: Tensor, kind: str, k: int, s: int) -> Tensor:
     return Tensor(acc, _trusted=True)
 
 
-def leaky_relu(x: Tensor, a: float = 10.0) -> Tensor:
-    """Identity on non-negatives, x/a on negatives.  Requires a > 1."""
-    if not a > 1:
-        raise ValueError(f"leaky slope divisor a must exceed 1, got {a}")
+def leaky_relu(x: Tensor) -> Tensor:
+    """Identity on non-negatives, x/``LEAKY_A`` on negatives."""
     arr = x.array
-    out = np.where(arr >= 0, arr, arr / np.float32(a))
+    out = np.where(arr >= 0, arr, arr / LEAKY_A)
     return Tensor(out, _trusted=True)
 
 
@@ -340,28 +341,47 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(np.where(x.array > 0, x.array, np.float32(0)), _trusted=True)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Elementwise logistic function, clamped into the open interval (0, 1).
+# math.exp per element: numpy's vectorized exp may differ in the last bit.
+_exp_objects = np.frompyfunc(math.exp, 1, 1)
 
-    Evaluated in double precision for stability, rounded to float32, then
-    nudged off the closed endpoints so downstream products stay in (0, 1).
+
+def exp(v) -> np.ndarray:
+    """Elementwise float64 e**v, ``math.exp`` per element.
+
+    Raises NonFiniteError where the result overflows a double.
     """
-    out = _sigmoid_f32(x.array)
-    return Tensor(out, _trusted=True)
+    try:
+        return _exp_objects(v).astype(np.float64)
+    except OverflowError:
+        raise NonFiniteError("exp overflowed float64") from None
+
+
+def logistic(v) -> np.ndarray:
+    """Elementwise float64 logistic, clamped into [5e-324, 1 - 2**-53].
+
+    Each element takes the branch of the scalar formula its sign selects:
+    1 / (1 + e^-v) for v >= 0, e^v / (1 + e^v) otherwise, so no ``exp``
+    argument is positive and none overflows.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    pos = v >= 0
+    ez = exp(np.where(pos, -v, v))
+    out = np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return np.clip(out, 5e-324, 1.0 - 2.0 ** -53)
 
 
 _SIG_LO = np.float32(1e-45)          # smallest positive float32 subnormal
 _SIG_HI = np.float32(1.0) - np.float32(2.0) ** -24
 
 
-def _sigmoid_f32(arr: np.ndarray) -> np.ndarray:
-    a64 = arr.astype(np.float64)
-    out = np.empty_like(a64)
-    pos = a64 >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a64[pos]))
-    ez = np.exp(a64[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out.astype(np.float32), _SIG_LO, _SIG_HI)
+def sigmoid(x: Tensor) -> Tensor:
+    """Elementwise logistic, clamped into the open interval (0, 1).
+
+    ``logistic`` rounded to float32, then clipped off the closed endpoints
+    so downstream products stay in (0, 1).
+    """
+    out = np.clip(logistic(x.array).astype(np.float32), _SIG_LO, _SIG_HI)
+    return Tensor(out, _trusted=True)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:

@@ -165,7 +165,7 @@ def test_criterion_07_primitive_oracle_battery():
 def test_criterion_08_attention_equation_suite():
     rng = np.random.default_rng(808)
     # zero weights: both gates sit at 0.5, so the block is exactly 0.25 * input
-    block = B.Cbam(8, reduction=4)
+    block = B.Cbam(8)
     f = T.Tensor((rng.random((1, 8, 6, 6), dtype=np.float32) * 2 - 1))
     out = B.cbam_forward(block, f)
     assert bits_equal(out.array, np.float32(0.25) * f.array)
@@ -173,7 +173,7 @@ def test_criterion_08_attention_equation_suite():
     worst = 0.0
     for case in range(20):
         c = int(rng.choice([4, 8, 16]))
-        block = B.Cbam(c, reduction=4)
+        block = B.Cbam(c)
         for _, p in block.convs():
             p.weights[:] = (rng.random(p.weights.size, dtype=np.float32) * 2 - 1) * 0.5
             p.bias[:] = (rng.random(p.bias.size, dtype=np.float32) - 0.5) * 0.2

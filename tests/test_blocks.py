@@ -60,11 +60,11 @@ class TestCspBlock:
         seed_params([p for _, p in block.convs()], rng, with_bn_stats=True)
         x = rand_tensor(rng, 1, 4, 8, 8)
 
-        x0 = T.leaky_relu(T.conv2d(x, block.conv0), 10.0)
+        x0 = T.leaky_relu(T.conv2d(x, block.conv0))
         s = T.slice_channels(x0, 2, 4)
-        x1 = T.leaky_relu(T.conv2d(s, block.conv1), 10.0)
-        x2 = T.leaky_relu(T.conv2d(x1, block.conv2), 10.0)
-        x3 = T.leaky_relu(T.conv2d(T.concat_channels(x2, x1), block.conv3), 10.0)
+        x1 = T.leaky_relu(T.conv2d(s, block.conv1))
+        x2 = T.leaky_relu(T.conv2d(x1, block.conv2))
+        x3 = T.leaky_relu(T.conv2d(T.concat_channels(x2, x1), block.conv3))
         expected = T.pool2d(T.concat_channels(x0, x3), "max", 2, 2)
 
         got, route = B.csp_forward_with_route(block, x)
@@ -94,18 +94,18 @@ class TestResBlockD:
         x = rand_tensor(rng, 1, 4, 8, 8)
         got = B.resblock_d_forward(block, x)
         path_b = T.conv2d(T.pool2d(x, "avg", 2, 2), block.b1)
-        assert bits_equal(got.array, T.leaky_relu(path_b, 10.0).array)
+        assert bits_equal(got.array, T.leaky_relu(path_b).array)
 
     def test_matches_manual_composition(self):
         rng = np.random.default_rng(32)
         block = B.ResBlockD(4)
         seed_params([p for _, p in block.convs()], rng, with_bn_stats=True)
         x = rand_tensor(rng, 1, 4, 8, 8)
-        pa = T.leaky_relu(T.conv2d(x, block.a1), 10.0)
-        pa = T.leaky_relu(T.conv2d(pa, block.a2), 10.0)
+        pa = T.leaky_relu(T.conv2d(x, block.a1))
+        pa = T.leaky_relu(T.conv2d(pa, block.a2))
         pa = T.conv2d(pa, block.a3)
         pb = T.conv2d(T.pool2d(x, "avg", 2, 2), block.b1)
-        expected = T.leaky_relu(T.add(pa, pb), 10.0)
+        expected = T.leaky_relu(T.add(pa, pb))
         assert bits_equal(B.resblock_d_forward(block, x).array, expected.array)
 
     def test_odd_spatial_rejected(self):
@@ -117,18 +117,18 @@ class TestResBlockD:
 class TestCbam:
     def test_reduction_divisibility_enforced(self):
         with pytest.raises(ValueError):
-            B.Cbam(6, reduction=4)
+            B.Cbam(6)
 
     def test_zero_weights_give_quarter_scaling(self):
         rng = np.random.default_rng(41)
-        block = B.Cbam(8, reduction=4)
+        block = B.Cbam(8)
         f = rand_tensor(rng, 1, 8, 6, 6)
         out = B.cbam_forward(block, f)
         assert bits_equal(out.array, (np.float32(0.25) * f.array))
 
     def test_gates_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(42)
-        block = B.Cbam(8, reduction=4)
+        block = B.Cbam(8)
         seed_params([p for _, p in block.convs()], rng)
         f = rand_tensor(rng, 1, 8, 6, 6)
         out = B.cbam_forward(block, f)
@@ -139,7 +139,7 @@ class TestCbam:
 
     def test_matches_equation_transcription(self):
         rng = np.random.default_rng(43)
-        block = B.Cbam(8, reduction=4)
+        block = B.Cbam(8)
         seed_params([p for _, p in block.convs()], rng)
         f = rand_tensor(rng, 1, 8, 6, 6)
         got = B.cbam_forward(block, f).array
@@ -152,7 +152,7 @@ class TestCbam:
         assert np.max(np.abs(got - ref) / denom) < 1e-5
 
     def test_shape_preserved(self):
-        block = B.Cbam(16, reduction=4)
+        block = B.Cbam(16)
         f = T.Tensor.zeros(2, 16, 7, 9)
         assert B.cbam_forward(block, f).shape == (2, 16, 7, 9)
 
@@ -184,6 +184,11 @@ class TestAuxBlock:
         b = B.cbl(a, block.conv2)
         expected = T.concat_channels(a, B.cbam_forward(block.cbam, b))
         assert bits_equal(B.aux_forward(block, x).array, expected.array)
+
+    def test_odd_spatial_rejected(self):
+        # the stage input rule the graph's shape inference applies
+        with pytest.raises(ShapeError, match="even spatial"):
+            B.aux_forward(B.AuxBlock(4), T.Tensor.zeros(1, 4, 5, 5))
 
     def test_conv_path_receptive_field(self):
         from yolite.analysis import receptive_field

@@ -221,6 +221,18 @@ class TestDetect:
         assert code == 6
         assert "NonFiniteError" in err
 
+    def test_box_size_overflow_during_decode_exits_6(self, capsys, tmp_path):
+        g = N.build_yolov4_tiny(4)  # zero weights, so head_13 outputs its bias
+        dict(N.iter_conv_entries(g))["head_13"].bias[2] = 1000.0  # first anchor's tw
+        wpath = tmp_path / "wide.yltw"
+        W.save(g, wpath)
+        img = make_gray_ppm(tmp_path / "g.ppm", 64, 64)
+        code, out, err = run_cli(capsys, "detect", "--classes", "4", "--input-size", "64",
+                                 "--weights", str(wpath), "--format", "json", str(img))
+        assert code == 6
+        assert "NonFiniteError" in err and "Traceback" not in err
+        assert "Infinity" not in out
+
 
 class TestBench:
     def test_single_iteration_report(self, capsys):

@@ -9,7 +9,7 @@ from yolite import detect as D
 from yolite import network as N
 from yolite import tensor as T
 from yolite import weights_io as W
-from yolite.errors import ShapeError
+from yolite.errors import NonFiniteError, ShapeError
 
 import oracles
 
@@ -168,9 +168,17 @@ class TestDecodeHead:
         v = np.concatenate([rng.normal(0, 4, 2000), rng.normal(0, 40, 2000),
                             [0.0, -0.0, 36.7, -36.7, 40.0, 41.0, -745.0, -746.0,
                              3.4e38, -3.4e38]])
-        got = D.sigmoid(v)
+        got = T.logistic(v)
         assert [x.hex() for x in got.tolist()] \
             == [oracles.sigmoid_scalar(float(x)).hex() for x in v]
+
+    @pytest.mark.parametrize("tw", [709.0, 710.0])
+    def test_box_size_overflow_is_non_finite_error(self, tw):
+        # e^709 is finite but 81 * e^709 is not; e^710 overflows math.exp
+        arr = np.zeros((1, 27, 2, 2), dtype=np.float32)
+        arr[0, 2, 0, 0] = tw
+        with pytest.raises(NonFiniteError):
+            D.decode_head(T.Tensor(arr), D.AnchorSet(), 2, 64)
 
 
 class TestFilterAndNms:
