@@ -31,6 +31,10 @@ CHANNEL_LAST_MAX_PIXELS = 26 * 26
 # Byte size of one NCHW accumulator block; it and its product buffer stay in
 # a core's L2 cache.
 ACC_BLOCK_BYTES = 512 * 1024
+# Parallel rule: a conv whose output holds at most this many elements runs
+# serially even when a pool exists, since on so little work per numpy call
+# the thread hand-offs cost more than the split saves.
+SERIAL_MAX_OUTPUTS = 1 << 16
 
 _parallel_workers = 0  # 0 = serial execution
 _pool: ThreadPoolExecutor | None = None
@@ -198,7 +202,8 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     applies one (channel, ky, kx) term to a block of output elements per
     step, so the per-element fold order equals the scalar reference exactly.
     Which elements form a block, and in what memory layout, depends only on
-    the output shape (see ``CHANNEL_LAST_MAX_PIXELS``).
+    the output shape (see ``CHANNEL_LAST_MAX_PIXELS``); whether blocks go to
+    the worker pool depends on the output size (``SERIAL_MAX_OUTPUTS``).
     """
     n, c, h, w = x.shape
     if c != params.in_channels:
@@ -217,14 +222,15 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         xp[:, :, p:p + h, p:p + w] = x.array
 
     wt = np.ascontiguousarray(params.kernel.transpose(1, 2, 3, 0))  # (in, ky, kx, out)
-    workers = max(_parallel_workers, 1)
+    pool = _pool if n * oh * ow * oc > SERIAL_MAX_OUTPUTS else None
+    workers = _parallel_workers if pool else 1
     if oh * ow > CHANNEL_LAST_MAX_PIXELS:
         out = np.empty((n, oc, oh, ow), dtype=np.float32)
         step = min(max(1, ACC_BLOCK_BYTES // (4 * n * oh * ow)), -(-oc // workers))
-        _run(_fill_blocked, oc, step, xp, wt, s, out)
+        _run(pool, _fill_blocked, oc, step, xp, wt, s, out)
     else:
         acc = np.empty((n, oh, ow, oc), dtype=np.float32)
-        _run(_fill_channel_last, oh, -(-oh // workers), xp, wt, s, acc)
+        _run(pool, _fill_channel_last, oh, -(-oh // workers), xp, wt, s, acc)
         out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
 
     np.add(out, params.bias[None, :, None, None], out=out)
@@ -238,12 +244,12 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     return Tensor(out, _trusted=True)
 
 
-def _run(fill, total: int, step: int, *args) -> None:
+def _run(pool, fill, total: int, step: int, *args) -> None:
     """Call ``fill(lo, hi, *args)`` for each ``step``-wide range of [0, total),
-    on the pool if there is one."""
+    on ``pool`` unless it is None."""
     bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if _pool is not None and len(bounds) > 1:
-        list(_pool.map(lambda b: fill(*b, *args), bounds))
+    if pool is not None and len(bounds) > 1:
+        list(pool.map(lambda b: fill(*b, *args), bounds))
     else:
         for lo, hi in bounds:
             fill(lo, hi, *args)
@@ -298,18 +304,24 @@ def _fold(views, kind: str) -> np.ndarray:
     """Fold equally shaped arrays, in order, into a new float32 array with one
     rounding per step.
 
-    ``avg`` sums and divides once by the count.  ``max`` replaces the running
-    value only where a later one is strictly greater, so a tie (including
-    +0 against -0) keeps the earlier value, as the scalar reference does.
+    ``avg`` sums and divides once by the count.  ``max`` keeps the earlier
+    value on a tie, as the scalar reference does.  Only a +0/-0 tie has
+    operands whose bits differ, and ``np.maximum`` may return either of them,
+    so where the maximum is zero it is set to the first zero in fold order.
     """
     acc = np.array(views[0], dtype=np.float32, order="C")
+    step = np.maximum if kind == "max" else np.add
     for v in views[1:]:
-        if kind == "max":
-            np.copyto(acc, v, where=v > acc)
-        else:
-            np.add(acc, v, out=acc)
+        step(acc, v, out=acc)
     if kind == "avg":
         np.divide(acc, np.float32(len(views)), out=acc)
+    elif not acc.all():
+        zero = acc == 0
+        first = acc[zero]
+        for v in reversed(views):
+            vz = v[zero]
+            np.copyto(first, vz, where=vz == 0)
+        acc[zero] = first
     return acc
 
 

@@ -46,6 +46,9 @@ _ARRAY_NAMES = ("weights", "bias", "gamma", "beta", "running_mean", "running_var
 # xoshiro256** runs across LANES independent lanes, stepped together; the
 # lane count is part of the output contract and must not change.
 LANES = 256
+# Raw xoshiro outputs are buffered and scrambled in blocks of rows of about
+# this many bytes, so seeding memory does not grow with the layer sizes.
+_ROW_BUFFER_BYTES = 8 << 20
 
 
 def _splitmix64(seeds, count: int) -> np.ndarray:
@@ -59,25 +62,60 @@ def _splitmix64(seeds, count: int) -> np.ndarray:
     return z ^ (z >> 31)
 
 
-def _uniform(seed, count: int) -> np.ndarray:
-    """``count`` doubles in [0, 1) from xoshiro256** over LANES lanes.
+def _uniform(seeds, counts):
+    """Doubles in [0, 1) from xoshiro256** over LANES lanes per stream.
 
-    Lane states are 4*LANES splitmix64 words of ``seed``, four per lane in
-    lane-major order; outputs go round-robin across lanes, one step per row,
-    and each keeps its top 53 bits."""
-    s0, s1, s2, s3 = np.ascontiguousarray(_splitmix64(seed, 4 * LANES).reshape(LANES, 4).T)
-    rows = np.empty((-(-count // LANES), LANES), dtype=np.uint64)
-    for row in rows:
-        x = s1 * 5
-        np.multiply((x << 7) | (x >> 57), 9, out=row)
-        t = s1 << 17
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        np.bitwise_or(s3 << 45, s3 >> 19, out=s3)
-    return (rows.reshape(-1)[:count] >> 11).astype(np.float64) * (2.0 ** -53)
+    Stream i draws ``counts[i]`` doubles from its own lanes, whose states are
+    4*LANES splitmix64 words of ``seeds[i]``, four per lane in lane-major
+    order; its outputs go round-robin across its lanes, one step per row, and
+    each keeps its top 53 bits.  All streams' lanes step together, so the
+    loop runs as many rows as the tallest stream.  Yields ``(i, start,
+    values)``: stream i's doubles from index ``start`` on, in row blocks that
+    keep the raw-output buffer near ``_ROW_BUFFER_BYTES``.
+    """
+    counts = [int(c) for c in counts]
+    heights = [-(-c // LANES) for c in counts]
+    # Tallest streams first, so the columns still stepping are always a prefix.
+    order = sorted(range(len(counts)), key=lambda i: -heights[i])
+    live = [heights[i] for i in order]
+    words = _splitmix64(np.asarray(seeds, dtype=np.uint64).reshape(-1)[order], 4 * LANES)
+    s0, s1, s2, s3 = np.ascontiguousarray(words.reshape(-1, 4).T)
+    t = np.empty_like(s1)
+    chunk = max(1, _ROW_BUFFER_BYTES // s1.nbytes)
+    rows = np.empty((chunk, s1.size), dtype=np.uint64)
+    for top in range(0, live[0], chunk):
+        bottom = min(top + chunk, live[0])
+        r = top
+        while r < bottom:
+            n = sum(h > r for h in live)  # streams still stepping at row r
+            stop = min(bottom, live[n - 1])
+            a, b, c, d, e = (v[:n * LANES] for v in (s0, s1, s2, s3, t))
+            for row in rows[r - top:stop - top, :n * LANES]:
+                # keep s1 for the scrambler, then advance the state in place
+                np.copyto(row, b)
+                np.left_shift(b, 17, out=e)
+                np.bitwise_xor(c, a, out=c)
+                np.bitwise_xor(d, b, out=d)
+                np.bitwise_xor(b, c, out=b)
+                np.bitwise_xor(a, d, out=a)
+                np.bitwise_xor(c, e, out=c)
+                np.left_shift(d, 45, out=e)
+                np.right_shift(d, 19, out=d)
+                np.bitwise_or(d, e, out=d)
+            r = stop
+        for j, i in enumerate(order):
+            if live[j] <= top:
+                break
+            # scramble: rotl(s1 * 5, 7) * 9, keeping the top 53 bits
+            x = rows[:min(bottom, live[j]) - top, j * LANES:(j + 1) * LANES] * np.uint64(5)
+            y = x >> np.uint64(57)
+            x <<= np.uint64(7)
+            x |= y
+            x *= np.uint64(9)
+            x >>= np.uint64(11)
+            u = x.reshape(-1)[:counts[i] - top * LANES].astype(np.float64)
+            u *= 2.0 ** -53
+            yield i, top * LANES, u
 
 
 def fnv1a64(data: bytes) -> int:
@@ -103,13 +141,16 @@ def init_seeded(g: N.NetworkGraph, seed: int) -> None:
     Weights are uniform in (-b, b) with b = sqrt(2 / (k*k*c_in)); biases are
     zero; batch-norm starts as the identity affine.  Each entry draws from
     its own generator, sub-seeded from one master splitmix64 stream, so the
-    result depends only on (seed, layer table).
+    result depends only on (seed, layer table).  The entries' generators
+    step together in one ``_uniform`` call, which hands the weights over in
+    row blocks that are scaled and written in place.
     """
-    entries = N.iter_conv_entries(g)
-    for (_, p), sub_seed in zip(entries, _splitmix64(seed & _U64, len(entries))):
-        bound = np.sqrt(2.0 / (p.kernel_size ** 2 * p.in_channels))
-        u = _uniform(sub_seed, p.weights.size)
-        p.weights[:] = ((2.0 * u - 1.0) * bound).astype(np.float32)
+    params = [p for _, p in N.iter_conv_entries(g)]
+    bounds = [np.sqrt(2.0 / (p.kernel_size ** 2 * p.in_channels)) for p in params]
+    sub_seeds = _splitmix64(seed & _U64, len(params))
+    for i, start, u in _uniform(sub_seeds, [p.weights.size for p in params]):
+        params[i].weights[start:start + u.size] = ((2.0 * u - 1.0) * bounds[i]).astype(np.float32)
+    for p in params:
         p.bias[:] = 0.0
         if p.bn is not None:
             p.bn.gamma[:] = 1.0

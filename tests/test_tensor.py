@@ -1,4 +1,4 @@
-import inspect
+import contextlib
 import pathlib
 import sys
 import threading
@@ -37,6 +37,23 @@ def force_schedule(monkeypatch, schedule, n=1, oh=1, ow=1, block=1):
 
 
 SCHEDULES = ("default", "blocked", "channel_last")
+
+
+@contextlib.contextmanager
+def fill_threads():
+    """Collect the threads that run conv2d's block fills inside the block."""
+    threads = set()
+
+    def spy(fill):
+        def run(*args):
+            threads.add(threading.current_thread())
+            return fill(*args)
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_fill_blocked", "_fill_channel_last"):
+            mp.setattr(T, name, spy(getattr(T, name)))
+        yield threads
 
 
 class TestTensorType:
@@ -167,6 +184,7 @@ class TestConv2d:
         x = rand_tensor(rng, 2, 6, 10, 10)
         kern = (rng.random((11, 6, 3, 3), dtype=np.float32) * 2 - 1)
         p = T.ConvParams(6, 11, 3, padding=1, weights=kern.reshape(-1))
+        monkeypatch.setattr(T, "SERIAL_MAX_OUTPUTS", 0)  # this small map goes to the pool too
         switch = sys.getswitchinterval()
         for schedule in SCHEDULES:
             with monkeypatch.context() as mp:
@@ -178,13 +196,35 @@ class TestConv2d:
                     T.set_parallel(workers)
                     sys.setswitchinterval(1e-6)
                     try:
-                        par = T.conv2d(x, p).array
+                        with fill_threads() as threads:
+                            par = T.conv2d(x, p).array
                     finally:
                         sys.setswitchinterval(switch)
                         T.set_parallel(0)
+                    assert threading.main_thread() not in threads, f"{schedule} ran serially"
                     assert bits_equal(serial, par), f"{schedule} with {workers} workers"
 
-    def test_set_parallel_keeps_one_pool_and_joins_it(self):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_outputs_up_to_the_limit_run_serially_under_a_pool(self, monkeypatch, schedule):
+        rng = np.random.default_rng(11)
+        x = rand_tensor(rng, 2, 6, 10, 10)
+        p = T.ConvParams(6, 11, 3, padding=1,
+                         weights=rng.random(11 * 6 * 9, dtype=np.float32))
+        if schedule != "default":
+            force_schedule(monkeypatch, schedule, 2, 10, 10, block=3)
+        outputs = 2 * 11 * 10 * 10
+        T.set_parallel(2)
+        try:
+            for limit, on_pool in ((outputs, False), (outputs - 1, True)):
+                monkeypatch.setattr(T, "SERIAL_MAX_OUTPUTS", limit)
+                with fill_threads() as threads:
+                    T.conv2d(x, p)
+                assert (threading.main_thread() not in threads) == on_pool, limit
+        finally:
+            T.set_parallel(0)
+
+    def test_set_parallel_keeps_one_pool_and_joins_it(self, monkeypatch):
+        monkeypatch.setattr(T, "SERIAL_MAX_OUTPUTS", 0)
         rng = np.random.default_rng(10)
         x = rand_tensor(rng, 1, 3, 40, 40)
         p = T.ConvParams(3, 8, 3, padding=1,
@@ -245,10 +285,6 @@ class TestActivations:
         x = T.Tensor(np.array([[[[-0.0, 0.0, -1.5, 2.0]]]], np.float32))
         want = np.array([[[[0.0, 0.0, 0.0, 2.0]]]], np.float32)
         assert bits_equal(T.relu(x).array, want)
-
-    def test_no_operand_order_dependent_max(self):
-        # np.maximum's result on a +0/-0 tie differs between CPUs.
-        assert "np.maximum" not in inspect.getsource(T)
 
     def test_no_vectorized_exp_in_package(self):
         # numpy's exp differs from math.exp in the last bit on some inputs.
@@ -446,6 +482,37 @@ class TestRandomizedOracleBattery:
         for kind in ("max", "avg"):
             got = getattr(T, op)(T.Tensor(x), kind, *args).array
             assert bits_equal(got, getattr(oracles, f"{op}_naive")(x, kind, *args)), kind
+
+    def test_zeros_among_negatives_whatever_np_maximum_does_on_ties(self, monkeypatch):
+        # Every 4-long fold over (-2, -1, -0, +0, 1), among them the windows
+        # [-1, -0, +0, -2] and [-0, -1, +0, +0]: zero maxima after a negative
+        # running value, and ±0 ties in both orders.  np.maximum's result on
+        # a ±0 tie differs between CPUs, so the folds also run under stand-ins
+        # that return the first and the second operand of every tie.
+        vals = np.array([-2.0, -1.0, -0.0, 0.0, 1.0], np.float32)
+        folds = vals[np.indices((5,) * 4).reshape(4, -1).T]
+        where = np.where
+
+        def keep_first(a, b, out):
+            out[...] = where(b > a, b, a)
+            return out
+
+        def keep_second(a, b, out):
+            out[...] = where(a > b, a, b)
+            return out
+
+        for op in ("pool2d", "channel_pool", "spatial_pool"):
+            if op == "spatial_pool":
+                x = np.ascontiguousarray(folds.T).reshape(1, 4, -1, 1)
+            else:
+                x = folds.reshape(1, -1, 2, 2)
+            args = (2, 2) if op == "pool2d" else ()
+            want = getattr(oracles, f"{op}_naive")(x, "max", *args)
+            for maximum in (np.maximum, keep_first, keep_second):
+                with monkeypatch.context() as mp:
+                    mp.setattr(np, "maximum", maximum)
+                    got = getattr(T, op)(T.Tensor(x), "max", *args).array
+                assert bits_equal(got, want), (op, maximum.__name__)
 
     def test_pool_battery(self):
         rng = np.random.default_rng(99)

@@ -9,6 +9,17 @@ from yolite.errors import (ArrayLengthError, BadMagicError, FingerprintMismatchE
 import oracles
 
 
+def uniform(seeds, counts):
+    """``W._uniform``'s blocks joined into one array per stream, in input
+    order; every double must arrive exactly once."""
+    outs = [np.full(c, np.nan) for c in counts]
+    for i, start, u in W._uniform(seeds, counts):
+        assert u.size and np.isnan(outs[i][start:start + u.size]).all()
+        outs[i][start:start + u.size] = u
+    assert not any(np.isnan(o).any() for o in outs)
+    return outs
+
+
 @pytest.fixture
 def small_graph():
     g = N.build_yolov4_tiny(2)
@@ -40,17 +51,31 @@ class TestPrng:
         words = oracles.xoshiro_lanes(seed, max(self.COUNTS))
         for count in self.COUNTS:
             want = [(w >> 11) * 2.0 ** -53 for w in words[:count]]
-            assert W._uniform(seed, count).tolist() == want
+            assert uniform([seed], [count])[0].tolist() == want
+
+    # Raw-output buffers of one row, of seven rows, and the default: the
+    # small ones split every stream across several row blocks.
+    @pytest.mark.parametrize("buffer_rows", [1, 7, None])
+    def test_many_streams_match_lane_oracle_in_input_order(self, monkeypatch, buffer_rows):
+        seeds = [3, 2 ** 64 - 1, 0, 42, 99, 12345]
+        counts = [1000, 1, 5000, 256, 257, 255]
+        if buffer_rows is not None:
+            monkeypatch.setattr(W, "_ROW_BUFFER_BYTES", buffer_rows * 8 * W.LANES * len(seeds))
+        got = uniform(seeds, counts)
+        for seed, count, u in zip(seeds, counts, got):
+            want = [(w >> 11) * 2.0 ** -53 for w in oracles.xoshiro_lanes(seed, count)]
+            assert u.tolist() == want, (seed, count)
 
     def test_uniform_range_and_determinism(self):
-        a = W._uniform(99, 10_000)
-        b = W._uniform(99, 10_000)
+        a = uniform([99], [10_000])[0]
+        b = uniform([99], [10_000])[0]
         assert np.array_equal(a, b)
         assert a.min() >= 0.0 and a.max() < 1.0
         assert abs(a.mean() - 0.5) < 0.02
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(W._uniform(1, 100), W._uniform(2, 100))
+        a, b = uniform([1, 2], [100, 100])
+        assert not np.array_equal(a, b)
 
 
 class TestInitSeeded:
@@ -76,6 +101,40 @@ class TestInitSeeded:
             if p.bn is not None:
                 assert np.all(p.bn.gamma == 1.0)
                 assert np.all(p.bn.running_var == 1.0)
+
+    # seed 42 on both models at 2 and 80 classes; the 80-class sums are the
+    # golden masters' GOLDEN_PARAMS
+    PINNED = {
+        ("v4tiny", 2): "5a3d5dfdcb07fafe80fca1a6b374011239dc223091e3b52627b31894cdd3720f",
+        ("v4tiny", 80): "6821cbe1b298852cc6ff4494d568a0977e68d8e97b06542768836f91c869b66e",
+        ("proposed", 2): "c7e3c70021dfc44ba703de6990296df6ab2511cf1aee2e8a55e296a628f6168f",
+        ("proposed", 80): "263e70af19416f70e633f42346bdd6b6dc78beb0f29d4b3abd5b7bac829b5523",
+    }
+    BUILDERS = {"v4tiny": N.build_yolov4_tiny, "proposed": N.build_proposed}
+
+    @pytest.mark.parametrize("model, classes", sorted(PINNED))
+    def test_pinned_checksums_reseed_and_reset_after_load(self, tmp_path, model, classes):
+        g = self.BUILDERS[model](classes)
+        W.init_seeded(g, 42)
+        assert W.params_checksum(g) == self.PINNED[model, classes]
+        W.init_seeded(g, 42)
+        assert W.params_checksum(g) == self.PINNED[model, classes]
+        # load other weights with non-default biases and batch-norm, then reseed
+        other = self.BUILDERS[model](classes)
+        W.init_seeded(other, 9)
+        for _, p in N.iter_conv_entries(other):
+            p.bias[:] = 0.25
+            if p.bn is not None:
+                p.bn.gamma[:] = 2.0
+                p.bn.beta[:] = -1.0
+                p.bn.running_mean[:] = 0.5
+                p.bn.running_var[:] = 3.0
+        path = tmp_path / "other.yltw"
+        W.save(other, path)
+        W.load(g, path)
+        assert W.params_checksum(g) == W.params_checksum(other)
+        W.init_seeded(g, 42)
+        assert W.params_checksum(g) == self.PINNED[model, classes]
 
 
 class TestGoldenMaster:
@@ -106,11 +165,13 @@ class TestGoldenMasterProposed:
     GOLDEN_H26 = "44c5d02fcfb97572589e21ec1d29ff0d0cfd6f4b7bacc605215a7666867f05dd"
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_seed42_reproduces_golden_heads(self, workers):
+    def test_seed42_reproduces_golden_heads(self, monkeypatch, workers):
         from yolite import tensor as T
         g = N.build_proposed(80)
         W.init_seeded(g, 42)
         assert W.params_checksum(g) == self.GOLDEN_PARAMS
+        # send every conv to the pool when there is one, small as 64 px maps are
+        monkeypatch.setattr(T, "SERIAL_MAX_OUTPUTS", 0)
         T.set_parallel(workers)
         try:
             h13, h26 = N.forward(g, T.Tensor.full((1, 3, 64, 64), 0.5))
