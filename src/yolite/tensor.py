@@ -14,6 +14,7 @@ decoding, which applies ``math.exp`` per element.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -27,14 +28,21 @@ LEAKY_A = np.float32(10.0)  # leaky activation divisor, i.e. slope 0.1
 # Convolution schedule rule: output maps with more pixels than this run in
 # NCHW layout over blocks of output channels; smaller maps run channel-last,
 # so the innermost loop is a contiguous run over output channels.
-CHANNEL_LAST_MAX_PIXELS = 26 * 26
+CHANNEL_LAST_MAX_PIXELS = 13 * 13
 # Byte size of one NCHW accumulator block; it and its product buffer stay in
 # a core's L2 cache.
 ACC_BLOCK_BYTES = 512 * 1024
 # Parallel rule: a conv whose output holds at most this many elements runs
 # serially even when a pool exists, since on so little work per numpy call
 # the thread hand-offs cost more than the split saves.
-SERIAL_MAX_OUTPUTS = 1 << 16
+SERIAL_MAX_OUTPUTS = 1 << 20
+# numpy's ufunc buffer size, in elements, while a conv runs (numpy asks for a
+# multiple of 16).  Under numpy's default of 8,192 a broadcast product whose
+# contiguous inner run is shorter than the buffer goes through the buffered
+# iterator's copies and runs 3-5x slower.  Buffering only decides how numpy
+# chunks a loop, never how one element is computed.  Pooling's strided folds
+# run slower under a small buffer, so only conv2d sets it.
+UFUNC_BUFSIZE = 16
 
 _parallel_workers = 0  # 0 = serial execution
 _pool: ThreadPoolExecutor | None = None
@@ -54,8 +62,21 @@ def set_parallel(workers: int) -> None:
         return
     if _pool is not None:
         _pool.shutdown(wait=True)
-    _pool = ThreadPoolExecutor(max_workers=workers) if workers else None
+    # The buffer size is per thread, so each worker sets it once for its fills.
+    _pool = ThreadPoolExecutor(max_workers=workers, initializer=np.setbufsize,
+                               initargs=(UFUNC_BUFSIZE,)) if workers else None
     _parallel_workers = workers
+
+
+@contextlib.contextmanager
+def _small_ufunc_buffer():
+    """Run the block with numpy's ufunc buffer at ``UFUNC_BUFSIZE``, then
+    restore the caller's size, also when the block raises."""
+    old = np.setbufsize(UFUNC_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -193,6 +214,7 @@ def conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - k) // stride + 1
 
 
+@_small_ufunc_buffer()
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     """Direct 2-D convolution, plus bias, plus batch-norm affine if present.
 

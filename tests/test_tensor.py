@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import pathlib
 import sys
@@ -40,20 +41,25 @@ SCHEDULES = ("default", "blocked", "channel_last")
 
 
 @contextlib.contextmanager
-def fill_threads():
-    """Collect the threads that run conv2d's block fills inside the block."""
-    threads = set()
+def fill_calls():
+    """Collect (thread, numpy ufunc buffer size) for each of conv2d's block
+    fills inside the block."""
+    calls = set()
 
     def spy(fill):
         def run(*args):
-            threads.add(threading.current_thread())
+            calls.add((threading.current_thread(), np.getbufsize()))
             return fill(*args)
         return run
 
     with pytest.MonkeyPatch.context() as mp:
         for name in ("_fill_blocked", "_fill_channel_last"):
             mp.setattr(T, name, spy(getattr(T, name)))
-        yield threads
+        yield calls
+
+
+def on_main_thread(calls) -> set[bool]:
+    return {thread is threading.main_thread() for thread, _ in calls}
 
 
 class TestTensorType:
@@ -196,12 +202,12 @@ class TestConv2d:
                     T.set_parallel(workers)
                     sys.setswitchinterval(1e-6)
                     try:
-                        with fill_threads() as threads:
+                        with fill_calls() as calls:
                             par = T.conv2d(x, p).array
                     finally:
                         sys.setswitchinterval(switch)
                         T.set_parallel(0)
-                    assert threading.main_thread() not in threads, f"{schedule} ran serially"
+                    assert on_main_thread(calls) == {False}, f"{schedule} ran serially"
                     assert bits_equal(serial, par), f"{schedule} with {workers} workers"
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
@@ -217,9 +223,9 @@ class TestConv2d:
         try:
             for limit, on_pool in ((outputs, False), (outputs - 1, True)):
                 monkeypatch.setattr(T, "SERIAL_MAX_OUTPUTS", limit)
-                with fill_threads() as threads:
+                with fill_calls() as calls:
                     T.conv2d(x, p)
-                assert (threading.main_thread() not in threads) == on_pool, limit
+                assert on_main_thread(calls) == {not on_pool}, limit
         finally:
             T.set_parallel(0)
 
@@ -246,6 +252,68 @@ class TestConv2d:
             T.set_parallel(0)
         assert T._pool is None
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("caller", [4096, 8192, 1 << 20])
+    def test_callers_buffer_size_is_restored(self, caller):
+        x = T.Tensor.full((1, 2, 6, 6), 2.0)
+        ok = T.ConvParams(2, 3, 3, padding=1, weights=np.ones(54, np.float32))
+        huge = T.ConvParams(2, 3, 3, padding=1, weights=np.full(54, 3e38, np.float32))
+        old = np.setbufsize(caller)
+        try:
+            T.conv2d(x, ok)
+            assert np.getbufsize() == caller
+            with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+                T.conv2d(x, huge)
+            assert np.getbufsize() == caller
+            with pytest.raises(ShapeError):
+                T.conv2d(T.Tensor.zeros(1, 3, 6, 6), ok)
+            assert np.getbufsize() == caller
+        finally:
+            np.setbufsize(old)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_fills_run_under_the_small_buffer(self, monkeypatch, workers):
+        monkeypatch.setattr(T, "SERIAL_MAX_OUTPUTS", 0)
+        rng = np.random.default_rng(12)
+        p = T.ConvParams(3, 8, 3, padding=1, weights=rng.random(8 * 3 * 9, dtype=np.float32))
+        T.set_parallel(workers)
+        try:
+            with fill_calls() as calls:
+                for size in (40, 8):  # one map per schedule
+                    T.conv2d(rand_tensor(rng, 1, 3, size, size), p)
+        finally:
+            T.set_parallel(0)
+        assert {size for _, size in calls} == {T.UFUNC_BUFSIZE}
+        assert on_main_thread(calls) == {workers == 0}
+
+    @pytest.mark.parametrize("c, oc, k, size", [
+        (2, 3, 3, 8), (2, 3, 3, 13), (2, 3, 3, 26), (2, 3, 3, 52), (2, 3, 3, 104),
+        (1, 8200, 1, 3),  # channel-last rows longer than numpy's default buffer
+    ])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_output_does_not_depend_on_callers_buffer_size(self, monkeypatch, c, oc, k,
+                                                            size, stride):
+        # NCHW products run over (oh, ow) planes and channel-last ones over oc
+        # channels; the cases put those runs on both sides of 8,192 elements.
+        rng = np.random.default_rng(size * stride)
+        x = rand_tensor(rng, 1, c, size, size)
+        kern = rng.random((oc, c, k, k), dtype=np.float32) * 2 - 1
+        bias = rng.random(oc, dtype=np.float32) * 2 - 1
+        p = T.ConvParams(c, oc, k, stride=stride, padding=k // 2,
+                         weights=kern.reshape(-1), bias=bias)
+        ref = oracles.conv2d_naive(x.array, kern, bias, stride, k // 2)
+        oh, ow = ref.shape[2:]
+        for schedule in SCHEDULES:
+            with monkeypatch.context() as mp:
+                if schedule != "default":
+                    force_schedule(mp, schedule, 1, oh, ow, block=2)
+                for caller in (16, 8192, 1 << 20):
+                    old = np.setbufsize(caller)
+                    try:
+                        got = T.conv2d(x, p).array
+                    finally:
+                        np.setbufsize(old)
+                    assert bits_equal(got, ref), f"{schedule} under a caller's {caller}"
 
 
 class TestPool2d:
@@ -291,6 +359,23 @@ class TestActivations:
         for path in pathlib.Path(T.__file__).parent.glob("*.py"):
             text = path.read_text()
             assert "np.exp" not in text and "numpy.exp" not in text, path.name
+
+    def test_only_conv_changes_the_ufunc_buffer(self):
+        # numpy's buffer size is thread state: tensor's one helper and the
+        # pool's worker initializer are the only places that set it.
+        def refs(tree):
+            return sum(isinstance(node, ast.Attribute) and node.attr == "setbufsize"
+                       or isinstance(node, ast.Name) and node.id == "setbufsize"
+                       or isinstance(node, ast.alias) and node.name == "setbufsize"
+                       for node in ast.walk(tree))
+
+        for path in pathlib.Path(T.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            allowed = {"_small_ufunc_buffer", "set_parallel"} if path.name == "tensor.py" else set()
+            inside = {fn.name: refs(fn) for fn in tree.body
+                      if isinstance(fn, ast.FunctionDef) and fn.name in allowed}
+            assert refs(tree) == sum(inside.values()), path.name
+            assert all(inside.values()) and inside.keys() == allowed, path.name
 
     def test_leaky_branches(self):
         x = T.Tensor(np.array([[[[5.0, -10.0], [0.0, -1.0]]]], np.float32))
