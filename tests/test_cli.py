@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -344,5 +345,119 @@ class TestConsoleEntry:
         assert "anchors" in err
 
     def test_bad_anchor_json_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "describe", "--anchors", "{not json")
+        code, _, _ = run_cli(capsys, "detect", "--anchors", "{not json", "img.ppm")
         assert code == 2
+
+
+# (subcommand, flag, value, accepted): the boundaries of every numeric input
+# rule, on the subcommands that read the flag.
+U64_MAX = str(2 ** 64 - 1)
+RULE_CASES = [
+    *[(cmd, "--seed", v, ok) for cmd in ("detect", "bench")
+      for v, ok in (("0", True), (U64_MAX, True), ("-1", False), (str(2 ** 64), False))],
+    *[("detect", flag, v, ok) for flag in ("--conf-thresh", "--iou-thresh")
+      for v, ok in (("0", True), ("1", True), ("-0.01", False), ("1.01", False),
+                    ("nan", False))],
+    *[(cmd, "--classes", "0", False) for cmd in ("detect", "bench")],
+    *[(cmd, "--input-size", v, False) for cmd in ("detect", "bench")
+      for v in ("0", "-32", "100")],
+    ("bench", "--iters", "0", False),
+    ("bench", "--iters", "-1", False),
+]
+
+
+class TestInputRules:
+    @staticmethod
+    def argv(command, tmp_path, *extra):
+        # a later occurrence of a flag overrides the base value
+        tail = (["--iters", "1"] if command == "bench"
+                else [str(make_gray_ppm(tmp_path / "g.ppm", 32, 32))])
+        return [command, "--classes", "1", "--input-size", "32", *tail, *extra]
+
+    @pytest.mark.parametrize("command,flag,value,accepted", RULE_CASES,
+                             ids=[f"{c}{f}={v}" for c, f, v, _ in RULE_CASES])
+    def test_flag_boundary(self, capsys, tmp_path, command, flag, value, accepted):
+        code, out, err = run_cli(capsys, *self.argv(command, tmp_path, flag, value))
+        if accepted:
+            assert code == 0 and out
+            return
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert flag.lstrip("-").replace("-", " ") in err.replace("-", " ")
+
+    @pytest.mark.parametrize("command,flag", [
+        ("detect", "--classes"), ("detect", "--input-size"), ("detect", "--conf-thresh"),
+        ("detect", "--iou-thresh"), ("detect", "--seed"), ("bench", "--iters")])
+    def test_non_number_is_config_error(self, capsys, tmp_path, command, flag):
+        code, out, err = run_cli(capsys, *self.argv(command, tmp_path, flag, "1.5x"))
+        assert code == 2
+        assert out == ""
+        kind = "a number" if "thresh" in flag else "an integer"
+        assert err == f"error: {flag} must be {kind}, got '1.5x'\n"
+
+    @pytest.mark.parametrize("command", ["detect", "bench"])
+    @pytest.mark.parametrize("value,accepted", [("0", True), (U64_MAX, True),
+                                                ("-1", False), (str(2 ** 64), False)])
+    def test_env_seed_boundary(self, capsys, tmp_path, monkeypatch, command, value, accepted):
+        monkeypatch.setenv(C.SEED_ENV, value)
+        code, out, err = run_cli(capsys, *self.argv(command, tmp_path))
+        if accepted:
+            assert code == 0 and out
+            return
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert C.SEED_ENV in err
+
+    def test_compare_rejects_weights_before_timing(self, capsys, tmp_path):
+        wpath = tmp_path / "w.yltw"
+        W.save(N.build_yolov4_tiny(1), wpath)
+        code, out, err = run_cli(capsys, "bench", "--compare", "--weights", str(wpath),
+                                 "--classes", "1", "--input-size", "32", "--iters", "1")
+        assert code == 2
+        assert out == ""
+        assert "--weights" in err
+
+
+# A valid value for every flag that takes one; store_true flags take none.
+FLAG_VALUES = {"--model": "proposed", "--classes": "2", "--input-size": "64",
+               "--conf-thresh": "0.5", "--iou-thresh": "0.5", "--seed": "3",
+               "--anchors": json.dumps({"32": [[1, 1], [2, 2], [3, 3]],
+                                        "16": [[1, 1], [2, 2], [3, 3]]}),
+               "--weights": "w.yltw", "--format": "json", "--iters": "2"}
+OPTIONS = [name for name in C.FLAGS if name.startswith("--")]
+
+
+def flag_argv(command, flag):
+    value = [] if C.FLAGS[flag].get("action") == "store_true" else [FLAG_VALUES[flag]]
+    return [command, flag, *value, *(["img.ppm"] if command == "detect" else [])]
+
+
+class TestFlagTable:
+    """Each subcommand takes exactly the flags `cli.COMMANDS` gives it."""
+
+    READ = [(c, f) for c, (_, names) in C.COMMANDS.items() for f in OPTIONS if f in names]
+    UNREAD = [(c, f) for c, (_, names) in C.COMMANDS.items() for f in OPTIONS if f not in names]
+
+    @pytest.mark.parametrize("command,flag", READ, ids=[f"{c}{f}" for c, f in READ])
+    def test_read_flag_is_parsed(self, command, flag):
+        args = C.build_parser().parse_args(flag_argv(command, flag))
+        assert getattr(args, flag[2:].replace("-", "_")) != C.FLAGS[flag].get("default")
+
+    @pytest.mark.parametrize("command,flag", UNREAD, ids=[f"{c}{f}" for c, f in UNREAD])
+    def test_unread_flag_exits_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            C.main(flag_argv(command, flag))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", sorted(C.COMMANDS))
+    def test_help_lists_only_own_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            C.main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert listed == {f for f in C.COMMANDS[command][1] if f.startswith("--")}
