@@ -6,7 +6,7 @@ from .analysis import (FlopsReport, ReceptiveField, flops_of_graph, flops_of_lay
 from .blocks import AuxBlock, Cbam, CspBlock, ResBlockD, aux_forward, cbam_forward, \
     csp_forward, fuse, resblock_d_forward
 from .detect import AnchorSet, Box, Detection, confidence_score, decode_head, \
-    filter_and_nms, iou
+    detect_image, filter_and_nms, iou
 from .loss import LossBreakdown, Predictions, TargetAssignment, assign_targets, \
     ciou_loss, class_loss, confidence_loss, total_loss
 from .network import NetworkGraph, build_proposed, build_yolov4_tiny, count_layers, \
@@ -26,8 +26,8 @@ __all__ = [
     "assign_targets", "aux_forward", "broadcast_mul", "build_proposed",
     "build_yolov4_tiny", "cbam_forward", "channel_pool", "ciou_loss", "class_loss",
     "concat_channels", "confidence_loss", "confidence_score", "conv2d", "count_layers",
-    "count_params", "csp_forward", "decode_head", "describe", "filter_and_nms",
-    "fingerprint", "flops_of_graph", "flops_of_layer", "flops_of_list",
+    "count_params", "csp_forward", "decode_head", "describe", "detect_image",
+    "filter_and_nms", "fingerprint", "flops_of_graph", "flops_of_layer", "flops_of_list",
     "flops_of_pool", "forward", "fuse", "infer_shapes", "init_seeded", "iou",
     "leaky_relu", "load", "params_checksum", "pool2d", "receptive_field",
     "resblock_d_forward", "save", "sigmoid", "spatial_pool", "tensor_checksum",

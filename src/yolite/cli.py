@@ -32,7 +32,10 @@ EXIT_WEIGHTS = 4
 EXIT_SELFTEST = 5
 EXIT_RUNTIME = 6
 
-_BUILDERS = {"v4tiny": N.build_yolov4_tiny, "proposed": N.build_proposed}
+# Upper bounds of --classes (~50x the paper's 80) and --input-size (~10x its
+# 416 px), so no accepted value asks numpy for an impossible array.
+MAX_CLASSES = 4096
+MAX_INPUT_SIZE = 4096
 
 
 # Input rules.  Each is called as rule(text, name) -- by argparse as a flag's
@@ -53,10 +56,20 @@ def _count(text: str, name: str) -> int:
     return value
 
 
+def _classes(text: str, name: str) -> int:
+    value = _count(text, name)
+    if value > MAX_CLASSES:
+        raise ConfigError(f"{name} must be <= {MAX_CLASSES}, got {value}")
+    return value
+
+
 def _input_size(text: str, name: str) -> int:
     value = _integer(text, name)
-    if value <= 0 or value % 32:
-        raise ConfigError(f"{name} must be a positive multiple of 32, got {value}")
+    if value <= 0 or value % N.INPUT_MULTIPLE:
+        raise ConfigError(f"{name} must be a positive multiple of {N.INPUT_MULTIPLE}, "
+                          f"got {value}")
+    if value > MAX_INPUT_SIZE:
+        raise ConfigError(f"{name} must be <= {MAX_INPUT_SIZE}, got {value}")
     return value
 
 
@@ -84,9 +97,10 @@ def _anchors(text: str, name: str) -> D.AnchorSet:
     except (ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad {name} specification: {exc}") from exc
     counts = {s: len(pairs) for s, pairs in anchors.by_stride.items()}
-    if counts != {32: N.HEAD_ANCHORS, 16: N.HEAD_ANCHORS}:
+    strides = D.AnchorSet.DEFAULT  # one per head
+    if counts != {s: N.HEAD_ANCHORS for s in strides}:
         raise ConfigError(f"{name} need {N.HEAD_ANCHORS} (w, h) pairs for each of "
-                          f"strides 32 and 16, got {counts}")
+                          f"strides {' and '.join(map(str, strides))}, got {counts}")
     return anchors
 
 
@@ -94,8 +108,8 @@ def _anchors(text: str, name: str) -> D.AnchorSet:
 # subcommand's arguments from here, in help order.
 FLAGS = {
     "image": {"help": "input image path"},
-    "--model": {"choices": sorted(_BUILDERS), "default": "v4tiny"},
-    "--classes": {"type": _count, "default": 80},
+    "--model": {"choices": sorted(N.MODELS), "default": "v4tiny"},
+    "--classes": {"type": _classes, "default": 80},
     "--input-size": {"type": _input_size, "default": 416},
     "--conf-thresh": {"type": _threshold, "default": 0.25},
     "--iou-thresh": {"type": _threshold, "default": 0.45},
@@ -128,7 +142,7 @@ def _build_graph(args, model: str) -> N.NetworkGraph:
     """``model`` with ``--weights`` loaded, else seeded from ``--seed``, else
     $YOLITE_SEED, else 42.  Only seeding reads the variable, so commands that
     seed nothing never fail on it."""
-    g = _BUILDERS[model](args.classes)
+    g = N.MODELS[model](args.classes)
     if args.weights is not None:
         W.load(g, args.weights)
     elif args.seed is not None:
@@ -143,7 +157,7 @@ def _dump_json(obj) -> str:
 
 
 def cmd_describe(args) -> int:
-    doc = N.describe(_BUILDERS[args.model](args.classes), args.input_size)
+    doc = N.describe(N.MODELS[args.model](args.classes), args.input_size)
     if args.format == "json":
         print(_dump_json(doc))
         return EXIT_OK
@@ -177,26 +191,17 @@ def cmd_flops(args) -> int:
             print()
             print(f"ratio: {csp.total} / {res.total} = {ratio:.4f}")
         return EXIT_OK
-    report = A.flops_of_graph(_BUILDERS[args.model](args.classes), args.input_size)
+    report = A.flops_of_graph(N.MODELS[args.model](args.classes), args.input_size)
     print(_dump_json(report.to_json_dict()) if args.format == "json" else report.to_text())
     return EXIT_OK
 
 
-def _decode_all(args, h13: T.Tensor, h26: T.Tensor) -> list[D.Detection]:
-    dets = D.decode_head(h13, args.anchors, args.input_size // 32, args.input_size)
-    dets += D.decode_head(h26, args.anchors, args.input_size // 16, args.input_size)
-    return D.filter_and_nms(dets, args.conf_thresh, args.iou_thresh)
-
-
 def cmd_detect(args) -> int:
+    # the image is read first: a bad image exits 3 ahead of a bad seed or weight file
     image = I.load_image(args.image)
-    tensor, transform = I.letterbox(image, args.input_size)
     g = _build_graph(args, args.model)
-    h13, h26 = N.forward(g, tensor)
-    kept = _decode_all(args, h13, h26)
-    mapped = [D.Detection(transform.box_to_original(d.box), d.class_id,
-                          d.objectness, d.class_prob) for d in kept]
-    records = D.detections_to_json(mapped)
+    records = D.detections_to_json(D.detect_image(g, image, args.input_size, args.anchors,
+                                                  args.conf_thresh, args.iou_thresh))
     if args.format == "json":
         print(_dump_json({"image": args.image, "detections": records}))
     else:
@@ -228,7 +233,7 @@ def cmd_bench(args) -> int:
         # a YLTW file is keyed to one graph's layer table
         raise ConfigError("bench --compare times both models, so it takes no --weights")
     results = [_bench_once(args, m)
-               for m in (("v4tiny", "proposed") if args.compare else (args.model,))]
+               for m in (N.MODELS if args.compare else (args.model,))]
     if args.format == "json":
         print(_dump_json({"input_size": args.input_size, "results": results}))
     else:
@@ -240,7 +245,7 @@ def cmd_bench(args) -> int:
 
 def cmd_selftest(args) -> int:
     results = S.run_selftest(weights_path=args.weights,
-                             model_builder=functools.partial(_BUILDERS[args.model], args.classes))
+                             model_builder=functools.partial(N.MODELS[args.model], args.classes))
     ok = all(r["passed"] for r in results)
     if args.format == "json":
         print(_dump_json({"passed": ok, "checks": results}))

@@ -1,4 +1,5 @@
-"""Head decoding, box geometry, confidence filtering, and non-max suppression.
+"""Head decoding, box geometry, confidence filtering, non-max suppression,
+and `detect_image`, the whole path from an image to its detections.
 
 The raw head layout per anchor is (tx, ty, tw, th, to, class scores...): cell
 offsets pass through a sigmoid, box sizes scale the anchor exponentially,
@@ -11,13 +12,14 @@ the head values regardless of platform vector math.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import imageio as I
+from . import network as N
 from . import tensor as T
 from .errors import NonFiniteError, ShapeError
-from .network import HEAD_ANCHORS
 
 
 @dataclass(frozen=True)
@@ -117,8 +119,8 @@ def decode_head(head: T.Tensor, anchors: AnchorSet, scale: int, input_size: int)
         raise ShapeError(f"head spatial size {hh}x{ww} != expected scale {scale}")
     priors = np.array(anchors.for_scale(scale, input_size))
     b = len(priors)
-    if b != HEAD_ANCHORS:
-        raise ShapeError(f"decode_head needs {HEAD_ANCHORS} anchor pairs per scale, got {b}")
+    if b != N.HEAD_ANCHORS:
+        raise ShapeError(f"decode_head needs {N.HEAD_ANCHORS} anchor pairs per scale, got {b}")
     if ch % b != 0 or ch // b < 6:
         raise ShapeError(f"head channel count {ch} incompatible with {b} anchors")
     cell = input_size / scale
@@ -215,6 +217,25 @@ def filter_and_nms(dets: list[Detection], conf_thresh: float = 0.25,
     kept = [members[_greedy_keep(geom[:, members], iou_thresh)]
             for members in np.split(by_class, bounds)]
     return [survivors[i] for i in order[np.sort(np.concatenate(kept))].tolist()]
+
+
+def detect_image(g: N.NetworkGraph, image: np.ndarray, input_size: int,
+                 anchors: AnchorSet | None = None, conf_thresh: float = 0.25,
+                 iou_thresh: float = 0.45) -> list[Detection]:
+    """Detections in an (h, w, 3) image with values in [0, 1], in its own
+    pixels: letterbox to ``input_size``, run ``g``, decode each head at its
+    own grid side, filter and suppress, then map the kept boxes back.
+
+    `network.forward` and `imageio.letterbox` are looked up through their
+    modules at call time, so a wrapper installed on either sees this call.
+    """
+    anchors = AnchorSet() if anchors is None else anchors
+    x, transform = I.letterbox(image, input_size)
+    dets = []
+    for head in N.forward(g, x):
+        dets += decode_head(head, anchors, head.shape[2], input_size)
+    return [replace(d, box=transform.box_to_original(d.box))
+            for d in filter_and_nms(dets, conf_thresh, iou_thresh)]
 
 
 def _sig6(v: float) -> float:

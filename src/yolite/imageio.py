@@ -13,7 +13,6 @@ import struct
 
 import numpy as np
 
-from .detect import Box
 from .errors import InputError
 from .tensor import Tensor
 
@@ -117,10 +116,11 @@ class LetterboxTransform:
         self.pad_x = pad_x
         self.pad_y = pad_y
 
-    def box_to_original(self, box: Box) -> Box:
-        return Box((box.cx - self.pad_x) / self.scale,
-                   (box.cy - self.pad_y) / self.scale,
-                   box.w / self.scale, box.h / self.scale)
+    def box_to_original(self, box):
+        """``box`` (a `detect.Box`) in original-image pixels, as the same type."""
+        return type(box)((box.cx - self.pad_x) / self.scale,
+                         (box.cy - self.pad_y) / self.scale,
+                         box.w / self.scale, box.h / self.scale)
 
 
 def letterbox(image: np.ndarray, size: int) -> tuple[Tensor, LetterboxTransform]:

@@ -21,6 +21,7 @@ from .errors import GraphError, ShapeError
 
 INPUT_ID = "input"
 HEAD_ANCHORS = 3  # prior boxes per head cell, each predicting 5 + classes channels
+INPUT_MULTIPLE = 32  # the coarse head's stride: input sides must be whole cells
 
 
 @dataclass
@@ -135,10 +136,17 @@ class NetworkGraph:
                 raise GraphError(f"output {head_name} references missing node", node_id)
 
 
-def _stage_tail(classes: int) -> list[LayerNode]:
-    """Trunk conv, neck, both heads, and the upsample path between scales."""
+def _assemble(name: str, classes: int, stages: list[LayerNode]) -> NetworkGraph:
+    """One variant's graph: the shared stem, then ``stages`` (which read
+    ``stem2`` and end in a csp node ``stage3``), then the shared trunk conv,
+    neck, both heads, and the upsample path between scales."""
+    if classes < 1:
+        raise ValueError("classes must be >= 1")
     head_ch = HEAD_ANCHORS * (5 + classes)
-    return [
+    nodes = [
+        LayerNode("stem1", "conv", [INPUT_ID], B.conv_bn_params(3, 32, 3, stride=2)),
+        LayerNode("stem2", "conv", ["stem1"], B.conv_bn_params(32, 64, 3, stride=2)),
+        *stages,
         LayerNode("trunk", "conv", ["stage3"], B.conv_bn_params(512, 512, 3)),
         LayerNode("neck", "conv", ["trunk"], B.conv_bn_params(512, 256, 1)),
         LayerNode("head13_conv", "conv", ["neck"], B.conv_bn_params(256, 512, 3)),
@@ -149,54 +157,46 @@ def _stage_tail(classes: int) -> list[LayerNode]:
         LayerNode("head26_conv", "conv", ["fpn_cat"], B.conv_bn_params(384, 256, 3)),
         LayerNode("head_26", "head", ["head26_conv"], B.conv_linear_params(256, head_ch, 1)),
     ]
-
-
-def _stem() -> list[LayerNode]:
-    return [
-        LayerNode("stem1", "conv", [INPUT_ID], B.conv_bn_params(3, 32, 3, stride=2)),
-        LayerNode("stem2", "conv", ["stem1"], B.conv_bn_params(32, 64, 3, stride=2)),
-    ]
+    return NetworkGraph(name, classes, nodes, {"head_13": "head_13", "head_26": "head_26"})
 
 
 def build_yolov4_tiny(classes: int = 80) -> NetworkGraph:
     """Baseline: three CSP stages between the stem and the two-scale head."""
-    if classes < 1:
-        raise ValueError("classes must be >= 1")
-    nodes = _stem() + [
+    return _assemble("v4tiny", classes, [
         LayerNode("stage1", "csp", ["stem2"], B.CspBlock(64)),
         LayerNode("stage2", "csp", ["stage1"], B.CspBlock(128)),
         LayerNode("stage3", "csp", ["stage2"], B.CspBlock(256)),
-    ] + _stage_tail(classes)
-    return NetworkGraph("v4tiny", classes, nodes,
-                        {"head_13": "head_13", "head_26": "head_26"})
+    ])
 
 
 def build_proposed(classes: int = 80) -> NetworkGraph:
     """Modified variant: the first two stages become downsampling residual
     blocks, each paired with an auxiliary block fed from the stage input and
     merged back by elementwise sum."""
-    if classes < 1:
-        raise ValueError("classes must be >= 1")
-    nodes = _stem()
+    stages = []
     prev = "stem2"
     for idx, ch in ((1, 64), (2, 128)):
         stage = f"stage{idx}"
-        nodes.append(LayerNode(stage, "resblock_d", [prev], B.ResBlockD(ch)))
-        nodes.append(LayerNode(f"{stage}_aux", "aux", [prev], B.AuxBlock(ch)))
-        nodes.append(LayerNode(f"{stage}_fuse", "add", [stage, f"{stage}_aux"]))
+        stages.append(LayerNode(stage, "resblock_d", [prev], B.ResBlockD(ch)))
+        stages.append(LayerNode(f"{stage}_aux", "aux", [prev], B.AuxBlock(ch)))
+        stages.append(LayerNode(f"{stage}_fuse", "add", [stage, f"{stage}_aux"]))
         prev = f"{stage}_fuse"
-    nodes.append(LayerNode("stage3", "csp", [prev], B.CspBlock(256)))
-    nodes += _stage_tail(classes)
-    return NetworkGraph("proposed", classes, nodes,
-                        {"head_13": "head_13", "head_26": "head_26"})
+    stages.append(LayerNode("stage3", "csp", [prev], B.CspBlock(256)))
+    return _assemble("proposed", classes, stages)
+
+
+# Every model by its CLI name.  Callers look a builder up here at call time,
+# so a wrapper installed on this dict sees every build.
+MODELS = {"v4tiny": build_yolov4_tiny, "proposed": build_proposed}
 
 
 def _check_input_shape(shape) -> None:
     n, c, h, w = shape
     if c != 3:
         raise ShapeError(f"network input must have 3 channels, got {c}")
-    if h != w or h % 32 or h == 0:
-        raise ShapeError(f"input spatial size must be a square multiple of 32, got {h}x{w}")
+    if h != w or h % INPUT_MULTIPLE or h == 0:
+        raise ShapeError(f"input spatial size must be a square multiple of {INPUT_MULTIPLE}, "
+                         f"got {h}x{w}")
 
 
 def forward(g: NetworkGraph, x: T.Tensor) -> tuple[T.Tensor, T.Tensor]:

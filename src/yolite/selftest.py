@@ -7,6 +7,7 @@ the development test suite, not here; this is a field smoke test.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tempfile
@@ -113,26 +114,31 @@ def _check_loss_closed_forms() -> str:
     return "closed-form values reproduced"
 
 
-def _check_weights_round_trip() -> str:
-    g = N.build_yolov4_tiny(2)
+def _label(g: N.NetworkGraph) -> str:
+    return f"{g.name}, {g.classes} classes"
+
+
+def _check_weights_round_trip(build) -> str:
+    g = build()
     W.init_seeded(g, 42)
+    other = next(name for name in N.MODELS if name != g.name)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "w.yltw")
         W.save(g, path)
-        fresh = N.build_yolov4_tiny(2)
+        fresh = build()
         W.load(fresh, path)
         assert W.params_checksum(fresh) == W.params_checksum(g)
         try:
-            W.load(N.build_proposed(2), path)
+            W.load(N.MODELS[other](g.classes), path)
         except FingerprintMismatchError:
             pass
         else:
-            raise AssertionError("fingerprint mismatch was not rejected")
-    return "round-trip stable; mismatch rejected"
+            raise AssertionError(f"loading into {other} was not rejected")
+    return f"{_label(g)}: round-trip stable; loading into {other} rejected"
 
 
-def _check_forward_determinism() -> str:
-    g = N.build_proposed(2)
+def _check_forward_determinism(build) -> str:
+    g = build()
     W.init_seeded(g, 42)
     rng = np.random.default_rng(0)
     x = T.Tensor(rng.random((1, 3, 64, 64), dtype=np.float32))
@@ -140,10 +146,23 @@ def _check_forward_determinism() -> str:
     b13, b26 = N.forward(g, x)
     assert np.array_equal(a13.array.view(np.uint32), b13.array.view(np.uint32))
     assert np.array_equal(a26.array.view(np.uint32), b26.array.view(np.uint32))
-    return "repeated forward is bit-identical"
+    return f"{_label(g)}: repeated forward at 64 px is bit-identical"
+
+
+def _check_weight_file(build, weights_path) -> str:
+    g = build()
+    try:
+        W.load(g, weights_path)
+    except WeightFileError as exc:
+        raise AssertionError(f"{_label(g)}: weight file rejected: {exc}") from exc
+    return f"{_label(g)}: weight file loads cleanly"
 
 
 def collect_checks(weights_path=None, model_builder=None):
+    """The checks in report order.  ``model_builder`` builds the graph that
+    the model checks run on (default: `v4tiny` at 80 classes, as the CLI);
+    a weight file is loaded into that graph."""
+    build = model_builder or N.build_yolov4_tiny
     checks = [
         ("conv-vs-naive", _check_conv_against_naive),
         ("elementwise-ops", _check_elementwise_ops),
@@ -152,17 +171,12 @@ def collect_checks(weights_path=None, model_builder=None):
         ("parameter-anchors", _check_parameter_anchors),
         ("decode-and-nms", _check_decode_and_nms),
         ("loss-closed-forms", _check_loss_closed_forms),
-        ("weights-round-trip", _check_weights_round_trip),
-        ("forward-determinism", _check_forward_determinism),
+        ("weights-round-trip", functools.partial(_check_weights_round_trip, build)),
+        ("forward-determinism", functools.partial(_check_forward_determinism, build)),
     ]
-    if weights_path is not None and model_builder is not None:
-        def _check_weight_file() -> str:
-            try:
-                W.load(model_builder(), weights_path)
-            except WeightFileError as exc:
-                raise AssertionError(f"weight file rejected: {exc}") from exc
-            return "weight file loads cleanly"
-        checks.append(("weight-file", _check_weight_file))
+    if weights_path is not None:
+        checks.append(("weight-file", functools.partial(_check_weight_file, build,
+                                                        weights_path)))
     return checks
 
 

@@ -123,6 +123,19 @@ class TestDetect:
             assert rec["box"]["cx"] == pytest.approx(d.box.cx, abs=1e-5 * 416)
             assert rec["box"]["cy"] == pytest.approx(d.box.cy, abs=1e-5 * 416)
 
+    @pytest.mark.parametrize("model", sorted(N.MODELS))
+    def test_detect_image_records_equal_cli_json(self, capsys, tmp_path, model):
+        img = make_noise_ppm(tmp_path / "wide.ppm", 96, 40, seed=8)
+        code, out, _ = run_cli(capsys, "detect", "--model", model, "--classes", "4",
+                               "--input-size", "64", "--seed", "5", "--conf-thresh", "0.1",
+                               "--format", "json", str(img))
+        assert code == 0
+        g = N.MODELS[model](4)
+        W.init_seeded(g, 5)
+        dets = D.detect_image(g, I.load_image(img), 64, conf_thresh=0.1)
+        assert dets
+        assert D.detections_to_json(dets) == json.loads(out)["detections"]
+
     def test_boxes_map_back_to_original_coordinates(self, capsys, tmp_path):
         img = make_noise_ppm(tmp_path / "wide.ppm", 128, 64, seed=4)
         code, out, _ = run_cli(capsys, "detect", "--classes", "4", "--input-size", "64",
@@ -158,6 +171,18 @@ class TestDetect:
         img = make_gray_ppm(tmp_path / "g.ppm", 64, 64)
         code, _, _ = run_cli(capsys, "detect", "--input-size", "64",
                              "--weights", str(tmp_path), str(img))
+        assert code == 3
+
+    def test_unreadable_image_exits_3_before_seed_or_weight_errors(self, capsys, tmp_path,
+                                                                   monkeypatch):
+        missing = str(tmp_path / "missing.ppm")
+        monkeypatch.setenv(C.SEED_ENV, "abc")  # alone, exit 2
+        code, out, err = run_cli(capsys, "detect", missing)
+        assert (code, out) == (3, "")
+        assert "missing.ppm" in err
+        wpath = tmp_path / "junk.yltw"  # alone, exit 4
+        wpath.write_bytes(b"junk")
+        code, _, _ = run_cli(capsys, "detect", "--weights", str(wpath), missing)
         assert code == 3
 
     def test_fingerprint_mismatch_exits_4(self, capsys, tmp_path):
@@ -263,6 +288,21 @@ class TestSelftest:
         assert "FAIL" not in out
         assert out.count("PASS") >= 9
 
+    def test_model_and_classes_choose_the_checked_graph(self, capsys, tmp_path):
+        code, plain, _ = run_cli(capsys, "selftest")
+        assert code == 0 and "v4tiny, 80 classes" in plain
+        chosen = ("selftest", "--model", "proposed", "--classes", "7")
+        code, out, _ = run_cli(capsys, *chosen)
+        assert code == 0 and "FAIL" not in out
+        assert out != plain
+        assert "proposed, 7 classes: round-trip stable; loading into v4tiny rejected" in out
+        assert "proposed, 7 classes: repeated forward" in out
+        wpath = tmp_path / "p7.yltw"
+        W.save(N.build_proposed(7), wpath)
+        code, out, _ = run_cli(capsys, *chosen, "--weights", str(wpath))
+        assert code == 0
+        assert "PASS weight-file: proposed, 7 classes: weight file loads cleanly" in out
+
     def test_selftest_broken_weights_nonzero_exit(self, capsys, tmp_path):
         bad = tmp_path / "broken.yltw"
         bad.write_bytes(b"YLTWgarbage-that-is-not-a-weight-file")
@@ -363,6 +403,13 @@ RULE_CASES = [
       for v in ("0", "-32", "100")],
     ("bench", "--iters", "0", False),
     ("bench", "--iters", "-1", False),
+    # the maximums; only describe takes them itself, as it runs no tensor math
+    ("describe", "--classes", str(C.MAX_CLASSES), True),
+    ("describe", "--input-size", str(C.MAX_INPUT_SIZE), True),
+    *[(cmd, "--classes", v, False) for cmd in ("describe", "detect", "bench")
+      for v in (str(C.MAX_CLASSES + 1), str(10 ** 18))],
+    *[(cmd, "--input-size", v, False) for cmd in ("describe", "detect", "bench")
+      for v in (str(C.MAX_INPUT_SIZE + 32), str(2 ** 40))],
 ]
 
 
@@ -370,8 +417,11 @@ class TestInputRules:
     @staticmethod
     def argv(command, tmp_path, *extra):
         # a later occurrence of a flag overrides the base value
-        tail = (["--iters", "1"] if command == "bench"
-                else [str(make_gray_ppm(tmp_path / "g.ppm", 32, 32))])
+        tail = []
+        if command == "bench":
+            tail = ["--iters", "1"]
+        elif command == "detect":
+            tail = [str(make_gray_ppm(tmp_path / "g.ppm", 32, 32))]
         return [command, "--classes", "1", "--input-size", "32", *tail, *extra]
 
     @pytest.mark.parametrize("command,flag,value,accepted", RULE_CASES,

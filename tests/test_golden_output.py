@@ -49,9 +49,6 @@ FINGERPRINTS = {
     ("proposed", 2): 0x73FB6FBDB11844C,
 }
 
-BUILDERS = {"v4tiny": N.build_yolov4_tiny, "proposed": N.build_proposed}
-
-
 @pytest.mark.parametrize("key", sorted(REPORT_SHA256), ids=lambda k: "-".join(map(str, k)))
 def test_report_stdout_is_byte_identical(capsys, key):
     command, model, size, fmt = key
@@ -64,11 +61,11 @@ def test_report_stdout_is_byte_identical(capsys, key):
 @pytest.mark.parametrize("key", sorted(FLOPS_TOTALS), ids=lambda k: f"{k[0]}-{k[1]}")
 def test_ledger_totals(key):
     model, size = key
-    report = A.flops_of_graph(BUILDERS[model](80), size)
+    report = A.flops_of_graph(N.MODELS[model](80), size)
     assert (report.total, len(report.entries)) == FLOPS_TOTALS[key]
 
 
 @pytest.mark.parametrize("key", sorted(FINGERPRINTS), ids=lambda k: f"{k[0]}-{k[1]}")
 def test_weight_fingerprints(key):
     model, classes = key
-    assert W.fingerprint(BUILDERS[model](classes)) == FINGERPRINTS[key]
+    assert W.fingerprint(N.MODELS[model](classes)) == FINGERPRINTS[key]

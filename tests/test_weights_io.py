@@ -110,17 +110,16 @@ class TestInitSeeded:
         ("proposed", 2): "c7e3c70021dfc44ba703de6990296df6ab2511cf1aee2e8a55e296a628f6168f",
         ("proposed", 80): "263e70af19416f70e633f42346bdd6b6dc78beb0f29d4b3abd5b7bac829b5523",
     }
-    BUILDERS = {"v4tiny": N.build_yolov4_tiny, "proposed": N.build_proposed}
 
     @pytest.mark.parametrize("model, classes", sorted(PINNED))
     def test_pinned_checksums_reseed_and_reset_after_load(self, tmp_path, model, classes):
-        g = self.BUILDERS[model](classes)
+        g = N.MODELS[model](classes)
         W.init_seeded(g, 42)
         assert W.params_checksum(g) == self.PINNED[model, classes]
         W.init_seeded(g, 42)
         assert W.params_checksum(g) == self.PINNED[model, classes]
         # load other weights with non-default biases and batch-norm, then reseed
-        other = self.BUILDERS[model](classes)
+        other = N.MODELS[model](classes)
         W.init_seeded(other, 9)
         for _, p in N.iter_conv_entries(other):
             p.bias[:] = 0.25
