@@ -4,8 +4,8 @@ block that feeds extra features back into the backbone.
 
 Each block is a bundle of owned convolution parameters plus a pure forward
 function.  All three stage-level blocks share one interface contract: input
-(n, c, h, w) -> output (n, 2c, h/2, w/2), which is what lets them substitute
-for one another inside the backbone.
+(n, c, h, w) -> output (n, 2c, h/2, w/2), stated once by ``stage_shape``,
+which is what lets them substitute for one another inside the backbone.
 """
 
 from __future__ import annotations
@@ -33,14 +33,16 @@ def cbl(x: T.Tensor, params: T.ConvParams) -> T.Tensor:
     return T.leaky_relu(T.conv2d(x, params))
 
 
-def check_stage_input(block, shape) -> None:
-    """The stage input rule shared by csp, resblock_d and aux blocks:
-    ``block.channels`` channels and even spatial sides."""
-    _, c, h, w = shape
+def stage_shape(block, shape) -> tuple[int, int, int, int]:
+    """The stage rule shared by csp, resblock_d and aux blocks and the
+    graph's static shape walk: an (n, c, h, w) input of ``block.channels``
+    channels with even sides maps to (n, 2c, h/2, w/2)."""
+    n, c, h, w = shape
     if c != block.channels:
         raise ShapeError(f"stage expects {block.channels} input channels, got {c}")
     if h % 2 or w % 2:
         raise ShapeError(f"stage needs even spatial dims, got ({h}, {w})")
+    return n, 2 * c, h // 2, w // 2
 
 
 class CspBlock:
@@ -69,17 +71,13 @@ class CspBlock:
         ledger order: (conv name, side) per conv, ("pool", side, channels)
         for the pool."""
         return [("conv0", m), ("conv1", m), ("conv2", m), ("conv3", m),
-                ("pool", m, self.out_channels)]
-
-    @property
-    def out_channels(self) -> int:
-        return 2 * self.channels
+                ("pool", m, 2 * self.channels)]
 
 
 def csp_forward_with_route(block: CspBlock, x: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
     """Run the CSP stage; also return the pre-merge 1x1 output used as the
     feature-pyramid route."""
-    check_stage_input(block, x.shape)
+    stage_shape(block, x.shape)
     c = block.channels
     x0 = cbl(x, block.conv0)
     second_half = T.slice_channels(x0, c // 2, c)
@@ -120,13 +118,9 @@ class ResBlockD:
         return [("a1", m), ("a2", m), ("a3", m // 2), ("pool", m, self.channels),
                 ("b1", m // 2)]
 
-    @property
-    def out_channels(self) -> int:
-        return 2 * self.channels
-
 
 def resblock_d_forward(block: ResBlockD, x: T.Tensor) -> T.Tensor:
-    check_stage_input(block, x.shape)
+    stage_shape(block, x.shape)
     pa = cbl(x, block.a1)
     pa = cbl(pa, block.a2)
     pa = T.conv2d(pa, block.a3)
@@ -200,13 +194,9 @@ class AuxBlock:
         free under the cost model, so only its spatial conv is listed."""
         return [("conv1", m), ("conv2", m // 2), ("cbam.spatial", m // 2)]
 
-    @property
-    def out_channels(self) -> int:
-        return 2 * self.channels
-
 
 def aux_forward(block: AuxBlock, x: T.Tensor) -> T.Tensor:
-    check_stage_input(block, x.shape)
+    stage_shape(block, x.shape)
     a = cbl(x, block.conv1)
     b = cbl(a, block.conv2)
     return T.concat_channels(a, cbam_forward(block.cbam, b))

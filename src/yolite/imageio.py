@@ -10,6 +10,7 @@ divided by 255.
 from __future__ import annotations
 
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -22,8 +23,10 @@ PAD_VALUE = 127.5 / 255.0  # neutral gray
 
 def read_ppm(path) -> np.ndarray:
     """Strict binary P6 reader (maxval 255); returns (h, w, 3) uint8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    return _parse_ppm(Path(path).read_bytes(), path)
+
+
+def _parse_ppm(data: bytes, path) -> np.ndarray:
     if not data.startswith(b"P6"):
         raise InputError(f"{path}: not a binary P6 PPM file")
     pos = 2
@@ -68,8 +71,10 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 def read_raw_tensor(path) -> np.ndarray:
     """Read a YLTI file; returns (h, w, c) float32 in [0, 1]."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    return _parse_raw_tensor(Path(path).read_bytes(), path)
+
+
+def _parse_raw_tensor(data: bytes, path) -> np.ndarray:
     if data[:4] != RAW_MAGIC:
         raise InputError(f"{path}: not a YLTI raw tensor file")
     if len(data) < 16:
@@ -95,13 +100,14 @@ def write_raw_tensor(path, arr: np.ndarray) -> None:
 
 
 def load_image(path) -> np.ndarray:
-    """Read PPM or YLTI by magic sniffing; returns (h, w, 3) float32 in [0, 1]."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic[:2] == b"P6":
-        return read_ppm(path).astype(np.float32) / np.float32(255.0)
-    if magic == RAW_MAGIC:
-        arr = read_raw_tensor(path)
+    """Read PPM or YLTI by magic sniffing; returns (h, w, 3) float32 in [0, 1].
+
+    The file is read once, so ``path`` may be a pipe such as /dev/stdin."""
+    data = Path(path).read_bytes()
+    if data.startswith(b"P6"):
+        return _parse_ppm(data, path).astype(np.float32) / np.float32(255.0)
+    if data.startswith(RAW_MAGIC):
+        arr = _parse_raw_tensor(data, path)
         if arr.shape[2] != 3:
             raise InputError(f"{path}: detect needs 3 channels, got {arr.shape[2]}")
         return arr

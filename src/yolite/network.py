@@ -37,12 +37,7 @@ class LayerNode:
 
 
 def _conv_shape(p: T.ConvParams, ins):
-    n, c, h, w = ins[0]
-    if c != p.in_channels:
-        raise ShapeError(f"channels {c} != conv in_channels {p.in_channels}")
-    return (n, p.out_channels,
-            T.conv_out_size(h, p.kernel_size, p.stride, p.padding),
-            T.conv_out_size(w, p.kernel_size, p.stride, p.padding))
+    return p.output_shape(ins[0])
 
 
 def _upsample_shape(_, ins):
@@ -66,9 +61,7 @@ def _add_shape(_, ins):
 
 
 def _stage_shape(blk, ins):
-    B.check_stage_input(blk, ins[0])
-    n, _, h, w = ins[0]
-    return (n, blk.out_channels, h // 2, w // 2)
+    return B.stage_shape(blk, ins[0])
 
 
 class Op(NamedTuple):
@@ -103,14 +96,13 @@ OPS = {
 
 
 class NetworkGraph:
-    """Topologically ordered, acyclic layer graph with two named heads."""
+    """Topologically ordered, acyclic layer graph; its outputs are its
+    ``head`` nodes."""
 
-    def __init__(self, name: str, classes: int, nodes: list[LayerNode],
-                 outputs: dict[str, str]):
+    def __init__(self, name: str, classes: int, nodes: list[LayerNode]):
         self.name = name
         self.classes = classes
         self.nodes = nodes
-        self.outputs = outputs
         seen: set[str] = {INPUT_ID}
         for node in nodes:
             op = OPS.get(node.kind)
@@ -131,9 +123,11 @@ class NetworkGraph:
                     raise GraphError(f"input {ref!r} does not reference an earlier node",
                                      node.id)
             seen.add(node.id)
-        for head_name, node_id in outputs.items():
-            if node_id not in seen or node_id == INPUT_ID:
-                raise GraphError(f"output {head_name} references missing node", node_id)
+
+    @property
+    def heads(self) -> list[str]:
+        """Ids of the ``head`` nodes, in graph order."""
+        return [node.id for node in self.nodes if node.kind == "head"]
 
 
 def _assemble(name: str, classes: int, stages: list[LayerNode]) -> NetworkGraph:
@@ -157,7 +151,7 @@ def _assemble(name: str, classes: int, stages: list[LayerNode]) -> NetworkGraph:
         LayerNode("head26_conv", "conv", ["fpn_cat"], B.conv_bn_params(384, 256, 3)),
         LayerNode("head_26", "head", ["head26_conv"], B.conv_linear_params(256, head_ch, 1)),
     ]
-    return NetworkGraph(name, classes, nodes, {"head_13": "head_13", "head_26": "head_26"})
+    return NetworkGraph(name, classes, nodes)
 
 
 def build_yolov4_tiny(classes: int = 80) -> NetworkGraph:
@@ -199,10 +193,11 @@ def _check_input_shape(shape) -> None:
                          f"got {h}x{w}")
 
 
-def forward(g: NetworkGraph, x: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
-    """Evaluate every node once, in order; return (coarse head, fine head)."""
+def forward(g: NetworkGraph, x: T.Tensor) -> tuple[T.Tensor, ...]:
+    """Evaluate every node once, in order; return the outputs of
+    ``g.heads`` in that order (for both builders, coarse head then fine)."""
     values = forward_all(g, x)
-    return values[g.outputs["head_13"]], values[g.outputs["head_26"]]
+    return tuple(values[head] for head in g.heads)
 
 
 def forward_all(g: NetworkGraph, x: T.Tensor) -> dict[str, T.Tensor]:
@@ -280,6 +275,6 @@ def describe(g: NetworkGraph, input_size: int = 416) -> dict:
         "input_size": input_size,
         "parameters": count_params(g),
         "conv_layers": count_layers(g),
-        "heads": {name: list(shapes[node_id]) for name, node_id in g.outputs.items()},
+        "heads": {head: list(shapes[head]) for head in g.heads},
         "nodes": nodes,
     }

@@ -87,8 +87,8 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 class Tensor:
     """Immutable 4-D (batch, channel, height, width) float32 array.
 
-    ``data`` exposes the flat row-major buffer; ``array`` the shaped view.
-    All construction paths validate dtype, rank, and finiteness.
+    ``array`` is a read-only, C-contiguous (row-major) float32 array.  All
+    construction paths validate dtype, rank, and finiteness.
     """
 
     __slots__ = ("array",)
@@ -109,11 +109,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, int, int, int]:
         return self.array.shape
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat (n*c*h*w,) row-major float32 view of the storage."""
-        return self.array.reshape(-1)
 
     @classmethod
     def zeros(cls, n: int, c: int, h: int, w: int) -> "Tensor":
@@ -209,6 +204,20 @@ class ConvParams:
             n += 4 * self.bn.gamma.size
         return n
 
+    def output_shape(self, shape) -> tuple[int, int, int, int]:
+        """The conv rule, shared by ``conv2d`` and the graph's static shape
+        walk: an (n, c, h, w) input of ``in_channels`` channels whose padded
+        sides are at least the kernel maps to (n, out_channels, oh, ow)."""
+        n, c, h, w = shape
+        if c != self.in_channels:
+            raise ShapeError(f"input channels {c} != conv in_channels {self.in_channels}")
+        k, s, p = self.kernel_size, self.stride, self.padding
+        if h + 2 * p < k:
+            raise ShapeError(f"height {h} too small for kernel {k} with padding {p}")
+        if w + 2 * p < k:
+            raise ShapeError(f"width {w} too small for kernel {k} with padding {p}")
+        return n, self.out_channels, conv_out_size(h, k, s, p), conv_out_size(w, k, s, p)
+
 
 def conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - k) // stride + 1
@@ -216,7 +225,8 @@ def conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
 
 @_small_ufunc_buffer()
 def conv2d(x: Tensor, params: ConvParams) -> Tensor:
-    """Direct 2-D convolution, plus bias, plus batch-norm affine if present.
+    """Direct 2-D convolution, plus bias, plus batch-norm affine if present,
+    with the output shape and input checks of ``ConvParams.output_shape``.
 
     Each output element is accumulated in float32 with one rounding per
     product and per add, walking terms with the input channel as the slow
@@ -227,16 +237,9 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     the output shape (see ``CHANNEL_LAST_MAX_PIXELS``); whether blocks go to
     the worker pool depends on the output size (``SERIAL_MAX_OUTPUTS``).
     """
+    _, oc, oh, ow = params.output_shape(x.shape)
     n, c, h, w = x.shape
-    if c != params.in_channels:
-        raise ShapeError(f"input channels {c} != conv in_channels {params.in_channels}")
-    k, s, p = params.kernel_size, params.stride, params.padding
-    if h + 2 * p < k:
-        raise ShapeError(f"height {h} too small for kernel {k} with padding {p}")
-    if w + 2 * p < k:
-        raise ShapeError(f"width {w} too small for kernel {k} with padding {p}")
-    oh, ow = conv_out_size(h, k, s, p), conv_out_size(w, k, s, p)
-    oc = params.out_channels
+    s, p = params.stride, params.padding
 
     xp = x.array
     if p > 0:

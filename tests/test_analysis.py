@@ -4,6 +4,7 @@ import pytest
 
 from yolite import analysis as A
 from yolite import network as N
+from yolite import tensor as T
 
 
 class TestLayerCosts:
@@ -82,6 +83,36 @@ class TestGraphCosts:
         assert json.loads(json.dumps(doc)) == doc
         text = report.to_text()
         assert f"{report.total:,}" in text
+
+    @pytest.mark.parametrize("model", sorted(N.MODELS))
+    def test_ledger_rows_are_the_forward_pass_ops(self, monkeypatch, model):
+        """The ledger lists, in order, every conv and pool the forward pass
+        runs, except the attention MLP that it costs at zero."""
+        g = N.MODELS[model]()
+        free = {id(p) for entry, p in N.iter_conv_entries(g)
+                if entry.endswith((".cbam.fc1", ".cbam.fc2"))}
+        conv2d, pool2d = T.conv2d, T.pool2d
+        rows = []
+
+        def record_conv(x, p):
+            out = conv2d(x, p)
+            if id(p) not in free:
+                m, k = out.shape[2], p.kernel_size
+                rows.append(("conv", m, k, p.in_channels, p.out_channels,
+                             m * m * k * k * p.in_channels * p.out_channels))
+            return out
+
+        def record_pool(x, kind, k, s):
+            out = pool2d(x, kind, k, s)
+            c, m = out.shape[1], out.shape[2]
+            rows.append(("pool", m, k, c, c, c * m * m * k * k))
+            return out
+
+        monkeypatch.setattr(T, "conv2d", record_conv)
+        monkeypatch.setattr(T, "pool2d", record_pool)
+        N.forward(g, T.Tensor.zeros(1, 3, 64, 64))
+        assert rows == [(e.kind, e.m, e.k, e.c_in, e.c_out, e.flops)
+                        for e in A.flops_of_graph(g, 64).entries]
 
 
 class TestReceptiveField:

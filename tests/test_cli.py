@@ -359,6 +359,23 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["classes"] == 1
 
+    @pytest.mark.parametrize("suffix", ["ppm", "ylti"])
+    def test_image_piped_on_stdin_equals_file(self, tmp_path, suffix):
+        path = tmp_path / f"img.{suffix}"
+        if suffix == "ppm":
+            make_noise_ppm(path, 48, 40, seed=2)
+        else:
+            I.write_raw_tensor(path, np.random.default_rng(2).random((40, 48, 3)))
+        argv = [sys.executable, "-m", "yolite.cli", "detect", "--input-size", "32",
+                "--classes", "2", "--conf-thresh", "0.05", "--format", "json"]
+        by_path = subprocess.run(argv + [str(path)], capture_output=True, timeout=120)
+        piped = subprocess.run(argv + ["/dev/stdin"], input=path.read_bytes(),
+                               capture_output=True, timeout=120)
+        assert by_path.returncode == piped.returncode == 0, piped.stderr
+        dets = json.loads(by_path.stdout)["detections"]
+        assert dets
+        assert json.loads(piped.stdout) == {"image": "/dev/stdin", "detections": dets}
+
     def test_anchor_override(self, capsys, tmp_path):
         img = make_gray_ppm(tmp_path / "g.ppm", 64, 64)
         anchors = json.dumps({"32": [[10, 10], [20, 20], [30, 30]],

@@ -45,7 +45,7 @@ class TestBuilders:
                 for ref in node.inputs:
                     consumers.setdefault(ref.split(".")[0], set()).add(node.id)
             # walk backwards from the heads; every node must be visited
-            live = set(g.outputs.values())
+            live = set(g.heads)
             frontier = list(live)
             needed = {}
             for node in g.nodes:
@@ -62,7 +62,7 @@ class TestBuilders:
         nodes = [N.LayerNode("a", "upsample", ["b"]),
                  N.LayerNode("b", "upsample", [N.INPUT_ID])]
         with pytest.raises(GraphError):
-            N.NetworkGraph("broken", 1, nodes, {})
+            N.NetworkGraph("broken", 1, nodes)
 
     def test_node_kinds(self):
         assert set(N.OPS) == {"conv", "head", "upsample", "concat", "add",
@@ -72,14 +72,13 @@ class TestBuilders:
     def test_unknown_kind_rejected(self, kind):
         nodes = [N.LayerNode("a", kind, [N.INPUT_ID])]
         with pytest.raises(GraphError, match="unknown node kind"):
-            N.NetworkGraph("broken", 1, nodes, {})
+            N.NetworkGraph("broken", 1, nodes)
 
-    @pytest.mark.parametrize("ids, output", [(["a", "a"], "a"), (["input"], "input"),
-                                             (["a"], "b"), (["a"], "input")])
-    def test_bad_ids_and_outputs_rejected(self, ids, output):
+    @pytest.mark.parametrize("ids, named", [(["a", "a"], "a"), (["input"], "input")])
+    def test_bad_ids_and_outputs_rejected(self, ids, named):
         nodes = [N.LayerNode(i, "upsample", [N.INPUT_ID]) for i in ids]
-        with pytest.raises(GraphError):
-            N.NetworkGraph("broken", 1, nodes, {"head": output})
+        with pytest.raises(GraphError, match=f"node '{named}': duplicate node id"):
+            N.NetworkGraph("broken", 1, nodes)
 
     @pytest.mark.parametrize("node, message", [
         (N.LayerNode("bad", "add", [N.INPUT_ID]), "add takes 2 input"),
@@ -102,11 +101,10 @@ class TestBuilders:
             "csp-resblock_d", "resblock_d-none", "aux-csp", "upsample-conv"])
     def test_arity_and_payload_checked_at_build(self, node, message):
         with pytest.raises(GraphError, match=f"node 'bad': {message}"):
-            N.NetworkGraph("broken", 1, [node], {})
+            N.NetworkGraph("broken", 1, [node])
 
     def test_concat_takes_more_than_two_inputs(self):
-        g = N.NetworkGraph("wide", 1, [N.LayerNode("cat", "concat", [N.INPUT_ID] * 3)],
-                           {"head": "cat"})
+        g = N.NetworkGraph("wide", 1, [N.LayerNode("cat", "concat", [N.INPUT_ID] * 3)])
         assert N.infer_shapes(g, (1, 3, 32, 32))["cat"] == (1, 9, 32, 32)
 
     @pytest.mark.parametrize("node", [
@@ -114,12 +112,14 @@ class TestBuilders:
         N.LayerNode("bad", "concat", ["up", N.INPUT_ID]),
         N.LayerNode("bad", "csp", ["up"], B.CspBlock(4)),
         N.LayerNode("bad", "conv", ["up"], B.conv_bn_params(4, 8, 3)),
+        N.LayerNode("bad", "head", ["up"], T.ConvParams(3, 4, 67)),  # kernel > 64 px map
     ], ids=lambda node: node.kind)
     def test_mismatch_names_node_in_both_walks(self, node):
-        g = N.NetworkGraph("broken", 1, [N.LayerNode("up", "upsample", [N.INPUT_ID]), node],
-                           {"head": "bad"})
+        g = N.NetworkGraph("broken", 1, [N.LayerNode("up", "upsample", [N.INPUT_ID]), node])
         with pytest.raises(GraphError, match="node 'bad'"):
             N.infer_shapes(g, (1, 3, 32, 32))
+        with pytest.raises(GraphError, match="node 'bad'"):
+            N.describe(g, 32)
         with pytest.raises(GraphError, match="node 'bad'"):
             N.forward_all(g, T.Tensor.zeros(1, 3, 32, 32))
 

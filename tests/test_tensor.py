@@ -74,9 +74,10 @@ class TestTensorType:
             T.Tensor(arr)
 
     def test_flat_data_is_row_major(self):
-        arr = np.arange(24, dtype=np.float32).reshape(1, 2, 3, 4)
+        arr = np.asfortranarray(np.arange(24, dtype=np.float32).reshape(1, 2, 3, 4))
         t = T.Tensor(arr)
-        assert np.array_equal(t.data, np.arange(24, dtype=np.float32))
+        assert t.array.flags.c_contiguous
+        assert np.array_equal(t.array.ravel(order="K"), np.arange(24, dtype=np.float32))
 
     def test_immutable(self):
         t = T.Tensor.zeros(1, 1, 2, 2)
