@@ -5,8 +5,9 @@ single-precision IEEE arithmetic, one rounding per multiply and per add, and a
 fixed accumulation order (input channel as the slow index, then kernel row,
 then kernel column).  That makes results bit-identical to a naive scalar
 reference loop, repeatable across runs, and independent of memory layout,
-tiling and the optional thread-parallel execution mode, all of which only
-decide *which* output elements are computed together, never how a single
+tiling and the optional parallel mode, in which forked helper processes fill
+shares of each convolution's output: all of these only decide *which* output
+elements are computed together, and by which process, never how a single
 element is accumulated.  The one exception to single precision is the
 float64 ``exp``/``logistic`` pair, shared by the attention gates and head
 decoding, which applies ``math.exp`` per element.
@@ -14,13 +15,18 @@ decoding, which applies ``math.exp`` per element.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
+import mmap
+import os
+import signal
+import struct
+import threading
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError, YoliteError
 
 BN_EPSILON = 1e-5
 LEAKY_A = np.float32(10.0)  # leaky activation divisor, i.e. slope 0.1
@@ -32,40 +38,119 @@ CHANNEL_LAST_MAX_PIXELS = 13 * 13
 # Byte size of one NCHW accumulator block; it and its product buffer stay in
 # a core's L2 cache.
 ACC_BLOCK_BYTES = 512 * 1024
-# Parallel rule: a conv whose output holds at most this many elements runs
-# serially even when a pool exists, since on so little work per numpy call
-# the thread hand-offs cost more than the split saves.
-SERIAL_MAX_OUTPUTS = 1 << 20
 # numpy's ufunc buffer size, in elements, while a conv runs (numpy asks for a
 # multiple of 16).  Under numpy's default of 8,192 a broadcast product whose
 # contiguous inner run is shorter than the buffer goes through the buffered
 # iterator's copies and runs 3-5x slower.  Buffering only decides how numpy
 # chunks a loop, never how one element is computed.  Pooling's strided folds
-# run slower under a small buffer, so only conv2d sets it.
+# run slower under a small buffer, so only conv2d and the conv helpers set it.
 UFUNC_BUFSIZE = 16
 
-_parallel_workers = 0  # 0 = serial execution
-_pool: ThreadPoolExecutor | None = None
+# Parallel mode.  Each helper is (pid, request pipe write end, reply pipe read
+# end); the arena is an anonymous shared mapping that the caller and every
+# helper see, holding one conv's padded input, transposed weights and
+# accumulator.  conv2d and set_parallel hold the lock, so the caller's
+# threads take turns at them.
+_helpers: list[tuple[int, int, int]] = []
+_arena: mmap.mmap | None = None
+_lock = threading.Lock()
+# A fill request: schedule (1 = NCHW blocks), stride, the share [lo, hi), the
+# block step, then the shapes of the padded input, weights and accumulator.
+_REQUEST = struct.Struct("17q")
 
 
 def set_parallel(workers: int) -> None:
-    """Enable thread-parallel convolution on a persistent pool of ``workers``.
+    """Split every convolution over ``workers`` processes: the caller and
+    ``workers - 1`` helpers forked from it (POSIX only).
 
-    ``workers=0`` restores serial execution.  Changing the count shuts the
-    previous pool down and joins its threads.  Output is bit-identical either
-    way; this only trades wall-clock time.
+    ``workers`` of 0 or 1 is serial execution.  Repeating the count keeps the
+    helpers; changing it reaps them and forks new ones, and 0 reaps them all
+    and leaves the module's state as it was at import.  Output is
+    bit-identical either way; this only trades wall-clock time.  A helper
+    that dies makes the next conv raise ``YoliteError`` and ends parallel
+    mode.
     """
     if workers < 0:
         raise ValueError("workers must be >= 0")
-    global _parallel_workers, _pool
-    if workers == _parallel_workers:
-        return
-    if _pool is not None:
-        _pool.shutdown(wait=True)
-    # The buffer size is per thread, so each worker sets it once for its fills.
-    _pool = ThreadPoolExecutor(max_workers=workers, initializer=np.setbufsize,
-                               initargs=(UFUNC_BUFSIZE,)) if workers else None
-    _parallel_workers = workers
+    if workers >= 2 and not hasattr(os, "fork"):
+        raise ConfigError("parallel convolution needs os.fork, which this platform lacks")
+    with _lock:
+        if len(_helpers) + 1 != max(workers, 1):
+            _stop()
+            if workers >= 2:
+                _start(workers - 1, mmap.PAGESIZE)
+
+
+atexit.register(set_parallel, 0)
+
+
+def _start(count: int, size: int) -> None:
+    """Map a ``size``-byte arena and fork ``count`` helpers that share it."""
+    global _arena
+    _arena = mmap.mmap(-1, size)
+    for _ in range(count):
+        req_r, req_w = os.pipe()
+        rep_r, rep_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (req_r, req_w, rep_r, rep_w):
+                os.close(fd)
+            _stop()
+            raise
+        if pid == 0:
+            inherited = [req_w, rep_r] + [fd for _, *fds in _helpers for fd in fds]
+            _serve(req_r, rep_w, inherited)
+        os.close(req_r)
+        os.close(rep_w)
+        _helpers.append((pid, req_w, rep_r))
+
+
+def _stop() -> list[tuple[int, int]]:
+    """Reap every helper and drop the arena; return each helper's (pid,
+    exit status), a negative status being the signal that ended it."""
+    global _arena
+    for _, requests, _ in _helpers:
+        os.close(requests)  # the helper reads EOF and exits
+    ended = []
+    for pid, _, replies in _helpers:
+        with contextlib.suppress(ChildProcessError):  # reaped elsewhere already
+            ended.append((pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+        os.close(replies)
+    _helpers.clear()
+    _arena = None  # unmapped once no array views it
+    return ended
+
+
+def _serve(requests: int, replies: int, inherited: list[int]) -> None:
+    """A helper's whole life: fill each requested share in the arena and
+    reply one byte, until the request pipe reads EOF.  It leaves only
+    through ``os._exit``, so it never runs the caller's exit handlers, and it
+    calls no public function of the package."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for fd in inherited:
+            os.close(fd)
+        np.setbufsize(UFUNC_BUFSIZE)
+        while msg := os.read(requests, _REQUEST.size):
+            blocked, s, lo, hi, step, *dims = _REQUEST.unpack(msg)
+            xp, wt, acc = _carve(_arena, (dims[:4], dims[4:8], dims[8:]))
+            _fill_range(blocked, lo, hi, step, xp, wt, s, acc)
+            os.write(replies, b"\0")
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _carve(buf, shapes) -> list[np.ndarray]:
+    """Float32 arrays of ``shapes`` laid end to end from the start of ``buf``."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(np.frombuffer(buf, np.float32, size, offset).reshape(shape))
+        offset += 4 * size
+    return views
 
 
 @contextlib.contextmanager
@@ -234,29 +319,38 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     applies one (channel, ky, kx) term to a block of output elements per
     step, so the per-element fold order equals the scalar reference exactly.
     Which elements form a block, and in what memory layout, depends only on
-    the output shape (see ``CHANNEL_LAST_MAX_PIXELS``); whether blocks go to
-    the worker pool depends on the output size (``SERIAL_MAX_OUTPUTS``).
+    the output shape (see ``CHANNEL_LAST_MAX_PIXELS``); under
+    ``set_parallel`` each process fills its own share of them.
     """
     _, oc, oh, ow = params.output_shape(x.shape)
     n, c, h, w = x.shape
-    s, p = params.stride, params.padding
-
-    xp = x.array
-    if p > 0:
-        xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float32)
-        xp[:, :, p:p + h, p:p + w] = x.array
-
-    wt = np.ascontiguousarray(params.kernel.transpose(1, 2, 3, 0))  # (in, ky, kx, out)
-    pool = _pool if n * oh * ow * oc > SERIAL_MAX_OUTPUTS else None
-    workers = _parallel_workers if pool else 1
-    if oh * ow > CHANNEL_LAST_MAX_PIXELS:
-        out = np.empty((n, oc, oh, ow), dtype=np.float32)
-        step = min(max(1, ACC_BLOCK_BYTES // (4 * n * oh * ow)), -(-oc // workers))
-        _run(pool, _fill_blocked, oc, step, xp, wt, s, out)
-    else:
-        acc = np.empty((n, oh, ow, oc), dtype=np.float32)
-        _run(pool, _fill_channel_last, oh, -(-oh // workers), xp, wt, s, acc)
-        out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+    k, s, p = params.kernel_size, params.stride, params.padding
+    blocked = oh * ow > CHANNEL_LAST_MAX_PIXELS
+    shapes = ((n, c, h + 2 * p, w + 2 * p), (c, k, k, oc),
+              (n, oc, oh, ow) if blocked else (n, oh, ow, oc))
+    with _lock:
+        if _helpers:
+            xp, wt, acc = _carve(_arena_for(shapes), shapes)
+            if p > 0:
+                xp.fill(0)
+            xp[:, :, p:p + h, p:p + w] = x.array
+            wt[...] = params.kernel.transpose(1, 2, 3, 0)
+        else:
+            xp = x.array
+            if p > 0:
+                xp = np.zeros(shapes[0], dtype=np.float32)
+                xp[:, :, p:p + h, p:p + w] = x.array
+            wt = np.ascontiguousarray(params.kernel.transpose(1, 2, 3, 0))  # (in, ky, kx, out)
+            acc = np.empty(shapes[2], dtype=np.float32)
+        if blocked:
+            step = max(1, ACC_BLOCK_BYTES // (4 * n * oh * ow))
+            _split(True, oc, step, xp, wt, s, acc)
+            out = acc
+        else:
+            _split(False, oh, oh, xp, wt, s, acc)
+            out = acc.transpose(0, 3, 1, 2)
+        if out.base is not None:  # channel-last, or in the arena the next conv reuses
+            out = out.copy()
 
     np.add(out, params.bias[None, :, None, None], out=out)
     if params.bn is not None:
@@ -269,15 +363,53 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     return Tensor(out, _trusted=True)
 
 
-def _run(pool, fill, total: int, step: int, *args) -> None:
-    """Call ``fill(lo, hi, *args)`` for each ``step``-wide range of [0, total),
-    on ``pool`` unless it is None."""
-    bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if pool is not None and len(bounds) > 1:
-        list(pool.map(lambda b: fill(*b, *args), bounds))
-    else:
-        for lo, hi in bounds:
-            fill(lo, hi, *args)
+def _arena_for(shapes) -> mmap.mmap:
+    """The arena, grown to hold float32 arrays of ``shapes``: a larger one
+    (at least double) is mapped and the helpers are forked again."""
+    need = 4 * sum(math.prod(shape) for shape in shapes)
+    if need > len(_arena):
+        size = max(need, 2 * len(_arena))
+        count = len(_helpers)
+        _stop()
+        _start(count, size)
+    return _arena
+
+
+def _split(blocked: bool, total: int, step: int, xp: np.ndarray, wt: np.ndarray,
+           s: int, acc: np.ndarray) -> None:
+    """Fill units [0, total) of ``acc`` (output channels when ``blocked``,
+    else output rows), ``step`` units per fill call.
+
+    The units split into one near-equal contiguous share per process; the
+    caller fills the first and each helper one of the others, in the arena.
+    With fewer units than processes the caller fills them all.
+    """
+    shares = len(_helpers) + 1 if total > len(_helpers) else 1
+    bounds = [total * i // shares for i in range(shares + 1)]
+    busy = _helpers[:shares - 1]
+    replies = None
+    try:
+        for (_, requests, _), lo, hi in zip(busy, bounds[1:], bounds[2:]):
+            os.write(requests, _REQUEST.pack(blocked, s, lo, hi, step,
+                                             *xp.shape, *wt.shape, *acc.shape))
+        _fill_range(blocked, 0, bounds[1], step, xp, wt, s, acc)
+        replies = [os.read(fd, 1) for _, _, fd in busy]
+    except BrokenPipeError:  # a helper is gone
+        pass
+    except BaseException:
+        _stop()
+        raise
+    if replies != [b"\0"] * len(busy):
+        ended = [f"{pid} ended with exit status {code}" for pid, code in _stop() if code]
+        raise YoliteError("conv helper " + ("; ".join(ended) or "ended unexpectedly"))
+
+
+def _fill_range(blocked: bool, lo: int, hi: int, step: int, xp: np.ndarray,
+                wt: np.ndarray, s: int, acc: np.ndarray) -> None:
+    """Fill units [lo, hi) of ``acc``, ``step`` at a time."""
+    fill = _fill_blocked if blocked else _fill_channel_last
+    for b in range(lo, hi, step):
+        fill(b, min(b + step, hi), xp, wt, s, acc)
 
 
 def _fill_blocked(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
@@ -369,7 +501,8 @@ def pool2d(x: Tensor, kind: str, k: int, s: int) -> Tensor:
 def leaky_relu(x: Tensor) -> Tensor:
     """Identity on non-negatives, x/``LEAKY_A`` on negatives."""
     arr = x.array
-    out = np.where(arr >= 0, arr, arr / LEAKY_A)
+    out = arr / LEAKY_A
+    np.maximum(arr, out, out=out)  # equals np.where(arr >= 0, arr, arr / LEAKY_A)
     return Tensor(out, _trusted=True)
 
 

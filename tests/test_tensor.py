@@ -1,14 +1,20 @@
 import ast
 import contextlib
+import mmap
+import os
 import pathlib
+import signal
+import subprocess
 import sys
+import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from yolite import tensor as T
-from yolite.errors import NonFiniteError, ShapeError
+from yolite.errors import ConfigError, NonFiniteError, ShapeError, YoliteError
 
 import oracles
 
@@ -41,25 +47,69 @@ SCHEDULES = ("default", "blocked", "channel_last")
 
 
 @contextlib.contextmanager
-def fill_calls():
-    """Collect (thread, numpy ufunc buffer size) for each of conv2d's block
-    fills inside the block."""
-    calls = set()
+def fill_calls(workers=0):
+    """Run the block under ``set_parallel(workers)`` and collect (pid, numpy
+    ufunc buffer size, lo, hi) for each of conv2d's fill calls, in the caller
+    and in every helper: the spies are in place before the helpers fork, and
+    append their records to one file.  The list fills when the block ends."""
+    calls = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        log = pathlib.Path(tmp, "fill_calls")
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
 
-    def spy(fill):
-        def run(*args):
-            calls.add((threading.current_thread(), np.getbufsize()))
-            return fill(*args)
-        return run
+        def spy(fill):
+            def run(lo, hi, *args):
+                os.write(fd, f"{os.getpid()} {np.getbufsize()} {lo} {hi}\n".encode())
+                return fill(lo, hi, *args)
+            return run
 
-    with pytest.MonkeyPatch.context() as mp:
         for name in ("_fill_blocked", "_fill_channel_last"):
             mp.setattr(T, name, spy(getattr(T, name)))
-        yield calls
+        T.set_parallel(workers)
+        try:
+            yield calls
+        finally:
+            T.set_parallel(0)  # the helpers have written everything once reaped
+            os.close(fd)
+            calls.extend(tuple(map(int, line.split())) for line in log.read_text().splitlines())
 
 
-def on_main_thread(calls) -> set[bool]:
-    return {thread is threading.main_thread() for thread, _ in calls}
+def in_caller(calls) -> set[bool]:
+    return {pid == os.getpid() for pid, *_ in calls}
+
+
+def helper_pids() -> list[int]:
+    return [pid for pid, *_ in T._helpers]
+
+
+def wait_until_dead(pid: int, timeout: float = 20.0) -> None:
+    """Poll until ``pid`` is gone or a zombie, failing after ``timeout`` s."""
+    stop = time.monotonic() + timeout
+    while time.monotonic() < stop:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                # the state follows the parenthesised command name
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return
+        except FileNotFoundError:
+            return
+        time.sleep(0.02)
+    pytest.fail(f"process {pid} still running after {timeout} s")
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail the block, instead of hanging, if it runs past ``seconds``."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 class TestTensorType:
@@ -187,72 +237,194 @@ class TestConv2d:
             assert bits_equal(T.conv2d(x, p).array, first)
 
     def test_parallel_matches_serial(self, monkeypatch):
+        # 11 output channels in blocks of 3, or 10 output rows: the shares
+        # are uneven for every worker count, and so are the blocks in them
         rng = np.random.default_rng(9)
         x = rand_tensor(rng, 2, 6, 10, 10)
         kern = (rng.random((11, 6, 3, 3), dtype=np.float32) * 2 - 1)
         p = T.ConvParams(6, 11, 3, padding=1, weights=kern.reshape(-1))
-        monkeypatch.setattr(T, "SERIAL_MAX_OUTPUTS", 0)  # this small map goes to the pool too
-        switch = sys.getswitchinterval()
         for schedule in SCHEDULES:
             with monkeypatch.context() as mp:
                 if schedule != "default":
                     force_schedule(mp, schedule, 2, 10, 10, block=3)
                 serial = T.conv2d(x, p).array
-                for workers in (4, 2):
-                    # more workers than cores, switching threads as often as possible
-                    T.set_parallel(workers)
-                    sys.setswitchinterval(1e-6)
-                    try:
-                        with fill_calls() as calls:
-                            par = T.conv2d(x, p).array
-                    finally:
-                        sys.setswitchinterval(switch)
-                        T.set_parallel(0)
-                    assert on_main_thread(calls) == {False}, f"{schedule} ran serially"
-                    assert bits_equal(serial, par), f"{schedule} with {workers} workers"
+                for workers in (2, 3, 4):
+                    with fill_calls(workers) as calls:
+                        par = T.conv2d(x, p).array
+                    case = f"{schedule} with {workers} workers"
+                    assert bits_equal(serial, par), case
+                    assert in_caller(calls) == {True, False}, case
+                    # each process fills one contiguous share, the caller the first
+                    total = 11 if schedule == "blocked" else 10
+                    shares = [total * i // workers for i in range(workers + 1)]
+                    filled = {}
+                    for pid, _, lo, hi in calls:
+                        filled.setdefault(pid, []).append((lo, hi))
+                    spans = sorted((min(r)[0], max(r)[1], pid) for pid, r in filled.items())
+                    assert [(lo, hi) for lo, hi, _ in spans] == list(zip(shares, shares[1:])), case
+                    assert spans[0][2] == os.getpid(), case
+                    units = sorted(u for _, _, lo, hi in calls for u in range(lo, hi))
+                    assert units == list(range(total)), case
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_outputs_up_to_the_limit_run_serially_under_a_pool(self, monkeypatch, schedule):
-        rng = np.random.default_rng(11)
-        x = rand_tensor(rng, 2, 6, 10, 10)
-        p = T.ConvParams(6, 11, 3, padding=1,
-                         weights=rng.random(11 * 6 * 9, dtype=np.float32))
-        if schedule != "default":
-            force_schedule(monkeypatch, schedule, 2, 10, 10, block=3)
-        outputs = 2 * 11 * 10 * 10
-        T.set_parallel(2)
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("schedule", ["blocked", "channel_last"])
+    def test_fewer_units_than_processes_run_on_the_caller(self, monkeypatch, schedule,
+                                                         workers):
+        # a 1x1 output map has one row; a forced NCHW conv with one output
+        # channel has one channel
+        rng = np.random.default_rng(13)
+        oc, size = (1, 6) if schedule == "blocked" else (5, 1)
+        x = rand_tensor(rng, 1, 4, size, size)
+        p = T.ConvParams(4, oc, 1, weights=rng.random(4 * oc, dtype=np.float32))
+        force_schedule(monkeypatch, schedule, 1, size, size, block=1)
+        serial = T.conv2d(x, p).array
+        with fill_calls(workers) as calls:
+            par = T.conv2d(x, p).array
+        assert bits_equal(serial, par)
+        assert in_caller(calls) == {True}
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_arena_grows_and_helpers_refork(self, workers):
+        rng = np.random.default_rng(14)
+        small, large = rand_tensor(rng, 1, 3, 16, 16), rand_tensor(rng, 1, 3, 48, 48)
+        p = T.ConvParams(3, 8, 3, padding=1, weights=rng.random(8 * 3 * 9, dtype=np.float32))
+        serial = [T.conv2d(t, p).array for t in (small, large)]
+        T.set_parallel(workers)
         try:
-            for limit, on_pool in ((outputs, False), (outputs - 1, True)):
-                monkeypatch.setattr(T, "SERIAL_MAX_OUTPUTS", limit)
-                with fill_calls() as calls:
-                    T.conv2d(x, p)
-                assert on_main_thread(calls) == {not on_pool}, limit
+            assert len(T._arena) == mmap.PAGESIZE
+            assert bits_equal(T.conv2d(small, p).array, serial[0])
+            size, pids = len(T._arena), helper_pids()
+            assert bits_equal(T.conv2d(large, p).array, serial[1])
+            # 3 * 50 * 50 padded inputs, 3 * 3 * 3 * 8 weights, 8 * 48 * 48 outputs
+            need = 4 * (3 * 50 * 50 + 3 * 3 * 3 * 8 + 8 * 48 * 48)
+            assert len(T._arena) == max(need, 2 * size)
+            assert len(helper_pids()) == workers - 1
+            assert not set(helper_pids()) & set(pids)
+            assert bits_equal(T.conv2d(small, p).array, serial[0])
         finally:
             T.set_parallel(0)
 
-    def test_set_parallel_keeps_one_pool_and_joins_it(self, monkeypatch):
-        monkeypatch.setattr(T, "SERIAL_MAX_OUTPUTS", 0)
+    def test_set_parallel_keeps_one_pool_and_joins_it(self):
+        # the pool is the set of helper processes, and joining is reaping
         rng = np.random.default_rng(10)
         x = rand_tensor(rng, 1, 3, 40, 40)
         p = T.ConvParams(3, 8, 3, padding=1,
                          weights=rng.random(8 * 3 * 9, dtype=np.float32))
-        before = threading.active_count()
         try:
             T.set_parallel(4)
-            pool = T._pool
-            T.conv2d(x, p)
+            first = helper_pids()
+            assert len(first) == 3
+            T.set_parallel(4)
+            assert helper_pids() == first
+            T.conv2d(x, p)  # grows the one-page arena, so the helpers refork
+            grown = helper_pids()
             T.set_parallel(4)
             T.conv2d(x, p)
-            assert T._pool is pool
-            assert before < threading.active_count() <= before + 4
+            assert helper_pids() == grown and len(grown) == 3
+            for pid in grown:
+                os.kill(pid, 0)  # alive
             T.set_parallel(2)
-            assert T._pool is not pool
+            (second,) = helper_pids()
+            assert second not in grown
             T.conv2d(x, p)
-            assert before < threading.active_count() <= before + 2
         finally:
             T.set_parallel(0)
-        assert T._pool is None
-        assert threading.active_count() == before
+        assert T._helpers == [] and T._arena is None
+        for pid in first + grown + [second]:
+            with pytest.raises(ChildProcessError):  # reaped: no longer a child
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_serial_restores_the_modules_state(self):
+        x = T.Tensor.full((1, 2, 30, 30), 1.0)
+        p = T.ConvParams(2, 4, 3, padding=1, weights=np.ones(72, np.float32))
+        before = dict(vars(T))
+        T.set_parallel(3)
+        T.conv2d(x, p)
+        T.set_parallel(0)
+        after = dict(vars(T))
+        assert after.keys() == before.keys()
+        assert [k for k in before if after[k] is not before[k]] == []
+        assert T._helpers == [] and T._arena is None
+
+    def test_threads_sharing_the_arena_get_their_own_results(self):
+        # more threads than cores, switching as often as possible; sizes that
+        # differ make the arena grow while other threads wait for it
+        rng = np.random.default_rng(17)
+        p = T.ConvParams(3, 8, 3, padding=1, weights=rng.random(8 * 3 * 9, dtype=np.float32))
+        xs = [rand_tensor(rng, 1, 3, size, size) for size in (8, 24, 33, 40)]
+        serial = [T.conv2d(x, p).array for x in xs]
+        results = {i: [] for i in range(len(xs))}
+
+        def run(i):
+            for _ in range(5):
+                results[i].append(T.conv2d(xs[i], p).array)
+
+        switch = sys.getswitchinterval()
+        T.set_parallel(3)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in results]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(switch)
+            T.set_parallel(0)
+        for i, want in enumerate(serial):
+            assert len(results[i]) == 5
+            assert all(bits_equal(got, want) for got in results[i]), i
+
+    def test_set_parallel_needs_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ConfigError, match="os.fork"):
+            T.set_parallel(2)
+        T.set_parallel(1)  # serial needs no fork
+        assert T._helpers == []
+
+    @pytest.mark.parametrize("when", ["before_request", "during_fill"])
+    def test_dead_helper_raises_and_ends_parallel_mode(self, monkeypatch, tmp_path, when):
+        rng = np.random.default_rng(15)
+        x = rand_tensor(rng, 1, 3, 40, 40)
+        p = T.ConvParams(3, 8, 3, padding=1,
+                         weights=rng.random(8 * 3 * 9, dtype=np.float32))
+        serial = T.conv2d(x, p).array
+        caller, blocked, armed = os.getpid(), T._fill_blocked, tmp_path / "armed"
+
+        def dies_in_helper(*args):
+            if os.getpid() != caller and armed.exists():
+                os.kill(os.getpid(), signal.SIGKILL)
+            return blocked(*args)
+
+        monkeypatch.setattr(T, "_fill_blocked", dies_in_helper)
+        T.set_parallel(2)
+        try:
+            T.conv2d(x, p)  # the arena grows and the helper reforks now
+            (pid,) = helper_pids()
+            if when == "before_request":
+                os.kill(pid, signal.SIGKILL)
+                wait_until_dead(pid)
+            else:
+                armed.touch()
+            with deadline(60), pytest.raises(YoliteError,
+                                             match=f"{pid} ended with exit status -9"):
+                T.conv2d(x, p)
+            assert T._helpers == [] and T._arena is None
+        finally:
+            T.set_parallel(0)
+        monkeypatch.undo()
+        assert bits_equal(T.conv2d(x, p).array, serial)
+
+    def test_killed_caller_leaves_no_helper(self):
+        code = ("import os, signal; from yolite import tensor as T; T.set_parallel(2); "
+                "print(T._helpers[0][0], flush=True); os.kill(os.getpid(), signal.SIGKILL)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        # the helper inherits the child's stdout, so this returns once it exits
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+        wait_until_dead(int(proc.stdout))
 
     @pytest.mark.parametrize("caller", [4096, 8192, 1 << 20])
     def test_callers_buffer_size_is_restored(self, caller):
@@ -273,19 +445,14 @@ class TestConv2d:
             np.setbufsize(old)
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_fills_run_under_the_small_buffer(self, monkeypatch, workers):
-        monkeypatch.setattr(T, "SERIAL_MAX_OUTPUTS", 0)
+    def test_fills_run_under_the_small_buffer(self, workers):
         rng = np.random.default_rng(12)
         p = T.ConvParams(3, 8, 3, padding=1, weights=rng.random(8 * 3 * 9, dtype=np.float32))
-        T.set_parallel(workers)
-        try:
-            with fill_calls() as calls:
-                for size in (40, 8):  # one map per schedule
-                    T.conv2d(rand_tensor(rng, 1, 3, size, size), p)
-        finally:
-            T.set_parallel(0)
-        assert {size for _, size in calls} == {T.UFUNC_BUFSIZE}
-        assert on_main_thread(calls) == {workers == 0}
+        with fill_calls(workers) as calls:
+            for size in (40, 8):  # one map per schedule
+                T.conv2d(rand_tensor(rng, 1, 3, size, size), p)
+        assert {size for _, size, *_ in calls} == {T.UFUNC_BUFSIZE}
+        assert in_caller(calls) == ({True} if workers == 0 else {True, False})
 
     @pytest.mark.parametrize("c, oc, k, size", [
         (2, 3, 3, 8), (2, 3, 3, 13), (2, 3, 3, 26), (2, 3, 3, 52), (2, 3, 3, 104),
@@ -362,8 +529,8 @@ class TestActivations:
             assert "np.exp" not in text and "numpy.exp" not in text, path.name
 
     def test_only_conv_changes_the_ufunc_buffer(self):
-        # numpy's buffer size is thread state: tensor's one helper and the
-        # pool's worker initializer are the only places that set it.
+        # numpy's buffer size is per thread: conv2d's context manager and the
+        # forked conv helpers' entry are the only places that set it.
         def refs(tree):
             return sum(isinstance(node, ast.Attribute) and node.attr == "setbufsize"
                        or isinstance(node, ast.Name) and node.id == "setbufsize"
@@ -372,7 +539,7 @@ class TestActivations:
 
         for path in pathlib.Path(T.__file__).parent.glob("*.py"):
             tree = ast.parse(path.read_text())
-            allowed = {"_small_ufunc_buffer", "set_parallel"} if path.name == "tensor.py" else set()
+            allowed = {"_small_ufunc_buffer", "_serve"} if path.name == "tensor.py" else set()
             inside = {fn.name: refs(fn) for fn in tree.body
                       if isinstance(fn, ast.FunctionDef) and fn.name in allowed}
             assert refs(tree) == sum(inside.values()), path.name
@@ -393,6 +560,18 @@ class TestActivations:
         assert np.all(np.diff(y) >= 0)
         nonneg = vals >= 0
         assert np.array_equal(y[nonneg], vals[nonneg])
+
+    def test_leaky_equals_the_where_formula_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        tiny, big = np.finfo(np.float32).tiny, np.finfo(np.float32).max
+        edges = np.array([0.0, -0.0, 1e-45, -1e-45, tiny, -tiny, big, -big], np.float32)
+        bits = rng.integers(0, 1 << 32, 1 << 20, dtype=np.uint64).astype(np.uint32)
+        patterns = bits.view(np.float32)
+        v = np.concatenate([edges, rng.normal(0, 1, 1 << 20).astype(np.float32),
+                            (rng.normal(0, 1, 1 << 20) * 1e-40).astype(np.float32),
+                            patterns[np.isfinite(patterns)]])
+        got = T.leaky_relu(T.Tensor(v.reshape(1, 1, 1, -1))).array.reshape(-1)
+        assert bits_equal(got, np.where(v >= 0, v, v / T.LEAKY_A))
 
     def test_sigmoid_points(self):
         x = T.Tensor(np.array([[[[0.0, 40.0], [float(np.log(3.0)), -40.0]]]], np.float32))

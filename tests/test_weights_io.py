@@ -164,13 +164,11 @@ class TestGoldenMasterProposed:
     GOLDEN_H26 = "44c5d02fcfb97572589e21ec1d29ff0d0cfd6f4b7bacc605215a7666867f05dd"
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_seed42_reproduces_golden_heads(self, monkeypatch, workers):
+    def test_seed42_reproduces_golden_heads(self, workers):
         from yolite import tensor as T
         g = N.build_proposed(80)
         W.init_seeded(g, 42)
         assert W.params_checksum(g) == self.GOLDEN_PARAMS
-        # send every conv to the pool when there is one, small as 64 px maps are
-        monkeypatch.setattr(T, "SERIAL_MAX_OUTPUTS", 0)
         T.set_parallel(workers)
         try:
             h13, h26 = N.forward(g, T.Tensor.full((1, 3, 64, 64), 0.5))
