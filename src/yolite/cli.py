@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -224,6 +225,7 @@ def _bench_once(args, model: str) -> dict:
     total = sum(times)
     return {"model": model, "iters": args.iters,
             "mean_ms": round(1000 * total / args.iters, 3),
+            "median_ms": round(1000 * statistics.median(times), 3),
             "min_ms": round(1000 * min(times), 3),
             "fps": round(args.iters / total, 3)}
 
@@ -239,7 +241,7 @@ def cmd_bench(args) -> int:
     else:
         for r in results:
             print(f"{r['model']}: {r['iters']} iteration(s), mean {r['mean_ms']} ms, "
-                  f"min {r['min_ms']} ms, {r['fps']} FPS")
+                  f"median {r['median_ms']} ms, min {r['min_ms']} ms, {r['fps']} FPS")
     return EXIT_OK
 
 

@@ -5,10 +5,11 @@ single-precision IEEE arithmetic, one rounding per multiply and per add, and a
 fixed accumulation order (input channel as the slow index, then kernel row,
 then kernel column).  That makes results bit-identical to a naive scalar
 reference loop, repeatable across runs, and independent of memory layout,
-tiling and the optional parallel mode, in which forked helper processes fill
-shares of each convolution's output: all of these only decide *which* output
-elements are computed together, and by which process, never how a single
-element is accumulated.  The one exception to single precision is the
+tiling, the number of terms one numpy call adds, and the optional parallel
+mode, in which forked helper processes fill shares of each convolution's
+output: all of these only decide *which* output elements and terms are
+computed together, and by which process, never how a single element is
+accumulated.  The one exception to single precision is the
 float64 ``exp``/``logistic`` pair, shared by the attention gates and head
 decoding, which applies ``math.exp`` per element.
 """
@@ -35,6 +36,13 @@ LEAKY_A = np.float32(10.0)  # leaky activation divisor, i.e. slope 0.1
 # NCHW layout over blocks of output channels; smaller maps run channel-last,
 # so the innermost loop is a contiguous run over output channels.
 CHANNEL_LAST_MAX_PIXELS = 13 * 13
+# Channel-last maps of at most this many pixels add a chunk of terms per
+# numpy reduction instead of one term per multiply and add; a chunk's
+# products fill about REDUCE_CHUNK_BYTES.  On larger maps each term's product
+# is long enough that the chunk's extra memory traffic costs more than the
+# calls it saves.
+REDUCE_MAX_PIXELS = 8 * 8
+REDUCE_CHUNK_BYTES = 1024 * 1024
 # Byte size of one NCHW accumulator block; it and its product buffer stay in
 # a core's L2 cache.
 ACC_BLOCK_BYTES = 512 * 1024
@@ -316,10 +324,12 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     Each output element is accumulated in float32 with one rounding per
     product and per add, walking terms with the input channel as the slow
     index and the kernel window row-major within it.  The vectorization below
-    applies one (channel, ky, kx) term to a block of output elements per
-    step, so the per-element fold order equals the scalar reference exactly.
-    Which elements form a block, and in what memory layout, depends only on
-    the output shape (see ``CHANNEL_LAST_MAX_PIXELS``); under
+    adds the (channel, ky, kx) terms to a block of output elements in that
+    order, one term per multiply and add or, on small maps, a chunk of terms
+    per reduction, so the per-element fold order equals the scalar reference
+    exactly.  Which elements form a block, their memory layout and the
+    terms per numpy call depend only on the output shape (see
+    ``CHANNEL_LAST_MAX_PIXELS`` and ``REDUCE_MAX_PIXELS``); under
     ``set_parallel`` each process fills its own share of them.
     """
     _, oc, oh, ow = params.output_shape(x.shape)
@@ -436,19 +446,56 @@ def _fill_blocked(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
 
 def _fill_channel_last(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
                        out: np.ndarray) -> None:
-    """Output rows [lo, hi) of a channel-last (n, oh, ow, oc) accumulator."""
+    """Output rows [lo, hi) of a channel-last (n, oh, ow, oc) accumulator.
+
+    On a map of at most ``REDUCE_MAX_PIXELS`` pixels each (channel, ky, kx)
+    term's product covers so few elements that numpy's per-call cost
+    dominates, so chunks of terms go through ``_fold_terms``.  A one-element
+    tile stays on the per-term loop: numpy sums a lone output element
+    pairwise, which breaks the fold order.
+    """
     n, c = xp.shape[:2]
     k = wt.shape[1]
-    ow = out.shape[2]
+    oh, ow = out.shape[1:3]
     acc = np.zeros((n, hi - lo) + out.shape[2:], dtype=np.float32)
-    tmp = np.empty_like(acc)
-    for ci in range(c):
-        for ky in range(k):
-            band = xp[:, ci, ky + s * lo:ky + s * (hi - 1) + 1:s]
-            for kx in range(k):
-                np.multiply(band[:, :, kx:kx + s * ow:s, None], wt[ci, ky, kx], out=tmp)
-                np.add(acc, tmp, out=acc)
+    if oh * ow <= REDUCE_MAX_PIXELS and acc.size > 1:
+        _fold_terms(lo, hi, xp, wt, s, acc)
+    else:
+        tmp = np.empty_like(acc)
+        for ci in range(c):
+            for ky in range(k):
+                band = xp[:, ci, ky + s * lo:ky + s * (hi - 1) + 1:s]
+                for kx in range(k):
+                    np.multiply(band[:, :, kx:kx + s * ow:s, None], wt[ci, ky, kx], out=tmp)
+                    np.add(acc, tmp, out=acc)
     out[:, lo:hi] = acc
+
+
+def _fold_terms(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
+                acc: np.ndarray) -> None:
+    """Add every term of output rows [lo, hi) to the channel-last ``acc``,
+    a chunk of terms per step.
+
+    Row 0 of the chunk buffer holds the running sums and each further row one
+    term's products, so ``np.add.reduce`` over axis 0 adds the terms to each
+    element one at a time and in order, as long as ``acc`` has more than one
+    element.
+    """
+    c, k = xp.shape[1], wt.shape[1]
+    ow = acc.shape[2]
+    terms = c * k * k
+    # every term's window at once: (n, c, rows, ow, ky, kx) -> (c, ky, kx, n, rows, ow)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    windows = windows[:, :, s * lo:s * (hi - 1) + 1:s, :s * (ow - 1) + 1:s]
+    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape((terms,) + acc.shape[:3] + (1,))
+    taps = wt.reshape(terms, 1, 1, 1, -1)
+    step = max(1, REDUCE_CHUNK_BYTES // (4 * acc.size))
+    buf = np.empty((min(step, terms) + 1,) + acc.shape, dtype=np.float32)
+    for t in range(0, terms, step):
+        m = min(step, terms - t)
+        buf[0] = acc
+        np.multiply(cols[t:t + m], taps[t:t + m], out=buf[1:m + 1])
+        np.add.reduce(buf[:m + 1], axis=0, out=acc)
 
 
 def _windows(a: np.ndarray, k: int, s: int, oh: int, ow: int) -> list[np.ndarray]:

@@ -269,6 +269,19 @@ class TestBench:
         assert doc["results"][0]["iters"] == 1
         assert doc["results"][0]["fps"] > 0
 
+    def test_median_is_the_middle_run(self, capsys):
+        code, out, _ = run_cli(capsys, "bench", "--iters", "3", "--input-size", "32",
+                               "--classes", "1", "--format", "json")
+        assert code == 0
+        r = json.loads(out)["results"][0]
+        # the slowest of three runs takes 3 * mean - min - median ms
+        assert r["min_ms"] <= r["median_ms"] <= (3 * r["mean_ms"] - r["min_ms"]) / 2 + 1e-3
+        code, out, _ = run_cli(capsys, "bench", "--iters", "1", "--input-size", "32",
+                               "--classes", "1")
+        assert code == 0
+        assert re.fullmatch(r"v4tiny: 1 iteration\(s\), mean (\S+) ms, median \1 ms, "
+                            r"min \1 ms, \S+ FPS\n", out)
+
     def test_compare_lists_both_models(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--iters", "1", "--input-size", "64",
                                "--classes", "2", "--compare", "--format", "json")

@@ -29,21 +29,30 @@ def rand_tensor(rng, n, c, h, w, lo=-1.0, hi=1.0):
     return T.Tensor(arr)
 
 
-def force_schedule(monkeypatch, schedule, n=1, oh=1, ow=1, block=1):
-    """Route conv2d through one schedule whatever the map size.
+def force_schedule(monkeypatch, schedule, shape, block=1):
+    """Route conv2d through one schedule whatever the size of its (n, oc, oh,
+    ow) output ``shape``.
 
     "blocked" sends every map through the NCHW path with accumulator blocks
-    of ``block`` output channels (for an (n, *, oh, ow) output);
-    "channel_last" sends every map through the channel-last path.
+    of ``block`` output channels; "channel_last" sends every map through the
+    channel-last path with one multiply and add per term; "reduce" sends
+    every map through the channel-last path that folds chunks of ``block``
+    terms (for a share of the whole map) with one reduction each.
     """
+    n, oc, oh, ow = shape
     if schedule == "blocked":
         monkeypatch.setattr(T, "CHANNEL_LAST_MAX_PIXELS", 0)
         monkeypatch.setattr(T, "ACC_BLOCK_BYTES", 4 * n * oh * ow * block)
     else:
         monkeypatch.setattr(T, "CHANNEL_LAST_MAX_PIXELS", 1 << 30)
+        if schedule == "channel_last":
+            monkeypatch.setattr(T, "REDUCE_MAX_PIXELS", 0)
+        else:
+            monkeypatch.setattr(T, "REDUCE_MAX_PIXELS", 1 << 30)
+            monkeypatch.setattr(T, "REDUCE_CHUNK_BYTES", 4 * n * oc * oh * ow * block)
 
 
-SCHEDULES = ("default", "blocked", "channel_last")
+SCHEDULES = ("default", "blocked", "channel_last", "reduce")
 
 
 @contextlib.contextmanager
@@ -236,6 +245,76 @@ class TestConv2d:
         for _ in range(3):
             assert bits_equal(T.conv2d(x, p).array, first)
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("size, stride, reduces", [
+        (8, 1, True), (9, 1, False), (16, 2, True), (17, 2, False)])
+    def test_maps_of_at_most_8x8_fold_chunks_of_terms(self, monkeypatch, workers, size,
+                                                      stride, reduces):
+        # padded 3x3 convs on a batch of two, making 8x8 or 9x9 maps
+        rng = np.random.default_rng(size)
+        x = rand_tensor(rng, 2, 3, size, size)
+        kern = rng.random((4, 3, 3, 3), dtype=np.float32) * 2 - 1
+        bias = rng.random(4, dtype=np.float32) * 2 - 1
+        p = T.ConvParams(3, 4, 3, stride=stride, padding=1, weights=kern.reshape(-1),
+                         bias=bias)
+        ref = oracles.conv2d_naive(x.array, kern, bias, stride, 1)
+        assert ref.shape == ((2, 4, 8, 8) if reduces else (2, 4, 9, 9))
+        folds, fold = [], T._fold_terms
+
+        def spy(lo, hi, *args):
+            folds.append((lo, hi))
+            fold(lo, hi, *args)
+
+        monkeypatch.setattr(T, "_fold_terms", spy)
+        T.set_parallel(workers)
+        try:
+            got = T.conv2d(x, p).array
+        finally:
+            T.set_parallel(0)
+        assert bits_equal(got, ref)
+        # the caller fills the first share of rows itself
+        first = ref.shape[2] // max(workers, 1)
+        assert folds == ([(0, first)] if reduces else [])
+
+    def test_one_element_tiles_keep_the_fold_order(self):
+        # A 1x1 map with one output channel leaves a single output element,
+        # whose terms numpy's reduction would add pairwise.  Products spread
+        # over e^-12..e^12 make a reordered sum round differently.
+        rng = np.random.default_rng(21)
+        bias = np.zeros(1, np.float32)
+        for case in range(50):
+            x, kern = (rng.standard_normal((2, 1, 64, 3, 3))
+                       * np.exp(rng.uniform(-6, 6, (2, 1, 64, 3, 3)))).astype(np.float32)
+            p = T.ConvParams(64, 1, 3, weights=kern.reshape(-1))
+            ref = oracles.conv2d_naive(x, kern, bias, 1, 0)
+            assert bits_equal(T.conv2d(T.Tensor(x), p).array, ref), f"case {case}"
+
+    @pytest.mark.parametrize("bufsize", [T.UFUNC_BUFSIZE, 8192])  # 8192: numpy's default
+    @pytest.mark.parametrize("inner", [(2,), (3,), (17,), (1000,), (8200,), (2, 1, 3, 8)])
+    def test_numpy_reduces_axis_0_one_row_at_a_time(self, bufsize, inner):
+        # The reduce path's exactness rests on np.add.reduce over axis 0 of a
+        # C-contiguous array with two or more elements per row adding the
+        # rows to each element one at a time, in order.  The values spread
+        # over e^-6..e^6 with random signs, so that summing the two halves
+        # apart, as a pairwise reduction does, rounds differently.
+        rng = np.random.default_rng(len(inner) * inner[0])
+        old = np.setbufsize(bufsize)
+        try:
+            for rows in (2, 3, 9, 33, 130):
+                a = (rng.standard_normal((rows,) + inner)
+                     * np.exp(rng.uniform(-6, 6, (rows,) + inner))).astype(np.float32)
+                got = np.empty(inner, np.float32)
+                np.add.reduce(a, axis=0, out=got)
+                want = a[0].copy()
+                for row in a[1:]:
+                    np.add(want, row, out=want)
+                assert bits_equal(got, want), f"{rows} rows"
+                if rows > 2 and want.size > 16:
+                    halves = np.add.reduce(a[:rows // 2], axis=0) + np.add.reduce(a[rows // 2:], axis=0)
+                    assert not bits_equal(halves, want), f"{rows} rows cannot tell the order"
+        finally:
+            np.setbufsize(old)
+
     def test_parallel_matches_serial(self, monkeypatch):
         # 11 output channels in blocks of 3, or 10 output rows: the shares
         # are uneven for every worker count, and so are the blocks in them
@@ -246,7 +325,7 @@ class TestConv2d:
         for schedule in SCHEDULES:
             with monkeypatch.context() as mp:
                 if schedule != "default":
-                    force_schedule(mp, schedule, 2, 10, 10, block=3)
+                    force_schedule(mp, schedule, (2, 11, 10, 10), block=3)
                 serial = T.conv2d(x, p).array
                 for workers in (2, 3, 4):
                     with fill_calls(workers) as calls:
@@ -267,7 +346,7 @@ class TestConv2d:
                     assert units == list(range(total)), case
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
-    @pytest.mark.parametrize("schedule", ["blocked", "channel_last"])
+    @pytest.mark.parametrize("schedule", ["blocked", "channel_last", "reduce"])
     def test_fewer_units_than_processes_run_on_the_caller(self, monkeypatch, schedule,
                                                          workers):
         # a 1x1 output map has one row; a forced NCHW conv with one output
@@ -276,7 +355,7 @@ class TestConv2d:
         oc, size = (1, 6) if schedule == "blocked" else (5, 1)
         x = rand_tensor(rng, 1, 4, size, size)
         p = T.ConvParams(4, oc, 1, weights=rng.random(4 * oc, dtype=np.float32))
-        force_schedule(monkeypatch, schedule, 1, size, size, block=1)
+        force_schedule(monkeypatch, schedule, (1, oc, size, size))
         serial = T.conv2d(x, p).array
         with fill_calls(workers) as calls:
             par = T.conv2d(x, p).array
@@ -470,11 +549,10 @@ class TestConv2d:
         p = T.ConvParams(c, oc, k, stride=stride, padding=k // 2,
                          weights=kern.reshape(-1), bias=bias)
         ref = oracles.conv2d_naive(x.array, kern, bias, stride, k // 2)
-        oh, ow = ref.shape[2:]
         for schedule in SCHEDULES:
             with monkeypatch.context() as mp:
                 if schedule != "default":
-                    force_schedule(mp, schedule, 1, oh, ow, block=2)
+                    force_schedule(mp, schedule, ref.shape, block=2)
                 for caller in (16, 8192, 1 << 20):
                     old = np.setbufsize(caller)
                     try:
@@ -706,7 +784,9 @@ class TestRandomizedOracleBattery:
 
     def test_conv_battery(self, monkeypatch):
         # Every case runs under the shape rule and under each forced schedule,
-        # the blocked one with a random block width that need not divide oc.
+        # the blocked one with a random block width that need not divide oc,
+        # the reduce one with chunks of as many terms, which need not divide
+        # the term count.
         rng = np.random.default_rng(1234)
         for case in range(30):
             n = int(rng.integers(1, 3))
@@ -723,12 +803,11 @@ class TestRandomizedOracleBattery:
             params = T.ConvParams(c, oc, k, stride=s, padding=p,
                                   weights=kern.reshape(-1), bias=bias)
             ref = oracles.conv2d_naive(x.array, kern, bias, s, p)
-            oh, ow = ref.shape[2:]
             block = int(rng.integers(1, 5))
             for schedule in SCHEDULES:
                 with monkeypatch.context() as mp:
                     if schedule != "default":
-                        force_schedule(mp, schedule, n, oh, ow, block)
+                        force_schedule(mp, schedule, ref.shape, block)
                     got = T.conv2d(x, params).array
                 assert bits_equal(got, ref), f"conv case {case} diverged under {schedule}"
 
