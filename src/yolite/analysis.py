@@ -125,42 +125,31 @@ RESBLOCK_D_REFERENCE_COSTS = (
 )
 
 
-def _conv_cost(p: T.ConvParams, m_in: int, layer_id: str) -> FlopsEntry:
-    m = T.conv_out_size(m_in, p.kernel_size, p.stride, p.padding)
-    return _conv(layer_id, m, p.kernel_size, p.in_channels, p.out_channels)
-
-
-def _graph_costs(g: N.NetworkGraph, shapes: dict[str, tuple]):
-    """Expand every node into its conv/pool cost rows.
-
-    Geometry comes from the node's own ConvParams; a block's ``cost_sites``
-    says which map each of its convs and its pool reads, and leaves out the
-    attention gate's free pooled-vector MLP.
-    """
-    items: list = []
-    for node in g.nodes:
-        blk = node.payload
-        if blk is None:
-            continue
-        m = shapes[node.inputs[0]][2]
-        if isinstance(blk, T.ConvParams):
-            items.append(_conv_cost(blk, m, node.id))
-            continue
-        convs = dict(blk.convs())
-        for name, m_in, *pool_channels in blk.cost_sites(m):
-            layer_id = f"{node.id}.{name}"
-            if pool_channels:
-                m_out = T.conv_out_size(m_in, B.POOL, B.POOL, 0)
-                items.append(_pool(layer_id, m_out, B.POOL, pool_channels[0]))
-            else:
-                items.append(_conv_cost(convs[name], m_in, layer_id))
-    return items
-
-
 def flops_of_graph(g: N.NetworkGraph, input_size: int = 416) -> FlopsReport:
-    """Cost an entire graph at a given square input size."""
+    """Cost an entire graph at a given square input size.
+
+    Each node's forward runs on shape-only inputs, and every conv and pool
+    it records becomes one row, in the order it ran: ``id`` or ``id.sub``
+    for a conv, ``id.pool`` for a pool.  So the ledger lists exactly what the
+    forward runs, but for the attention MLP that the cost model counts free.
+    """
     shapes = N.infer_shapes(g, (1, 3, input_size, input_size))
-    return flops_of_list(_graph_costs(g, shapes), label=f"{g.name}@{input_size}")
+    items = []
+    for node in g.nodes:
+        ledger: list = []
+        inputs = [T.Meta(shapes[ref], ledger) for ref in node.inputs]
+        N.OPS[node.kind].forward(node.payload, inputs)
+        names = {id(p): name for name, p in node.convs()}
+        # The cost model's one exception: an aux block's attention MLP runs on
+        # 1x1 pooled vectors and costs nothing.
+        free = ({id(node.payload.cbam.fc1), id(node.payload.cbam.fc2)}
+                if isinstance(node.payload, B.AuxBlock) else set())
+        for op, arg, (_, c, m, _) in ledger:
+            if op == "pool":
+                items.append(_pool(f"{node.id}.pool", m, arg, c))
+            elif id(arg) not in free:
+                items.append(_conv(names[id(arg)], m, arg.kernel_size, arg.in_channels, c))
+    return flops_of_list(items, label=f"{g.name}@{input_size}")
 
 
 @dataclass(frozen=True)

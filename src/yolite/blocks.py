@@ -3,9 +3,12 @@ average-pool shortcut, channel+spatial attention, and the auxiliary residual
 block that feeds extra features back into the backbone.
 
 Each block is a bundle of owned convolution parameters plus a pure forward
-function.  All three stage-level blocks share one interface contract: input
-(n, c, h, w) -> output (n, 2c, h/2, w/2), stated once by ``stage_shape``,
-which is what lets them substitute for one another inside the backbone.
+function.  The forwards run on tensors and on shape-only ``tensor.Meta``
+values alike, so a block's output shape and its conv and pool costs are read
+off its forward, not restated.  All three stage-level blocks share one
+interface contract: input (n, c, h, w) -> output (n, 2c, h/2, w/2), stated
+once by ``stage_shape``, which is what lets them substitute for one another
+inside the backbone.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ def cbl(x: T.Tensor, params: T.ConvParams) -> T.Tensor:
 
 
 def stage_shape(block, shape) -> tuple[int, int, int, int]:
-    """The stage rule shared by csp, resblock_d and aux blocks and the
-    graph's static shape walk: an (n, c, h, w) input of ``block.channels``
-    channels with even sides maps to (n, 2c, h/2, w/2)."""
+    """The stage rule that the csp, resblock_d and aux forwards check on
+    entry: an (n, c, h, w) input of ``block.channels`` channels with even
+    sides maps to (n, 2c, h/2, w/2)."""
     n, c, h, w = shape
     if c != block.channels:
         raise ShapeError(f"stage expects {block.channels} input channels, got {c}")
@@ -65,13 +68,6 @@ class CspBlock:
     def convs(self):
         return [("conv0", self.conv0), ("conv1", self.conv1),
                 ("conv2", self.conv2), ("conv3", self.conv3)]
-
-    def cost_sites(self, m: int):
-        """Side of the map each costed op reads, for an m x m input, in
-        ledger order: (conv name, side) per conv, ("pool", side, channels)
-        for the pool."""
-        return [("conv0", m), ("conv1", m), ("conv2", m), ("conv3", m),
-                ("pool", m, 2 * self.channels)]
 
 
 def csp_forward_with_route(block: CspBlock, x: T.Tensor) -> tuple[T.Tensor, T.Tensor]:
@@ -112,11 +108,6 @@ class ResBlockD:
 
     def convs(self):
         return [("a1", self.a1), ("a2", self.a2), ("a3", self.a3), ("b1", self.b1)]
-
-    def cost_sites(self, m: int):
-        """As ``CspBlock.cost_sites``; a3 and b1 read the half-size map."""
-        return [("a1", m), ("a2", m), ("a3", m // 2), ("pool", m, self.channels),
-                ("b1", m // 2)]
 
 
 def resblock_d_forward(block: ResBlockD, x: T.Tensor) -> T.Tensor:
@@ -188,11 +179,6 @@ class AuxBlock:
     def convs(self):
         return [("conv1", self.conv1), ("conv2", self.conv2)] + [
             (f"cbam.{name}", p) for name, p in self.cbam.convs()]
-
-    def cost_sites(self, m: int):
-        """As ``CspBlock.cost_sites``; the attention MLP (cbam.fc1/fc2) is
-        free under the cost model, so only its spatial conv is listed."""
-        return [("conv1", m), ("conv2", m // 2), ("cbam.spatial", m // 2)]
 
 
 def aux_forward(block: AuxBlock, x: T.Tensor) -> T.Tensor:

@@ -2,11 +2,13 @@
 
 A graph is an ordered list of named nodes; every node consumes earlier nodes
 only (the reserved id ``input`` denotes the network input, and ``<id>.route``
-addresses a node's secondary output).  Node kinds are the keys of ``OPS``:
-conv, head, upsample, concat, add, and the three stage kinds csp,
-resblock_d and aux.  Both builders produce two detection heads: one at 1/32
-of the input resolution and one at 1/16, so a 416x416 input yields 13x13 and
-26x26 prediction maps.
+addresses a routed node's secondary output, so node ids hold no ``.``).
+Node kinds are the keys of ``OPS``: conv, head, upsample, concat, add, and
+the three stage kinds csp, resblock_d and aux.  Shapes are not stated
+separately: ``infer_shapes`` runs the same forwards on shape-only
+``tensor.Meta`` values.  Both builders produce two detection heads: one at
+1/32 of the input resolution and one at 1/16, so a 416x416 input yields
+13x13 and 26x26 prediction maps.
 """
 
 from __future__ import annotations
@@ -35,44 +37,24 @@ class LayerNode:
     inputs: list[str] = field(default_factory=list)
     payload: object = None
 
-
-def _conv_shape(p: T.ConvParams, ins):
-    return p.output_shape(ins[0])
-
-
-def _upsample_shape(_, ins):
-    n, c, h, w = ins[0]
-    return (n, c, 2 * h, 2 * w)
-
-
-def _concat_shape(_, ins):
-    n, c, h, w = ins[0]
-    for nn, cc, hh, ww in ins[1:]:
-        if (nn, hh, ww) != (n, h, w):
-            raise ShapeError(f"concat mismatch: {(nn, hh, ww)} vs {(n, h, w)}")
-        c += cc
-    return (n, c, h, w)
-
-
-def _add_shape(_, ins):
-    if ins[0] != ins[1]:
-        raise ShapeError(f"add mismatch: {ins[0]} vs {ins[1]}")
-    return ins[0]
-
-
-def _stage_shape(blk, ins):
-    return B.stage_shape(blk, ins[0])
+    def convs(self) -> list[tuple[str, T.ConvParams]]:
+        """The conv parameter bundles this node owns, as (entry id, params):
+        ``id`` for a conv or head, ``id.sub`` for each of a block's convs."""
+        if isinstance(self.payload, T.ConvParams):
+            return [(self.id, self.payload)]
+        if self.payload is None:
+            return []
+        return [(f"{self.id}.{sub}", p) for sub, p in self.payload.convs()]
 
 
 class Op(NamedTuple):
-    """How one node kind runs: ``forward(payload, inputs)`` and
-    ``shape(payload, input_shapes)``.  ``payload`` is the type a node's
+    """How one node kind runs: ``forward(payload, inputs)``, on tensors or on
+    shape-only ``tensor.Meta`` values.  ``payload`` is the type a node's
     payload must have and ``arity`` its (min, max) input count, max None
-    for unbounded.  A ``routed`` kind returns a (main, route) pair from both;
-    the route is stored under ``id.route``."""
+    for unbounded.  A ``routed`` kind returns a (main, route) pair; the
+    route is stored under ``id.route``."""
 
     forward: Callable
-    shape: Callable
     payload: type = type(None)
     arity: tuple[int, int | None] = (1, 1)
     routed: bool = False
@@ -81,17 +63,14 @@ class Op(NamedTuple):
 # The forwards look blocks and tensor ops up through their module at call
 # time, so a wrapper installed on a module attribute sees every call.
 OPS = {
-    "conv": Op(lambda p, xs: B.cbl(xs[0], p), _conv_shape, T.ConvParams),
-    "head": Op(lambda p, xs: T.conv2d(xs[0], p), _conv_shape, T.ConvParams),
-    "upsample": Op(lambda p, xs: T.upsample_nearest2x(xs[0]), _upsample_shape),
-    "concat": Op(lambda p, xs: functools.reduce(T.concat_channels, xs), _concat_shape,
-                 arity=(2, None)),
-    "add": Op(lambda p, xs: B.fuse(xs[0], xs[1]), _add_shape, arity=(2, 2)),
-    "csp": Op(lambda p, xs: B.csp_forward_with_route(p, xs[0]),
-              lambda p, ins: (_stage_shape(p, ins), ins[0]), B.CspBlock, routed=True),
-    "resblock_d": Op(lambda p, xs: B.resblock_d_forward(p, xs[0]), _stage_shape,
-                     B.ResBlockD),
-    "aux": Op(lambda p, xs: B.aux_forward(p, xs[0]), _stage_shape, B.AuxBlock),
+    "conv": Op(lambda p, xs: B.cbl(xs[0], p), T.ConvParams),
+    "head": Op(lambda p, xs: T.conv2d(xs[0], p), T.ConvParams),
+    "upsample": Op(lambda p, xs: T.upsample_nearest2x(xs[0])),
+    "concat": Op(lambda p, xs: functools.reduce(T.concat_channels, xs), arity=(2, None)),
+    "add": Op(lambda p, xs: B.fuse(xs[0], xs[1]), arity=(2, 2)),
+    "csp": Op(lambda p, xs: B.csp_forward_with_route(p, xs[0]), B.CspBlock, routed=True),
+    "resblock_d": Op(lambda p, xs: B.resblock_d_forward(p, xs[0]), B.ResBlockD),
+    "aux": Op(lambda p, xs: B.aux_forward(p, xs[0]), B.AuxBlock),
 }
 
 
@@ -116,13 +95,17 @@ class NetworkGraph:
             if not isinstance(node.payload, op.payload):
                 raise GraphError(f"{node.kind} payload must be {op.payload.__name__}, "
                                  f"got {type(node.payload).__name__}", node.id)
+            if "." in node.id:
+                raise GraphError("node id must not contain '.'", node.id)
             if node.id in seen:
                 raise GraphError("duplicate node id", node.id)
             for ref in node.inputs:
-                if ref.split(".")[0] not in seen:
-                    raise GraphError(f"input {ref!r} does not reference an earlier node",
-                                     node.id)
+                if ref not in seen:
+                    raise GraphError(f"input {ref!r} does not reference an earlier node's "
+                                     "output", node.id)
             seen.add(node.id)
+            if op.routed:
+                seen.add(f"{node.id}.route")
 
     @property
     def heads(self) -> list[str]:
@@ -204,25 +187,27 @@ def forward_all(g: NetworkGraph, x: T.Tensor) -> dict[str, T.Tensor]:
     """Like ``forward`` but returns every node's output (secondary outputs
     under ``id.route``), for inspection and shape-contract checks."""
     _check_input_shape(x.shape)
-    return _walk(g, x, "forward", "evaluation failed")
+    return _walk(g, x, "evaluation failed")
 
 
 def infer_shapes(g: NetworkGraph, input_shape) -> dict[str, tuple]:
-    """Static shape propagation; returns shapes keyed by node id (and
-    ``id.route`` for secondary outputs).  Raises GraphError naming the first
-    node whose inputs cannot be reconciled."""
+    """Every node's output shape, keyed by node id (and ``id.route`` for
+    secondary outputs), from the forward run on a shape-only input.  Raises
+    GraphError naming the first node whose forward rejects its inputs, with
+    that forward's own message."""
     _check_input_shape(input_shape)
-    return _walk(g, tuple(input_shape), "shape", "shape inference failed")
+    values = _walk(g, T.Meta(input_shape), "shape inference failed")
+    return {key: value.shape for key, value in values.items()}
 
 
-def _walk(g: NetworkGraph, first, step: str, failure: str) -> dict:
-    """Apply each node's ``OPS`` entry callable named ``step`` in order,
-    starting from ``first`` as the value of ``input``."""
+def _walk(g: NetworkGraph, first, failure: str) -> dict:
+    """Run each node's ``OPS`` forward in order, starting from ``first`` as
+    the value of ``input``."""
     out_by_id = {INPUT_ID: first}
     for node in g.nodes:
         op = OPS[node.kind]
         try:
-            out = getattr(op, step)(node.payload, [out_by_id[ref] for ref in node.inputs])
+            out = op.forward(node.payload, [out_by_id[ref] for ref in node.inputs])
         except (ShapeError, KeyError) as exc:
             raise GraphError(f"{failure}: {exc}", node.id) from exc
         if op.routed:
@@ -234,14 +219,7 @@ def _walk(g: NetworkGraph, first, step: str, failure: str) -> dict:
 def iter_conv_entries(g: NetworkGraph) -> list[tuple[str, T.ConvParams]]:
     """Every convolution parameter bundle in deterministic topological order,
     with composite blocks expanded (entry ids are ``node.subconv``)."""
-    entries: list[tuple[str, T.ConvParams]] = []
-    for node in g.nodes:
-        if isinstance(node.payload, T.ConvParams):
-            entries.append((node.id, node.payload))
-        elif node.payload is not None:
-            for sub, p in node.payload.convs():
-                entries.append((f"{node.id}.{sub}", p))
-    return entries
+    return [entry for node in g.nodes for entry in node.convs()]
 
 
 def count_params(g: NetworkGraph) -> int:
@@ -257,9 +235,6 @@ def count_layers(g: NetworkGraph) -> int:
 def describe(g: NetworkGraph, input_size: int = 416) -> dict:
     """JSON-friendly structural summary of the graph at a given input size."""
     shapes = infer_shapes(g, (1, 3, input_size, input_size))
-    param_count = {node_id: 0 for node_id in [n.id for n in g.nodes]}
-    for entry_id, p in iter_conv_entries(g):
-        param_count[entry_id.split(".")[0]] += p.n_params()
     nodes = []
     for node in g.nodes:
         nodes.append({
@@ -267,7 +242,7 @@ def describe(g: NetworkGraph, input_size: int = 416) -> dict:
             "kind": node.kind,
             "inputs": list(node.inputs),
             "output_shape": list(shapes[node.id]),
-            "params": param_count[node.id],
+            "params": sum(p.n_params() for _, p in node.convs()),
         })
     return {
         "model": g.name,

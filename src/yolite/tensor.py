@@ -216,6 +216,27 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
+class Meta:
+    """Shape-only stand-in for a ``Tensor``: each op the network runs checks
+    it as it checks a ``Tensor``, then returns a ``Meta`` of the output shape
+    and does no arithmetic.  Values derived from one share its ``ledger``,
+    where ``conv2d`` appends ("conv", params, output shape) and ``pool2d``
+    ("pool", kernel, output shape) per call."""
+
+    __slots__ = ("shape", "ledger")
+
+    def __init__(self, shape, ledger: list | None = None):
+        self.shape = tuple(shape)
+        self.ledger = [] if ledger is None else ledger
+
+    def derive(self, shape, *row) -> "Meta":
+        """A ``Meta`` of ``shape`` on this ledger, which first gets the row
+        ``row + (shape,)`` if ``row`` is given."""
+        if row:
+            self.ledger.append((*row, shape))
+        return Meta(shape, self.ledger)
+
+
 class BatchNorm:
     """Inference-mode per-channel affine using stored running statistics."""
 
@@ -298,9 +319,9 @@ class ConvParams:
         return n
 
     def output_shape(self, shape) -> tuple[int, int, int, int]:
-        """The conv rule, shared by ``conv2d`` and the graph's static shape
-        walk: an (n, c, h, w) input of ``in_channels`` channels whose padded
-        sides are at least the kernel maps to (n, out_channels, oh, ow)."""
+        """The conv rule, which ``conv2d`` applies to tensors and shape-only
+        values alike: an (n, c, h, w) input of ``in_channels`` channels whose
+        padded sides are at least the kernel maps to (n, out_channels, oh, ow)."""
         n, c, h, w = shape
         if c != self.in_channels:
             raise ShapeError(f"input channels {c} != conv in_channels {self.in_channels}")
@@ -332,7 +353,10 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     ``CHANNEL_LAST_MAX_PIXELS`` and ``REDUCE_MAX_PIXELS``); under
     ``set_parallel`` each process fills its own share of them.
     """
-    _, oc, oh, ow = params.output_shape(x.shape)
+    shape = params.output_shape(x.shape)
+    if isinstance(x, Meta):
+        return x.derive(shape, "conv", params)
+    _, oc, oh, ow = shape
     n, c, h, w = x.shape
     k, s, p = params.kernel_size, params.stride, params.padding
     blocked = oh * ow > CHANNEL_LAST_MAX_PIXELS
@@ -540,6 +564,8 @@ def pool2d(x: Tensor, kind: str, k: int, s: int) -> Tensor:
     if h < k or w < k:
         raise ShapeError(f"spatial dims ({h}, {w}) smaller than pool kernel {k}")
     oh, ow = (h - k) // s + 1, (w - k) // s + 1
+    if isinstance(x, Meta):
+        return x.derive((n, c, oh, ow), "pool", k)
     acc = _fold(_windows(x.array, k, s, oh, ow), kind)
     _check_finite(acc, "pool2d")
     return Tensor(acc, _trusted=True)
@@ -547,6 +573,8 @@ def pool2d(x: Tensor, kind: str, k: int, s: int) -> Tensor:
 
 def leaky_relu(x: Tensor) -> Tensor:
     """Identity on non-negatives, x/``LEAKY_A`` on negatives."""
+    if isinstance(x, Meta):
+        return x
     arr = x.array
     out = arr / LEAKY_A
     np.maximum(arr, out, out=out)  # equals np.where(arr >= 0, arr, arr / LEAKY_A)
@@ -555,6 +583,8 @@ def leaky_relu(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0); -0 maps to +0."""
+    if isinstance(x, Meta):
+        return x
     return Tensor(np.where(x.array > 0, x.array, np.float32(0)), _trusted=True)
 
 
@@ -597,6 +627,8 @@ def sigmoid(x: Tensor) -> Tensor:
     ``logistic`` rounded to float32, then clipped off the closed endpoints
     so downstream products stay in (0, 1).
     """
+    if isinstance(x, Meta):
+        return x
     out = np.clip(logistic(x.array).astype(np.float32), _SIG_LO, _SIG_HI)
     return Tensor(out, _trusted=True)
 
@@ -607,14 +639,18 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     nb, cb, hb, wb = b.shape
     if (na, ha, wa) != (nb, hb, wb):
         raise ShapeError(f"concat needs matching (n, h, w): {(na, ha, wa)} vs {(nb, hb, wb)}")
+    if isinstance(a, Meta):
+        return a.derive((na, ca + cb, ha, wa))
     return Tensor(np.concatenate([a.array, b.array], axis=1), _trusted=True)
 
 
 def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     """Copy channels [start, stop) into a new tensor."""
-    c = x.shape[1]
+    n, c, h, w = x.shape
     if not (0 <= start <= stop <= c):
         raise ShapeError(f"channel slice [{start}, {stop}) out of range for {c} channels")
+    if isinstance(x, Meta):
+        return x.derive((n, stop - start, h, w))
     return Tensor(np.ascontiguousarray(x.array[:, start:stop]), _trusted=True)
 
 
@@ -622,6 +658,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of identically shaped tensors."""
     if a.shape != b.shape:
         raise ShapeError(f"add needs identical shapes: {a.shape} vs {b.shape}")
+    if isinstance(a, Meta):
+        return a
     out = a.array + b.array
     _check_finite(out, "add")
     return Tensor(out, _trusted=True)
@@ -637,6 +675,8 @@ def broadcast_mul(a: Tensor, m: Tensor) -> Tensor:
           or (mn == n and mc == 1 and mh == h and mw == w))
     if not ok:
         raise ShapeError(f"multiplier shape {m.shape} does not broadcast over {a.shape}")
+    if isinstance(a, Meta):
+        return a
     out = a.array * m.array
     _check_finite(out, "broadcast_mul")
     return Tensor(out, _trusted=True)
@@ -650,6 +690,8 @@ def channel_pool(x: Tensor, kind: str) -> Tensor:
     n, c, h, w = x.shape
     if min(n, c, h, w) == 0:
         raise ShapeError("channel_pool needs a non-empty tensor")
+    if isinstance(x, Meta):
+        return x.derive((n, c, 1, 1))
     flat = x.array.reshape(n, c, h * w)
     return Tensor(_fold(np.moveaxis(flat, 2, 0), kind).reshape(n, c, 1, 1), _trusted=True)
 
@@ -662,10 +704,15 @@ def spatial_pool(x: Tensor, kind: str) -> Tensor:
     n, c, h, w = x.shape
     if min(n, c, h, w) == 0:
         raise ShapeError("spatial_pool needs a non-empty tensor")
+    if isinstance(x, Meta):
+        return x.derive((n, 1, h, w))
     return Tensor(_fold(np.moveaxis(x.array, 1, 0), kind).reshape(n, 1, h, w), _trusted=True)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:
     """Replicate every pixel into a 2x2 block: out[..., i, j] = in[..., i//2, j//2]."""
+    if isinstance(x, Meta):
+        n, c, h, w = x.shape
+        return x.derive((n, c, 2 * h, 2 * w))
     out = np.repeat(np.repeat(x.array, 2, axis=2), 2, axis=3)
     return Tensor(out, _trusted=True)

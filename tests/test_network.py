@@ -80,6 +80,20 @@ class TestBuilders:
         with pytest.raises(GraphError, match=f"node '{named}': duplicate node id"):
             N.NetworkGraph("broken", 1, nodes)
 
+    @pytest.mark.parametrize("nodes, message", [
+        ([N.LayerNode("a.b", "upsample", [N.INPUT_ID])], "node 'a.b': node id must not"),
+        ([N.LayerNode("s", "csp", [N.INPUT_ID], B.CspBlock(4)),
+          N.LayerNode("s.route", "upsample", ["s"])], "node 's.route': node id must not"),
+        ([N.LayerNode("up", "upsample", [N.INPUT_ID]),
+          N.LayerNode("bad", "upsample", ["up.route"])],
+         "node 'bad': input 'up.route' does not reference"),
+    ], ids=["dotted", "shadows-route", "unrouted-kind"])
+    def test_dotted_ids_and_routes_of_unrouted_kinds_rejected(self, nodes, message):
+        """A dotted id would collide with a route name, and only a routed
+        kind has a route output."""
+        with pytest.raises(GraphError, match=message):
+            N.NetworkGraph("broken", 1, nodes)
+
     @pytest.mark.parametrize("node, message", [
         (N.LayerNode("bad", "add", [N.INPUT_ID]), "add takes 2 input"),
         (N.LayerNode("bad", "add", [N.INPUT_ID] * 3), "add takes 2 input"),

@@ -779,6 +779,67 @@ class TestUpsample:
         assert bits_equal(T.upsample_nearest2x(x).array, oracles.upsample2x_naive(x.array))
 
 
+# (op, input shapes, further arguments): valid and invalid calls of every op
+# the network runs.
+SHAPE_ONLY_CASES = [
+    (T.conv2d, [(1, 3, 9, 9)], (T.ConvParams(3, 4, 3, stride=2, padding=1),)),
+    (T.conv2d, [(1, 2, 8, 8)], (T.ConvParams(3, 4, 3),)),
+    (T.conv2d, [(1, 3, 2, 8)], (T.ConvParams(3, 4, 3),)),
+    (T.pool2d, [(1, 3, 8, 7)], ("max", 2, 2)),
+    (T.pool2d, [(1, 3, 8, 8)], ("avg", 3, 1)),
+    (T.pool2d, [(1, 3, 1, 8)], ("max", 2, 2)),
+    (T.pool2d, [(1, 3, 8, 8)], ("mean", 2, 2)),
+    (T.pool2d, [(1, 3, 8, 8)], ("max", 2, 0)),
+    (T.leaky_relu, [(1, 3, 4, 5)], ()),
+    (T.relu, [(1, 3, 4, 5)], ()),
+    (T.sigmoid, [(1, 3, 4, 5)], ()),
+    (T.concat_channels, [(1, 3, 4, 4), (1, 5, 4, 4)], ()),
+    (T.concat_channels, [(1, 3, 4, 4), (1, 5, 2, 4)], ()),
+    (T.slice_channels, [(1, 6, 4, 4)], (2, 5)),
+    (T.slice_channels, [(1, 6, 4, 4)], (2, 7)),
+    (T.add, [(1, 3, 4, 4), (1, 3, 4, 4)], ()),
+    (T.add, [(1, 3, 4, 4), (1, 3, 4, 2)], ()),
+    (T.broadcast_mul, [(1, 3, 4, 4), (1, 3, 1, 1)], ()),
+    (T.broadcast_mul, [(1, 3, 4, 4), (1, 1, 4, 4)], ()),
+    (T.broadcast_mul, [(1, 3, 4, 4), (1, 3, 4, 1)], ()),
+    (T.channel_pool, [(1, 3, 4, 5)], ("avg",)),
+    (T.channel_pool, [(1, 3, 4, 5)], ("sum",)),
+    (T.channel_pool, [(1, 0, 4, 5)], ("max",)),
+    (T.spatial_pool, [(1, 3, 4, 5)], ("max",)),
+    (T.spatial_pool, [(1, 3, 0, 5)], ("avg",)),
+    (T.upsample_nearest2x, [(1, 3, 4, 5)], ()),
+]
+
+
+class TestShapeOnly:
+    @pytest.mark.parametrize("op, shapes, args", SHAPE_ONLY_CASES,
+                             ids=[f"{op.__name__}-{i}" for i, (op, *_) in enumerate(SHAPE_ONLY_CASES)])
+    def test_meta_gives_the_tensors_shape_or_error(self, op, shapes, args):
+        """A shape-only input gets the output shape, or the exception type and
+        message, that a tensor of its shape gets; only conv2d and pool2d
+        append a row to the ledger."""
+        def run(values):
+            try:
+                return op(*values, *args), None
+            except (ShapeError, ValueError) as exc:
+                return None, exc
+
+        ledger = []
+        want, want_exc = run([T.Tensor.zeros(*shape) for shape in shapes])
+        got, got_exc = run([T.Meta(shape, ledger) for shape in shapes])
+        rows = []
+        if want_exc is not None:
+            assert (type(got_exc), str(got_exc)) == (type(want_exc), str(want_exc))
+        else:
+            assert isinstance(got, T.Meta) and got.ledger is ledger
+            assert got.shape == want.shape
+            if op is T.conv2d:
+                rows = [("conv", args[0], want.shape)]
+            elif op is T.pool2d:
+                rows = [("pool", args[1], want.shape)]
+        assert ledger == rows
+
+
 class TestRandomizedOracleBattery:
     """Seeded randomized comparison against the scalar references."""
 
