@@ -62,9 +62,10 @@ UFUNC_BUFSIZE = 16
 _helpers: list[tuple[int, int, int]] = []
 _arena: mmap.mmap | None = None
 _lock = threading.Lock()
-# A fill request: schedule (1 = NCHW blocks), stride, the share [lo, hi), the
-# block step, then the shapes of the padded input, weights and accumulator.
-_REQUEST = struct.Struct("17q")
+# A fill request: schedule (an index into _fill's table), stride, the share
+# [lo, hi), then the shapes of the padded input, weights and accumulator.
+_REQUEST = struct.Struct("16q")
+_BLOCKED, _CHANNEL_LAST, _FOLD = range(3)
 
 
 def set_parallel(workers: int) -> None:
@@ -142,9 +143,9 @@ def _serve(requests: int, replies: int, inherited: list[int]) -> None:
             os.close(fd)
         np.setbufsize(UFUNC_BUFSIZE)
         while msg := os.read(requests, _REQUEST.size):
-            blocked, s, lo, hi, step, *dims = _REQUEST.unpack(msg)
+            schedule, s, lo, hi, *dims = _REQUEST.unpack(msg)
             xp, wt, acc = _carve(_arena, (dims[:4], dims[4:8], dims[8:]))
-            _fill_range(blocked, lo, hi, step, xp, wt, s, acc)
+            _fill(schedule, lo, hi, xp, wt, s, acc)
             os.write(replies, b"\0")
         code = 0
     finally:
@@ -312,11 +313,17 @@ class ConvParams:
         k = self.kernel_size
         return self.weights.reshape(self.out_channels, self.in_channels, k, k)
 
+    def arrays(self) -> list[np.ndarray]:
+        """The parameter arrays in YLTW file order: weights, bias, gamma,
+        beta, running_mean, running_var, the last four empty without batch
+        norm."""
+        bn = self.bn
+        if bn is None:
+            return [self.weights, self.bias] + [np.zeros(0, dtype=np.float32)] * 4
+        return [self.weights, self.bias, bn.gamma, bn.beta, bn.running_mean, bn.running_var]
+
     def n_params(self) -> int:
-        n = self.weights.size + self.bias.size
-        if self.bn is not None:
-            n += 4 * self.bn.gamma.size
-        return n
+        return sum(a.size for a in self.arrays())
 
     def output_shape(self, shape) -> tuple[int, int, int, int]:
         """The conv rule, which ``conv2d`` applies to tensors and shape-only
@@ -360,29 +367,23 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     n, c, h, w = x.shape
     k, s, p = params.kernel_size, params.stride, params.padding
     blocked = oh * ow > CHANNEL_LAST_MAX_PIXELS
-    shapes = ((n, c, h + 2 * p, w + 2 * p), (c, k, k, oc),
-              (n, oc, oh, ow) if blocked else (n, oh, ow, oc))
+    # numpy sums a lone output element's terms pairwise, so a map whose rows
+    # hold one element each stays on the per-term loop
+    schedule = (_BLOCKED if blocked
+                else _FOLD if oh * ow <= REDUCE_MAX_PIXELS and n * ow * oc > 1
+                else _CHANNEL_LAST)
+    shapes = ((n, c, h + 2 * p, w + 2 * p), (c, k, k, oc), shape if blocked else (n, oh, ow, oc))
     with _lock:
         if _helpers:
-            xp, wt, acc = _carve(_arena_for(shapes), shapes)
-            if p > 0:
-                xp.fill(0)
-            xp[:, :, p:p + h, p:p + w] = x.array
-            wt[...] = params.kernel.transpose(1, 2, 3, 0)
+            xp, wt, acc = _carve(_arena_for(4 * sum(map(math.prod, shapes))), shapes)
         else:
-            xp = x.array
-            if p > 0:
-                xp = np.zeros(shapes[0], dtype=np.float32)
-                xp[:, :, p:p + h, p:p + w] = x.array
-            wt = np.ascontiguousarray(params.kernel.transpose(1, 2, 3, 0))  # (in, ky, kx, out)
-            acc = np.empty(shapes[2], dtype=np.float32)
-        if blocked:
-            step = max(1, ACC_BLOCK_BYTES // (4 * n * oh * ow))
-            _split(True, oc, step, xp, wt, s, acc)
-            out = acc
-        else:
-            _split(False, oh, oh, xp, wt, s, acc)
-            out = acc.transpose(0, 3, 1, 2)
+            xp, wt, acc = (np.empty(dims, dtype=np.float32) for dims in shapes)
+        if p > 0:
+            xp.fill(0)
+        xp[:, :, p:p + h, p:p + w] = x.array
+        wt[...] = params.kernel.transpose(1, 2, 3, 0)  # (in, ky, kx, out)
+        _split(schedule, oc if blocked else oh, xp, wt, s, acc)
+        out = acc if blocked else acc.transpose(0, 3, 1, 2)
         if out.base is not None:  # channel-last, or in the arena the next conv reuses
             out = out.copy()
 
@@ -397,10 +398,9 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     return Tensor(out, _trusted=True)
 
 
-def _arena_for(shapes) -> mmap.mmap:
-    """The arena, grown to hold float32 arrays of ``shapes``: a larger one
-    (at least double) is mapped and the helpers are forked again."""
-    need = 4 * sum(math.prod(shape) for shape in shapes)
+def _arena_for(need: int) -> mmap.mmap:
+    """The arena, grown to at least ``need`` bytes: a larger one (at least
+    double) is mapped and the helpers are forked again."""
     if need > len(_arena):
         size = max(need, 2 * len(_arena))
         count = len(_helpers)
@@ -409,10 +409,10 @@ def _arena_for(shapes) -> mmap.mmap:
     return _arena
 
 
-def _split(blocked: bool, total: int, step: int, xp: np.ndarray, wt: np.ndarray,
-           s: int, acc: np.ndarray) -> None:
-    """Fill units [0, total) of ``acc`` (output channels when ``blocked``,
-    else output rows), ``step`` units per fill call.
+def _split(schedule: int, total: int, xp: np.ndarray, wt: np.ndarray, s: int,
+           acc: np.ndarray) -> None:
+    """Fill units [0, total) of ``acc`` (output channels for ``_BLOCKED``,
+    else output rows) with one fill call per process.
 
     The units split into one near-equal contiguous share per process; the
     caller fills the first and each helper one of the others, in the arena.
@@ -424,9 +424,9 @@ def _split(blocked: bool, total: int, step: int, xp: np.ndarray, wt: np.ndarray,
     replies = None
     try:
         for (_, requests, _), lo, hi in zip(busy, bounds[1:], bounds[2:]):
-            os.write(requests, _REQUEST.pack(blocked, s, lo, hi, step,
+            os.write(requests, _REQUEST.pack(schedule, s, lo, hi,
                                              *xp.shape, *wt.shape, *acc.shape))
-        _fill_range(blocked, 0, bounds[1], step, xp, wt, s, acc)
+        _fill(schedule, 0, bounds[1], xp, wt, s, acc)
         replies = [os.read(fd, 1) for _, _, fd in busy]
     except BrokenPipeError:  # a helper is gone
         pass
@@ -438,17 +438,17 @@ def _split(blocked: bool, total: int, step: int, xp: np.ndarray, wt: np.ndarray,
         raise YoliteError("conv helper " + ("; ".join(ended) or "ended unexpectedly"))
 
 
-def _fill_range(blocked: bool, lo: int, hi: int, step: int, xp: np.ndarray,
-                wt: np.ndarray, s: int, acc: np.ndarray) -> None:
-    """Fill units [lo, hi) of ``acc``, ``step`` at a time."""
-    fill = _fill_blocked if blocked else _fill_channel_last
-    for b in range(lo, hi, step):
-        fill(b, min(b + step, hi), xp, wt, s, acc)
+def _fill(schedule: int, lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
+          acc: np.ndarray) -> None:
+    """Fill units [lo, hi) of ``acc`` with the fill ``schedule`` names, looked
+    up in the module when called."""
+    (_fill_blocked, _fill_channel_last, _fold_terms)[schedule](lo, hi, xp, wt, s, acc)
 
 
 def _fill_blocked(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
                   out: np.ndarray) -> None:
-    """Output channels [lo, hi) in NCHW layout.
+    """Output channels [lo, hi) in NCHW layout, in blocks of channels whose
+    accumulator fills about ``ACC_BLOCK_BYTES``.
 
     Each input channel's k*k strided windows are copied in turn into a
     contiguous buffer, so every product runs over a whole (oh, ow) plane.
@@ -456,58 +456,54 @@ def _fill_blocked(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
     n, c = xp.shape[:2]
     k = wt.shape[1]
     oh, ow = out.shape[2:]
-    acc = np.zeros((n, hi - lo, oh, ow), dtype=np.float32)
-    tmp = np.empty_like(acc)
+    step = max(1, ACC_BLOCK_BYTES // (4 * n * oh * ow))
     col = np.empty((n, 1, oh, ow), dtype=np.float32)
-    for ci in range(c):
-        taps = wt[ci].reshape(k * k, -1)[:, lo:hi, None, None]
-        for window, tap in zip(_windows(xp[:, ci], k, s, oh, ow), taps):
-            col[:, 0] = window
-            np.multiply(col, tap, out=tmp)
-            np.add(acc, tmp, out=acc)
-    out[:, lo:hi] = acc
+    for b in range(lo, hi, step):
+        e = min(b + step, hi)
+        acc = np.zeros((n, e - b, oh, ow), dtype=np.float32)
+        tmp = np.empty_like(acc)
+        for ci in range(c):
+            taps = wt[ci].reshape(k * k, -1)[:, b:e, None, None]
+            for window, tap in zip(_windows(xp[:, ci], k, s, oh, ow), taps):
+                col[:, 0] = window
+                np.multiply(col, tap, out=tmp)
+                np.add(acc, tmp, out=acc)
+        out[:, b:e] = acc
 
 
 def _fill_channel_last(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
                        out: np.ndarray) -> None:
-    """Output rows [lo, hi) of a channel-last (n, oh, ow, oc) accumulator.
-
-    On a map of at most ``REDUCE_MAX_PIXELS`` pixels each (channel, ky, kx)
-    term's product covers so few elements that numpy's per-call cost
-    dominates, so chunks of terms go through ``_fold_terms``.  A one-element
-    tile stays on the per-term loop: numpy sums a lone output element
-    pairwise, which breaks the fold order.
-    """
+    """Output rows [lo, hi) of a channel-last (n, oh, ow, oc) accumulator,
+    one multiply and one add per (channel, ky, kx) term."""
     n, c = xp.shape[:2]
     k = wt.shape[1]
-    oh, ow = out.shape[1:3]
+    ow = out.shape[2]
     acc = np.zeros((n, hi - lo) + out.shape[2:], dtype=np.float32)
-    if oh * ow <= REDUCE_MAX_PIXELS and acc.size > 1:
-        _fold_terms(lo, hi, xp, wt, s, acc)
-    else:
-        tmp = np.empty_like(acc)
-        for ci in range(c):
-            for ky in range(k):
-                band = xp[:, ci, ky + s * lo:ky + s * (hi - 1) + 1:s]
-                for kx in range(k):
-                    np.multiply(band[:, :, kx:kx + s * ow:s, None], wt[ci, ky, kx], out=tmp)
-                    np.add(acc, tmp, out=acc)
+    tmp = np.empty_like(acc)
+    for ci in range(c):
+        for ky in range(k):
+            band = xp[:, ci, ky + s * lo:ky + s * (hi - 1) + 1:s]
+            for kx in range(k):
+                np.multiply(band[:, :, kx:kx + s * ow:s, None], wt[ci, ky, kx], out=tmp)
+                np.add(acc, tmp, out=acc)
     out[:, lo:hi] = acc
 
 
 def _fold_terms(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
-                acc: np.ndarray) -> None:
-    """Add every term of output rows [lo, hi) to the channel-last ``acc``,
-    a chunk of terms per step.
+                out: np.ndarray) -> None:
+    """Output rows [lo, hi) of a channel-last (n, oh, ow, oc) accumulator, a
+    chunk of terms whose products fill about ``REDUCE_CHUNK_BYTES`` per step.
 
     Row 0 of the chunk buffer holds the running sums and each further row one
     term's products, so ``np.add.reduce`` over axis 0 adds the terms to each
-    element one at a time and in order, as long as ``acc`` has more than one
-    element.
+    element one at a time and in order, as long as the rows have more than
+    one element.
     """
-    c, k = xp.shape[1], wt.shape[1]
-    ow = acc.shape[2]
+    n, c = xp.shape[:2]
+    k = wt.shape[1]
+    ow = out.shape[2]
     terms = c * k * k
+    acc = np.zeros((n, hi - lo) + out.shape[2:], dtype=np.float32)
     # every term's window at once: (n, c, rows, ow, ky, kx) -> (c, ky, kx, n, rows, ow)
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     windows = windows[:, :, s * lo:s * (hi - 1) + 1:s, :s * (ow - 1) + 1:s]
@@ -520,6 +516,7 @@ def _fold_terms(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
         buf[0] = acc
         np.multiply(cols[t:t + m], taps[t:t + m], out=buf[1:m + 1])
         np.add.reduce(buf[:m + 1], axis=0, out=acc)
+    out[:, lo:hi] = acc
 
 
 def _windows(a: np.ndarray, k: int, s: int, oh: int, ow: int) -> list[np.ndarray]:

@@ -164,7 +164,7 @@ def params_checksum(g: N.NetworkGraph) -> str:
     h = hashlib.sha256()
     for entry_id, p in N.iter_conv_entries(g):
         h.update(entry_id.encode("utf-8"))
-        for arr in _param_arrays(p):
+        for arr in p.arrays():
             h.update(arr.astype("<f4").tobytes())
     return h.hexdigest()
 
@@ -174,21 +174,13 @@ def tensor_checksum(t: T.Tensor) -> str:
     return hashlib.sha256(t.array.astype("<f4").tobytes()).hexdigest()
 
 
-def _param_arrays(p: T.ConvParams) -> list[np.ndarray]:
-    if p.bn is None:
-        empty = np.zeros(0, dtype=np.float32)
-        return [p.weights, p.bias, empty, empty, empty, empty]
-    return [p.weights, p.bias, p.bn.gamma, p.bn.beta,
-            p.bn.running_mean, p.bn.running_var]
-
-
 def save(g: N.NetworkGraph, path) -> None:
     """Write all parameters to ``path`` in the format described above."""
     entries = N.iter_conv_entries(g)
     chunks = [MAGIC, struct.pack("<IQI", FORMAT_VERSION, fingerprint(g), len(entries))]
     for entry_id, p in entries:
         ident = entry_id.encode("utf-8")
-        arrays = _param_arrays(p)
+        arrays = p.arrays()
         chunks.append(struct.pack("<H", len(ident)))
         chunks.append(ident)
         chunks.append(struct.pack("<6I", *(a.size for a in arrays)))
@@ -248,7 +240,7 @@ def load(g: N.NetworkGraph, path) -> None:
                                    f"does not match expected {entry_id!r}")
         rd.layer_id = entry_id
         lengths = rd.unpack("<6I")
-        expected = [a.size for a in _param_arrays(p)]
+        expected = [a.size for a in p.arrays()]
         if list(lengths) != expected:
             raise ArrayLengthError(
                 f"layer {entry_id!r} declares array lengths {list(lengths)}, expected {expected}")
@@ -265,5 +257,5 @@ def load(g: N.NetworkGraph, path) -> None:
         raise ArrayLengthError(f"{len(rd.data) - rd.pos} unexpected trailing bytes")
 
     for (_, p), arrays in zip(entries, staged):
-        for dst, src in zip(_param_arrays(p), arrays):
+        for dst, src in zip(p.arrays(), arrays):
             dst[:] = src

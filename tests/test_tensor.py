@@ -72,7 +72,7 @@ def fill_calls(workers=0):
                 return fill(lo, hi, *args)
             return run
 
-        for name in ("_fill_blocked", "_fill_channel_last"):
+        for name in ("_fill_blocked", "_fill_channel_last", "_fold_terms"):
             mp.setattr(T, name, spy(getattr(T, name)))
         T.set_parallel(workers)
         try:
@@ -317,7 +317,8 @@ class TestConv2d:
 
     def test_parallel_matches_serial(self, monkeypatch):
         # 11 output channels in blocks of 3, or 10 output rows: the shares
-        # are uneven for every worker count, and so are the blocks in them
+        # are uneven for every worker count, and so are the blocks in them,
+        # yet each process fills its share in one call
         rng = np.random.default_rng(9)
         x = rand_tensor(rng, 2, 6, 10, 10)
         kern = (rng.random((11, 6, 3, 3), dtype=np.float32) * 2 - 1)
@@ -339,11 +340,31 @@ class TestConv2d:
                     filled = {}
                     for pid, _, lo, hi in calls:
                         filled.setdefault(pid, []).append((lo, hi))
+                    assert all(len(r) == 1 for r in filled.values()), case
                     spans = sorted((min(r)[0], max(r)[1], pid) for pid, r in filled.items())
                     assert [(lo, hi) for lo, hi, _ in spans] == list(zip(shares, shares[1:])), case
                     assert spans[0][2] == os.getpid(), case
                     units = sorted(u for _, _, lo, hi in calls for u in range(lo, hi))
                     assert units == list(range(total)), case
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_unpadded_strided_conv_matches_naive(self, monkeypatch, schedule, workers):
+        # the only padding-0 conv checked in parallel mode; the map is not
+        # square, so swapped rows and columns would show
+        rng = np.random.default_rng(19)
+        x = rand_tensor(rng, 2, 5, 19, 17)
+        kern = rng.random((7, 5, 3, 3), dtype=np.float32) * 2 - 1
+        bias = rng.random(7, dtype=np.float32) * 2 - 1
+        p = T.ConvParams(5, 7, 3, stride=2, weights=kern.reshape(-1), bias=bias)
+        ref = oracles.conv2d_naive(x.array, kern, bias, 2, 0)
+        assert ref.shape == (2, 7, 9, 8)
+        if schedule != "default":
+            force_schedule(monkeypatch, schedule, ref.shape, block=3)
+        with fill_calls(workers) as calls:
+            got = T.conv2d(x, p).array
+        assert bits_equal(got, ref)
+        assert in_caller(calls) == ({True} if workers == 0 else {True, False})
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
     @pytest.mark.parametrize("schedule", ["blocked", "channel_last", "reduce"])
