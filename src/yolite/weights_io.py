@@ -25,6 +25,7 @@ variances), before any parameter array is touched.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 
@@ -49,6 +50,9 @@ LANES = 256
 # Raw xoshiro outputs are buffered and scrambled in blocks of rows of about
 # this many bytes, so seeding memory does not grow with the layer sizes.
 _ROW_BUFFER_BYTES = 8 << 20
+# Each stream is stepped in segments of this many rows, each started from the
+# stream's state jumped ahead exactly, so the loop runs at most this many rows.
+_SEGMENT_ROWS = 1152
 
 
 def _splitmix64(seeds, count: int) -> np.ndarray:
@@ -62,24 +66,90 @@ def _splitmix64(seeds, count: int) -> np.ndarray:
     return z ^ (z >> 31)
 
 
-def _uniform(seeds, counts):
-    """Doubles in [0, 1) from xoshiro256** over LANES lanes per stream.
+def _step(a, b, c, d, e) -> None:
+    """One xoshiro256** step of every lane, in place: ``a..d`` are the lanes'
+    four state words and ``e`` is scratch of the same size."""
+    np.left_shift(b, 17, out=e)
+    np.bitwise_xor(c, a, out=c)
+    np.bitwise_xor(d, b, out=d)
+    np.bitwise_xor(b, c, out=b)
+    np.bitwise_xor(a, d, out=a)
+    np.bitwise_xor(c, e, out=c)
+    np.left_shift(d, 45, out=e)
+    np.right_shift(d, 19, out=d)
+    np.bitwise_or(d, e, out=d)
 
-    Stream i draws ``counts[i]`` doubles from its own lanes, whose states are
+
+def _bits(states) -> np.ndarray:
+    """The 256 state bits of each lane in ``states`` (shape (m, 4), uint64) as
+    float32 0/1 rows; ``_unbits`` is the inverse."""
+    return np.unpackbits(states.view(np.uint8), axis=1).astype(np.float32)
+
+
+def _unbits(bits) -> np.ndarray:
+    return np.packbits(bits.astype(np.uint8), axis=1).view(np.uint64)
+
+
+def _mod2(product) -> np.ndarray:
+    """A float32 product of 0/1 matrices, mod 2.  The product is exact, every
+    sum being at most 256."""
+    return (product.astype(np.int16) & 1).astype(np.float32)
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_matrix(steps: int) -> np.ndarray:
+    """The 256x256 bit matrix J with ``_bits(s) @ J`` = the bits of s advanced
+    ``steps`` steps, mod 2.  xoshiro256** is linear over GF(2), so one step is
+    the matrix whose row j is one step of the j-th unit state, and J is its
+    power by squaring."""
+    words = np.ascontiguousarray(_unbits(np.eye(256)).T)
+    _step(*words, np.empty_like(words[0]))
+    base, jump = _bits(np.ascontiguousarray(words.T)), np.eye(256, dtype=np.float32)
+    while steps:
+        if steps & 1:
+            jump = _mod2(jump @ base)
+        base = _mod2(base @ base)
+        steps >>= 1
+    return jump
+
+
+def _jump(states, steps: int) -> np.ndarray:
+    """Lane states (shape (m, 4), uint64) advanced ``steps`` steps."""
+    return _unbits(_mod2(_bits(states) @ _jump_matrix(steps)))
+
+
+def _uniform(seeds, counts):
+    """Uniform 53-bit integers from xoshiro256** over LANES lanes per stream.
+
+    Stream i draws ``counts[i]`` values from its own lanes, whose states are
     4*LANES splitmix64 words of ``seeds[i]``, four per lane in lane-major
     order; its outputs go round-robin across its lanes, one step per row, and
-    each keeps its top 53 bits.  All streams' lanes step together, so the
-    loop runs as many rows as the tallest stream.  Yields ``(i, start,
-    values)``: stream i's doubles from index ``start`` on, in row blocks that
-    keep the raw-output buffer near ``_ROW_BUFFER_BYTES``.
+    each keeps its top 53 bits.  Each stream is cut into segments of
+    ``_SEGMENT_ROWS`` rows (the last may be shorter); segment k starts from
+    the stream's lanes jumped ahead k*_SEGMENT_ROWS steps, and the lanes of
+    every segment of every stream step together, so the loop runs as many
+    rows as the tallest segment.  Yields ``(i, start, values)``: stream i's
+    values from index ``start`` on, in row blocks that keep the raw-output
+    buffer near ``_ROW_BUFFER_BYTES``.
     """
     counts = [int(c) for c in counts]
     heights = [-(-c // LANES) for c in counts]
-    # Tallest streams first, so the columns still stepping are always a prefix.
-    order = sorted(range(len(counts)), key=lambda i: -heights[i])
-    live = [heights[i] for i in order]
-    words = _splitmix64(np.asarray(seeds, dtype=np.uint64).reshape(-1)[order], 4 * LANES)
-    s0, s1, s2, s3 = np.ascontiguousarray(words.reshape(-1, 4).T)
+    size = _SEGMENT_ROWS
+    # (stream, first row, rows) per segment, and the lanes each starts from
+    segments, starts = [], []
+    lanes = _splitmix64(np.asarray(seeds, dtype=np.uint64).reshape(-1), 4 * LANES)
+    for i, state in enumerate(lanes.reshape(-1, LANES, 4)):
+        for first in range(0, heights[i], size):
+            if first:
+                state = _jump(state, size)
+            segments.append((i, first, min(size, heights[i] - first)))
+            starts.append(state)
+    # Tallest segments first, so the columns still stepping are always a prefix.
+    order = sorted(range(len(segments)), key=lambda j: -segments[j][2])
+    segments = [segments[j] for j in order]
+    live = [h for _, _, h in segments]
+    lanes = np.concatenate([starts[j] for j in order])
+    s0, s1, s2, s3 = np.ascontiguousarray(lanes.T)
     t = np.empty_like(s1)
     chunk = max(1, _ROW_BUFFER_BYTES // s1.nbytes)
     rows = np.empty((chunk, s1.size), dtype=np.uint64)
@@ -87,35 +157,25 @@ def _uniform(seeds, counts):
         bottom = min(top + chunk, live[0])
         r = top
         while r < bottom:
-            n = sum(h > r for h in live)  # streams still stepping at row r
+            n = sum(h > r for h in live)  # segments still stepping at row r
             stop = min(bottom, live[n - 1])
             a, b, c, d, e = (v[:n * LANES] for v in (s0, s1, s2, s3, t))
             for row in rows[r - top:stop - top, :n * LANES]:
-                # keep s1 for the scrambler, then advance the state in place
-                np.copyto(row, b)
-                np.left_shift(b, 17, out=e)
-                np.bitwise_xor(c, a, out=c)
-                np.bitwise_xor(d, b, out=d)
-                np.bitwise_xor(b, c, out=b)
-                np.bitwise_xor(a, d, out=a)
-                np.bitwise_xor(c, e, out=c)
-                np.left_shift(d, 45, out=e)
-                np.right_shift(d, 19, out=d)
-                np.bitwise_or(d, e, out=d)
+                np.copyto(row, b)  # keep s1 for the scrambler
+                _step(a, b, c, d, e)
             r = stop
-        for j, i in enumerate(order):
-            if live[j] <= top:
+        for j, (i, first, height) in enumerate(segments):
+            if height <= top:
                 break
             # scramble: rotl(s1 * 5, 7) * 9, keeping the top 53 bits
-            x = rows[:min(bottom, live[j]) - top, j * LANES:(j + 1) * LANES] * np.uint64(5)
+            x = rows[:min(bottom, height) - top, j * LANES:(j + 1) * LANES] * np.uint64(5)
             y = x >> np.uint64(57)
             x <<= np.uint64(7)
             x |= y
             x *= np.uint64(9)
             x >>= np.uint64(11)
-            u = x.reshape(-1)[:counts[i] - top * LANES].astype(np.float64)
-            u *= 2.0 ** -53
-            yield i, top * LANES, u
+            start = (first + top) * LANES
+            yield i, start, x.reshape(-1)[:counts[i] - start]
 
 
 def fnv1a64(data: bytes) -> int:
@@ -148,8 +208,11 @@ def init_seeded(g: N.NetworkGraph, seed: int) -> None:
     params = [p for _, p in N.iter_conv_entries(g)]
     bounds = [np.sqrt(2.0 / (p.kernel_size ** 2 * p.in_channels)) for p in params]
     sub_seeds = _splitmix64(seed & _U64, len(params))
-    for i, start, u in _uniform(sub_seeds, [p.weights.size for p in params]):
-        params[i].weights[start:start + u.size] = ((2.0 * u - 1.0) * bounds[i]).astype(np.float32)
+    for i, start, k in _uniform(sub_seeds, [p.weights.size for p in params]):
+        # 2u - 1 = (k - 2**52) * 2**-52 exactly for u = k * 2**-53, so this
+        # rounds the same real (2u - 1) * b to float64, then to float32
+        np.multiply(np.subtract(k, 2.0 ** 52), bounds[i] * 2.0 ** -52,
+                    out=params[i].weights[start:start + k.size])
     for p in params:
         p.bias[:] = 0.0
         if p.bn is not None:
@@ -192,11 +255,11 @@ def save(g: N.NetworkGraph, path) -> None:
 
 class _Reader:
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.layer_id: str | None = None
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise TruncatedFileError(
                 f"file ends at byte {len(self.data)}, needed {self.pos + n}",
@@ -236,7 +299,7 @@ def load(g: N.NetworkGraph, path) -> None:
         (id_len,) = rd.unpack("<H")
         ident = rd.take(id_len)
         if ident != entry_id.encode("utf-8"):
-            raise ArrayLengthError(f"layer id {ident.decode('utf-8', 'replace')!r} "
+            raise ArrayLengthError(f"layer id {bytes(ident).decode('utf-8', 'replace')!r} "
                                    f"does not match expected {entry_id!r}")
         rd.layer_id = entry_id
         lengths = rd.unpack("<6I")
@@ -246,7 +309,7 @@ def load(g: N.NetworkGraph, path) -> None:
                 f"layer {entry_id!r} declares array lengths {list(lengths)}, expected {expected}")
         arrays = []
         for name, n in zip(_ARRAY_NAMES, lengths):
-            arr = np.frombuffer(rd.take(4 * n), dtype="<f4").astype(np.float32)
+            arr = np.frombuffer(rd.take(4 * n), dtype="<f4")
             if not np.isfinite(arr).all():
                 raise WeightFileError(f"layer {entry_id!r}: {name} holds non-finite values")
             arrays.append(arr)

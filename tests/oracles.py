@@ -283,30 +283,41 @@ def splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def xoshiro_lanes(seed: int, count: int, lanes: int = 256) -> list[int]:
-    """First ``count`` outputs of xoshiro256** run across ``lanes`` lanes.
-
-    Lane l's state is words 4l..4l+3 of the splitmix64 stream of ``seed``;
-    each round steps every lane once, in lane order, and emits its output.
-    """
+def xoshiro_lane_states(seed: int, lanes: int = 256) -> list[list[int]]:
+    """Each lane's xoshiro256** state: lane l holds words 4l..4l+3 of the
+    splitmix64 stream of ``seed``."""
     state, words = seed & _U64, []
     for _ in range(4 * lanes):
         state, z = splitmix64(state)
         words.append(z)
-    states = [words[4 * l:4 * l + 4] for l in range(lanes)]
+    return [words[4 * l:4 * l + 4] for l in range(lanes)]
 
-    def rotl(x, k):
-        return ((x << k) | (x >> (64 - k))) & _U64
 
+def _rotl(x: int, k: int) -> int:
+    return ((x << k) | (x >> (64 - k))) & _U64
+
+
+def xoshiro_step(s: list[int]) -> int:
+    """Advance one xoshiro256** state in place; return its output."""
+    out = _rotl((s[1] * 5) & _U64, 7) * 9 & _U64
+    t = (s[1] << 17) & _U64
+    s[2] ^= s[0]
+    s[3] ^= s[1]
+    s[1] ^= s[2]
+    s[0] ^= s[3]
+    s[2] ^= t
+    s[3] = _rotl(s[3], 45)
+    return out
+
+
+def xoshiro_lanes(seed: int, count: int, lanes: int = 256) -> list[int]:
+    """First ``count`` outputs of xoshiro256** run across ``lanes`` lanes.
+
+    Each round steps every lane of ``xoshiro_lane_states`` once, in lane
+    order, and emits its output.
+    """
+    states = xoshiro_lane_states(seed, lanes)
     out = []
     while len(out) < count:
-        for s in states:
-            out.append(rotl((s[1] * 5) & _U64, 7) * 9 & _U64)
-            t = (s[1] << 17) & _U64
-            s[2] ^= s[0]
-            s[3] ^= s[1]
-            s[1] ^= s[2]
-            s[0] ^= s[3]
-            s[2] ^= t
-            s[3] = rotl(s[3], 45)
+        out.extend(xoshiro_step(s) for s in states)
     return out[:count]

@@ -10,13 +10,14 @@ import oracles
 
 
 def uniform(seeds, counts):
-    """``W._uniform``'s blocks joined into one array per stream, in input
-    order; every double must arrive exactly once."""
-    outs = [np.full(c, np.nan) for c in counts]
-    for i, start, u in W._uniform(seeds, counts):
-        assert u.size and np.isnan(outs[i][start:start + u.size]).all()
-        outs[i][start:start + u.size] = u
-    assert not any(np.isnan(o).any() for o in outs)
+    """``W._uniform``'s blocks joined into one list per stream, in input
+    order; every value must arrive exactly once."""
+    outs = [[None] * c for c in counts]
+    for i, start, k in W._uniform(seeds, counts):
+        assert k.size and k.dtype == np.uint64
+        assert outs[i][start:start + k.size] == [None] * k.size
+        outs[i][start:start + k.size] = k.tolist()
+    assert not any(None in o for o in outs)
     return outs
 
 
@@ -50,32 +51,69 @@ class TestPrng:
     def test_uniform_matches_lane_oracle(self, seed):
         words = oracles.xoshiro_lanes(seed, max(self.COUNTS))
         for count in self.COUNTS:
-            want = [(w >> 11) * 2.0 ** -53 for w in words[:count]]
-            assert uniform([seed], [count])[0].tolist() == want
+            assert uniform([seed], [count])[0] == [w >> 11 for w in words[:count]]
+
+    @staticmethod
+    def check_many_streams(monkeypatch, buffer_rows, segment_rows=None):
+        seeds = [3, 2 ** 64 - 1, 0, 42, 99, 12345]
+        counts = [1000, 1, 5000, 256, 257, 255]
+        if buffer_rows is not None:
+            monkeypatch.setattr(W, "_ROW_BUFFER_BYTES", buffer_rows * 8 * W.LANES * len(seeds))
+        if segment_rows is not None:
+            monkeypatch.setattr(W, "_SEGMENT_ROWS", segment_rows)
+        got = uniform(seeds, counts)
+        for seed, count, k in zip(seeds, counts, got):
+            assert k == [w >> 11 for w in oracles.xoshiro_lanes(seed, count)], (seed, count)
 
     # Raw-output buffers of one row, of seven rows, and the default: the
     # small ones split every stream across several row blocks.
     @pytest.mark.parametrize("buffer_rows", [1, 7, None])
     def test_many_streams_match_lane_oracle_in_input_order(self, monkeypatch, buffer_rows):
-        seeds = [3, 2 ** 64 - 1, 0, 42, 99, 12345]
-        counts = [1000, 1, 5000, 256, 257, 255]
-        if buffer_rows is not None:
-            monkeypatch.setattr(W, "_ROW_BUFFER_BYTES", buffer_rows * 8 * W.LANES * len(seeds))
-        got = uniform(seeds, counts)
-        for seed, count, u in zip(seeds, counts, got):
-            want = [(w >> 11) * 2.0 ** -53 for w in oracles.xoshiro_lanes(seed, count)]
-            assert u.tolist() == want, (seed, count)
+        self.check_many_streams(monkeypatch, buffer_rows)
+
+    # Segments of three and of seven rows cut the 20-row stream into several,
+    # the last one partial; the row blocks of one and seven rows cut across
+    # segments.
+    @pytest.mark.parametrize("buffer_rows", [1, 7, None])
+    @pytest.mark.parametrize("segment_rows", [3, 7])
+    def test_many_streams_in_short_segments_match_lane_oracle(self, monkeypatch, buffer_rows,
+                                                              segment_rows):
+        self.check_many_streams(monkeypatch, buffer_rows, segment_rows)
+
+    @pytest.mark.parametrize("steps", [1, 2, 63, 64, 1000])
+    def test_jump_matches_stepped_oracle(self, steps):
+        lanes = [0, 1, 2, 3, 127, 255]
+        want = oracles.xoshiro_lane_states(12345)
+        for l in lanes:
+            for _ in range(steps):
+                oracles.xoshiro_step(want[l])
+        states = W._splitmix64(12345, 4 * W.LANES).reshape(-1, 4)[lanes]
+        assert W._jump(states, steps).tolist() == [want[l] for l in lanes]
+
+    # Each model's tallest layer has 9,216 rows of LANES weights; cut into
+    # segments, the lanes step together for only _SEGMENT_ROWS rows.
+    @pytest.mark.parametrize("model", sorted(N.MODELS))
+    def test_seeding_steps_one_segment_of_rows(self, monkeypatch, model):
+        g = N.MODELS[model](80)
+        tallest = max(-(-p.weights.size // W.LANES) for _, p in N.iter_conv_entries(g))
+        assert tallest > W._SEGMENT_ROWS
+        W._jump_matrix(W._SEGMENT_ROWS)  # built first: its one step is not a row
+        calls = []
+        step = W._step
+        monkeypatch.setattr(W, "_step", lambda *state: calls.append(step(*state)))
+        W.init_seeded(g, 42)
+        assert len(calls) == W._SEGMENT_ROWS
 
     def test_uniform_range_and_determinism(self):
-        a = uniform([99], [10_000])[0]
-        b = uniform([99], [10_000])[0]
+        a = np.array(uniform([99], [10_000])[0], dtype=np.float64)
+        b = np.array(uniform([99], [10_000])[0], dtype=np.float64)
         assert np.array_equal(a, b)
-        assert a.min() >= 0.0 and a.max() < 1.0
-        assert abs(a.mean() - 0.5) < 0.02
+        assert a.min() >= 0 and a.max() < 2 ** 53
+        assert abs(a.mean() / 2 ** 53 - 0.5) < 0.02
 
     def test_different_seeds_differ(self):
         a, b = uniform([1, 2], [100, 100])
-        assert not np.array_equal(a, b)
+        assert a != b
 
 
 class TestInitSeeded:
