@@ -357,8 +357,9 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     per reduction, so the per-element fold order equals the scalar reference
     exactly.  Which elements form a block, their memory layout and the
     terms per numpy call depend only on the output shape (see
-    ``CHANNEL_LAST_MAX_PIXELS`` and ``REDUCE_MAX_PIXELS``); under
-    ``set_parallel`` each process fills its own share of them.
+    ``CHANNEL_LAST_MAX_PIXELS`` and ``REDUCE_MAX_PIXELS``).  Each process
+    that fills a share, serial or under ``set_parallel``, zeroes that share
+    of the staged accumulator and adds the terms straight into it.
     """
     shape = params.output_shape(x.shape)
     if isinstance(x, Meta):
@@ -447,67 +448,61 @@ def _fill(schedule: int, lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: in
 
 def _fill_blocked(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
                   out: np.ndarray) -> None:
-    """Output channels [lo, hi) in NCHW layout, in blocks of channels whose
-    accumulator fills about ``ACC_BLOCK_BYTES``.
+    """Output channels [lo, hi) of an NCHW accumulator, in blocks of channels
+    that fill about ``ACC_BLOCK_BYTES``, each zeroed and then added into.
 
-    Each input channel's k*k strided windows are copied in turn into a
-    contiguous buffer, so every product runs over a whole (oh, ow) plane.
+    Each term's strided window is copied into a contiguous buffer, so every
+    product runs over a whole (oh, ow) plane.
     """
-    n, c = xp.shape[:2]
-    k = wt.shape[1]
+    n = xp.shape[0]
+    c, k = wt.shape[:2]
     oh, ow = out.shape[2:]
+    win = _window_view(xp, k, s, 0, oh, ow)
     step = max(1, ACC_BLOCK_BYTES // (4 * n * oh * ow))
     col = np.empty((n, 1, oh, ow), dtype=np.float32)
     for b in range(lo, hi, step):
         e = min(b + step, hi)
-        acc = np.zeros((n, e - b, oh, ow), dtype=np.float32)
+        acc = out[:, b:e]
+        acc.fill(0)
         tmp = np.empty_like(acc)
-        for ci in range(c):
-            taps = wt[ci].reshape(k * k, -1)[:, b:e, None, None]
-            for window, tap in zip(_windows(xp[:, ci], k, s, oh, ow), taps):
-                col[:, 0] = window
-                np.multiply(col, tap, out=tmp)
-                np.add(acc, tmp, out=acc)
-        out[:, b:e] = acc
+        for ci, ky, kx in np.ndindex(c, k, k):
+            col[:, 0] = win[:, ci, :, :, ky, kx]
+            np.multiply(col, wt[ci, ky, kx, b:e, None, None], out=tmp)
+            np.add(acc, tmp, out=acc)
 
 
 def _fill_channel_last(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
                        out: np.ndarray) -> None:
     """Output rows [lo, hi) of a channel-last (n, oh, ow, oc) accumulator,
-    one multiply and one add per (channel, ky, kx) term."""
-    n, c = xp.shape[:2]
-    k = wt.shape[1]
-    ow = out.shape[2]
-    acc = np.zeros((n, hi - lo) + out.shape[2:], dtype=np.float32)
+    zeroed, then one multiply and one add per (channel, ky, kx) term."""
+    c, k = wt.shape[:2]
+    win = _window_view(xp, k, s, lo, hi, out.shape[2])
+    acc = out[:, lo:hi]
+    acc.fill(0)
     tmp = np.empty_like(acc)
-    for ci in range(c):
-        for ky in range(k):
-            band = xp[:, ci, ky + s * lo:ky + s * (hi - 1) + 1:s]
-            for kx in range(k):
-                np.multiply(band[:, :, kx:kx + s * ow:s, None], wt[ci, ky, kx], out=tmp)
-                np.add(acc, tmp, out=acc)
-    out[:, lo:hi] = acc
+    for ci, ky, kx in np.ndindex(c, k, k):
+        np.multiply(win[:, ci, :, :, ky, kx, None], wt[ci, ky, kx], out=tmp)
+        np.add(acc, tmp, out=acc)
 
 
 def _fold_terms(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
                 out: np.ndarray) -> None:
-    """Output rows [lo, hi) of a channel-last (n, oh, ow, oc) accumulator, a
-    chunk of terms whose products fill about ``REDUCE_CHUNK_BYTES`` per step.
+    """Output rows [lo, hi) of a channel-last (n, oh, ow, oc) accumulator,
+    zeroed, then a chunk of terms whose products fill about
+    ``REDUCE_CHUNK_BYTES`` per step.
 
     Row 0 of the chunk buffer holds the running sums and each further row one
     term's products, so ``np.add.reduce`` over axis 0 adds the terms to each
     element one at a time and in order, as long as the rows have more than
     one element.
     """
-    n, c = xp.shape[:2]
-    k = wt.shape[1]
-    ow = out.shape[2]
+    c, k = wt.shape[:2]
     terms = c * k * k
-    acc = np.zeros((n, hi - lo) + out.shape[2:], dtype=np.float32)
+    acc = out[:, lo:hi]
+    acc.fill(0)
     # every term's window at once: (n, c, rows, ow, ky, kx) -> (c, ky, kx, n, rows, ow)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    windows = windows[:, :, s * lo:s * (hi - 1) + 1:s, :s * (ow - 1) + 1:s]
-    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape((terms,) + acc.shape[:3] + (1,))
+    win = _window_view(xp, k, s, lo, hi, out.shape[2])
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape((terms,) + acc.shape[:3] + (1,))
     taps = wt.reshape(terms, 1, 1, 1, -1)
     step = max(1, REDUCE_CHUNK_BYTES // (4 * acc.size))
     buf = np.empty((min(step, terms) + 1,) + acc.shape, dtype=np.float32)
@@ -516,13 +511,14 @@ def _fold_terms(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
         buf[0] = acc
         np.multiply(cols[t:t + m], taps[t:t + m], out=buf[1:m + 1])
         np.add.reduce(buf[:m + 1], axis=0, out=acc)
-    out[:, lo:hi] = acc
 
 
-def _windows(a: np.ndarray, k: int, s: int, oh: int, ow: int) -> list[np.ndarray]:
-    """The k*k views of ``a`` that a k x k window at stride ``s`` reads to
-    make an (oh, ow) map from the last two axes, window row-major."""
-    return [a[..., ky:ky + s * oh:s, kx:kx + s * ow:s] for ky in range(k) for kx in range(k)]
+def _window_view(a: np.ndarray, k: int, s: int, lo: int, hi: int, ow: int) -> np.ndarray:
+    """The k x k windows at stride ``s`` over the last two axes of ``a`` that
+    make output rows [lo, hi) and columns [0, ow): a view of shape
+    ``a.shape[:-2] + (hi - lo, ow, k, k)``."""
+    win = np.lib.stride_tricks.sliding_window_view(a, (k, k), axis=(-2, -1))
+    return win[..., s * lo:s * hi:s, :s * ow:s, :, :]
 
 
 def _fold(views, kind: str) -> np.ndarray:
@@ -560,10 +556,11 @@ def pool2d(x: Tensor, kind: str, k: int, s: int) -> Tensor:
     n, c, h, w = x.shape
     if h < k or w < k:
         raise ShapeError(f"spatial dims ({h}, {w}) smaller than pool kernel {k}")
-    oh, ow = (h - k) // s + 1, (w - k) // s + 1
+    oh, ow = conv_out_size(h, k, s, 0), conv_out_size(w, k, s, 0)
     if isinstance(x, Meta):
         return x.derive((n, c, oh, ow), "pool", k)
-    acc = _fold(_windows(x.array, k, s, oh, ow), kind)
+    win = _window_view(x.array, k, s, 0, oh, ow)
+    acc = _fold([win[..., ky, kx] for ky, kx in np.ndindex(k, k)], kind)
     _check_finite(acc, "pool2d")
     return Tensor(acc, _trusted=True)
 

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -363,12 +364,18 @@ class TestSeedEnvFallback:
         assert out
 
 
+def child_env() -> dict:
+    """The environment for a child interpreter that imports the yolite under
+    test: this process's import path, which holds ``src`` in a checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "yolite.cli", "describe", "--classes", "1",
              "--format", "json"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["classes"] == 1
 
@@ -381,9 +388,10 @@ class TestConsoleEntry:
             I.write_raw_tensor(path, np.random.default_rng(2).random((40, 48, 3)))
         argv = [sys.executable, "-m", "yolite.cli", "detect", "--input-size", "32",
                 "--classes", "2", "--conf-thresh", "0.05", "--format", "json"]
-        by_path = subprocess.run(argv + [str(path)], capture_output=True, timeout=120)
+        by_path = subprocess.run(argv + [str(path)], capture_output=True, timeout=120,
+                                 env=child_env())
         piped = subprocess.run(argv + ["/dev/stdin"], input=path.read_bytes(),
-                               capture_output=True, timeout=120)
+                               capture_output=True, timeout=120, env=child_env())
         assert by_path.returncode == piped.returncode == 0, piped.stderr
         dets = json.loads(by_path.stdout)["detections"]
         assert dets

@@ -96,12 +96,13 @@ def test_ledger_total_scales_with_the_map_area(model):
 
 def test_reports_at_the_largest_input_run_no_arithmetic(monkeypatch, capsys):
     """describe and flops read shapes and costs off shape-only values, so at
-    4096 px they never reach a conv fill or a pooling fold."""
+    4096 px they never reach a conv fill, a window view or a pooling fold."""
     def refuse(*args, **kwargs):
         raise AssertionError("a shape-only walk ran arithmetic")
 
-    private = [name for name in vars(T) if name.startswith(("_fill", "_fold"))]
-    assert {"_fill_blocked", "_fill_channel_last", "_fold_terms", "_fold"} <= set(private)
+    private = [name for name in vars(T) if name.startswith(("_fill", "_fold", "_window"))]
+    assert {"_fill_blocked", "_fill_channel_last", "_fold_terms", "_fold",
+            "_window_view"} <= set(private)
     for name in private:
         monkeypatch.setattr(T, name, refuse)
     for command in ("describe", "flops"):

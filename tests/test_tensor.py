@@ -366,6 +366,33 @@ class TestConv2d:
         assert bits_equal(got, ref)
         assert in_caller(calls) == ({True} if workers == 0 else {True, False})
 
+    @pytest.mark.parametrize("fill", ["_fill_blocked", "_fill_channel_last", "_fold_terms"])
+    def test_a_fill_writes_only_its_share(self, monkeypatch, fill):
+        # Each process fills its share of one shared accumulator in place, so
+        # a fill that wrote outside [lo, hi) would race with a helper.  Blocks
+        # of 2 channels and chunks of a few terms make every fill take more
+        # than one step over the share.
+        rng = np.random.default_rng(23)
+        n, c, oc, k, s, p = 2, 3, 6, 3, 2, 1
+        x = rng.random((n, c, 11, 9), dtype=np.float32) * 2 - 1
+        kern = rng.random((oc, c, k, k), dtype=np.float32) * 2 - 1
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        wt = np.ascontiguousarray(kern.transpose(1, 2, 3, 0))
+        ref = oracles.conv2d_naive(x, kern, np.zeros(oc, np.float32), s, p)
+        oh, ow = ref.shape[2:]
+        assert (oh, ow) == (6, 5)
+        monkeypatch.setattr(T, "ACC_BLOCK_BYTES", 4 * n * oh * ow * 2)
+        monkeypatch.setattr(T, "REDUCE_CHUNK_BYTES", 4 * n * 2 * ow * oc * 4)
+        blocked = fill == "_fill_blocked"
+        shape = ref.shape if blocked else (n, oh, ow, oc)
+        whole, share = np.full(shape, np.nan, np.float32), np.full(shape, np.nan, np.float32)
+        getattr(T, fill)(0, shape[1], xp, wt, s, whole)
+        assert bits_equal(whole if blocked else whole.transpose(0, 3, 1, 2), ref)
+        lo, hi = 1, shape[1] - 2
+        getattr(T, fill)(lo, hi, xp, wt, s, share)
+        assert np.isnan(share[:, :lo]).all() and np.isnan(share[:, hi:]).all()
+        assert bits_equal(share[:, lo:hi], whole[:, lo:hi])
+
     @pytest.mark.parametrize("workers", [2, 3, 4])
     @pytest.mark.parametrize("schedule", ["blocked", "channel_last", "reduce"])
     def test_fewer_units_than_processes_run_on_the_caller(self, monkeypatch, schedule,
