@@ -73,15 +73,6 @@ class Detection:
         return self.objectness * self.class_prob
 
 
-def confidence_score(p: int, iou_value: float) -> float:
-    """Box confidence: the objectness indicator times overlap with the truth."""
-    if p not in (0, 1):
-        raise ValueError(f"objectness indicator must be 0 or 1, got {p}")
-    if not 0.0 <= iou_value <= 1.0:
-        raise ValueError(f"iou must be within [0, 1], got {iou_value}")
-    return p * iou_value
-
-
 class AnchorSet:
     """Prior box sizes per head scale, keyed by downsampling stride."""
 
@@ -92,7 +83,7 @@ class AnchorSet:
 
     def __init__(self, by_stride: dict | None = None):
         self.by_stride = {}
-        for stride, pairs in (by_stride or self.DEFAULT).items():
+        for stride, pairs in (self.DEFAULT if by_stride is None else by_stride).items():
             pairs = tuple((float(w), float(h)) for w, h in pairs)
             if not pairs or not all(0 < v < math.inf for pair in pairs for v in pair):
                 raise ValueError(f"anchors for stride {stride} must be positive finite pairs")

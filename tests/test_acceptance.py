@@ -10,15 +10,12 @@ import pytest
 from yolite import analysis as A
 from yolite import blocks as B
 from yolite import detect as D
-from yolite import loss as L
 from yolite import network as N
 from yolite import tensor as T
 from yolite import weights_io as W
-from yolite.detect import Box
 from yolite.errors import FingerprintMismatchError
 
 import oracles
-from test_loss import sample_box_pair
 
 
 def report(criterion: int, detail: str) -> None:
@@ -190,69 +187,6 @@ def test_criterion_08_attention_equation_suite():
         assert rel < 1e-5, f"attention case {case}: relative error {rel}"
     report(8, f"zero-weight case exactly 0.25*input; 20 random cases within "
               f"1e-5 of the equation transcription (worst {worst:.2e})")
-
-
-def test_criterion_09_loss_suite():
-    rng = np.random.default_rng(909)
-
-    # non-negativity over random instances
-    from test_loss import make_preds, make_targets
-    for _ in range(20):
-        pred = make_preds(rng)
-        t = make_targets(rng)
-        out = L.total_loss(pred, t)
-        assert out.loss1 >= 0 and out.loss2 >= 0 and out.loss3 >= 0
-
-    # perfect predictions (binary targets)
-    t = make_targets(rng, responsible=3)
-    t.truth_conf = t.obj_mask.copy()
-    perfect = L.Predictions(t.s, t.b, t.c, t.truth_conf.copy(), t.truth_class.copy(),
-                            np.where(t.truth_boxes == 0.0, 1.0, t.truth_boxes))
-    assert L.total_loss(perfect, t).total < 1e-5
-
-    # closed forms
-    same, _ = L.ciou_loss(Box(5, 5, 3, 3), Box(5, 5, 3, 3))
-    assert same == 0.0
-    concentric, _ = L.ciou_loss(Box(0, 0, 1, 1), Box(0, 0, 2, 2))
-    assert concentric == pytest.approx(0.75, abs=1e-12)
-
-    # gradients vs central differences, away from overlap kinks
-    checked = 0
-    worst = 0.0
-    while checked < 200:
-        p, g = sample_box_pair(rng)
-        _, grad = L.ciou_loss(p, g)
-        h = 1e-5
-        coords = [p.cx, p.cy, p.w, p.h]
-        for axis in range(4):
-            up, dn = coords.copy(), coords.copy()
-            up[axis] += h
-            dn[axis] -= h
-            fd = (L.ciou_loss(Box(*up), g)[0] - L.ciou_loss(Box(*dn), g)[0]) / (2 * h)
-            rel = abs(fd - grad[axis]) / max(1.0, abs(fd))
-            worst = max(worst, rel)
-            assert rel <= 1e-3, f"config {checked} axis {axis}: rel {rel}"
-        checked += 1
-
-    # confidence/class gradients on a few instances (many scalar entries each)
-    for _ in range(5):
-        pred = make_preds(rng)
-        t = make_targets(rng)
-        _, d_conf = L.confidence_loss(pred, t)
-        h = 1e-6
-        for i in range(pred.conf.shape[0]):
-            for j in range(pred.conf.shape[1]):
-                up, dn = pred.conf.copy(), pred.conf.copy()
-                up[i, j] += h
-                dn[i, j] -= h
-                fd = (L.confidence_loss(L.Predictions(
-                          pred.s, pred.b, pred.c, up, pred.class_prob, pred.boxes), t)[0]
-                      - L.confidence_loss(L.Predictions(
-                          pred.s, pred.b, pred.c, dn, pred.class_prob, pred.boxes), t)[0]) / (2 * h)
-                assert abs(fd - d_conf[i, j]) <= 1e-3 * max(1.0, abs(fd))
-    report(9, f"losses non-negative; perfect total < 1e-5; box-loss closed forms hit; "
-              f"200 box-gradient configs within 1e-3 of finite differences "
-              f"(worst {worst:.2e}); confidence gradients verified")
 
 
 def test_criterion_10_decode_and_nms_suite():

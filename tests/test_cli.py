@@ -11,6 +11,7 @@ from yolite import cli as C
 from yolite import detect as D
 from yolite import imageio as I
 from yolite import network as N
+from yolite import selftest as S
 from yolite import tensor as T
 from yolite import weights_io as W
 
@@ -300,7 +301,9 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 0
         assert "FAIL" not in out
-        assert out.count("PASS") >= 9
+        lines = out.splitlines()
+        for name, _ in S.collect_checks():
+            assert sum(line.startswith(f"PASS {name}:") for line in lines) == 1, name
 
     def test_model_and_classes_choose_the_checked_graph(self, capsys, tmp_path):
         code, plain, _ = run_cli(capsys, "selftest")
@@ -413,7 +416,8 @@ class TestConsoleEntry:
         {"32": [[10, 10]], "16": [[5, 5]]},
         {"32": [[1, 1], [2, 2], [3, 3], [4, 4]], "16": [[1, 1], [2, 2], [3, 3], [4, 4]]},
         {"32": [[float("nan"), 1], [2, 2], [3, 3]], "16": [[1, 1], [2, 2], [float("inf"), 3]]},
-    ], ids=["stride16-missing", "one-pair", "four-pairs", "non-finite"])
+        {},
+    ], ids=["stride16-missing", "one-pair", "four-pairs", "non-finite", "empty"])
     def test_anchor_rule_is_config_error(self, capsys, tmp_path, anchors):
         img = make_gray_ppm(tmp_path / "g.ppm", 64, 64)
         code, out, err = run_cli(capsys, "detect", "--classes", "2", "--input-size", "64",

@@ -71,21 +71,6 @@ class TestBoxGeometry:
             assert D.iou(a, b) < 1.0
 
 
-class TestConfidenceScore:
-    def test_absent_object_scores_zero(self):
-        assert D.confidence_score(0, 0.9) == 0.0
-
-    def test_product_form(self):
-        assert D.confidence_score(1, 0.7) == 0.7
-        assert D.confidence_score(1, 1.0) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            D.confidence_score(2, 0.5)
-        with pytest.raises(ValueError):
-            D.confidence_score(1, 1.5)
-
-
 class TestAnchorSet:
     def test_default_strides(self):
         a = D.AnchorSet()

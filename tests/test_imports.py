@@ -3,6 +3,7 @@ can be read, and loaded, after the layers it uses."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import yolite
 
@@ -54,3 +55,12 @@ def test_package_imports_form_no_cycle():
 def test_a_cycle_is_found():
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b"}, "b": set()}) == []
+
+
+def test_all_lists_exactly_the_public_names():
+    names = yolite.__all__
+    assert all(hasattr(yolite, n) for n in names)
+    assert names == sorted(set(names))
+    public = {n for n, v in vars(yolite).items()
+              if not n.startswith("_") and not isinstance(v, ModuleType)}
+    assert public == set(names)
