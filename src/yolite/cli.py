@@ -237,11 +237,13 @@ def cmd_bench(args) -> int:
     results = [_bench_once(args, m)
                for m in (N.MODELS if args.compare else (args.model,))]
     if args.format == "json":
-        print(_dump_json({"input_size": args.input_size, "results": results}))
+        print(_dump_json({"input_size": args.input_size, "conv_fold": T.CONV_FOLD,
+                          "results": results}))
     else:
         for r in results:
             print(f"{r['model']}: {r['iters']} iteration(s), mean {r['mean_ms']} ms, "
-                  f"median {r['median_ms']} ms, min {r['min_ms']} ms, {r['fps']} FPS")
+                  f"median {r['median_ms']} ms, min {r['min_ms']} ms, {r['fps']} FPS, "
+                  f"{T.CONV_FOLD} conv fold")
     return EXIT_OK
 
 

@@ -43,7 +43,7 @@ def _check_conv_against_naive() -> str:
                 ref[0, oc, oy, ox] = acc + bias[oc]
     assert np.array_equal(got.view(np.uint32), ref.view(np.uint32)), \
         "convolution diverged from the scalar reference"
-    return "bit-exact on a seeded case"
+    return f"bit-exact on a seeded case ({T.CONV_FOLD} conv fold)"
 
 
 def _check_elementwise_ops() -> str:

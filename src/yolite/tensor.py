@@ -9,9 +9,11 @@ tiling, the number of terms one numpy call adds, and the optional parallel
 mode, in which forked helper processes fill shares of each convolution's
 output: all of these only decide *which* output elements and terms are
 computed together, and by which process, never how a single element is
-accumulated.  The one exception to single precision is the
-float64 ``exp``/``logistic`` pair, shared by the attention gates and head
-decoding, which applies ``math.exp`` per element.
+accumulated.  Convolutions fold their terms with ``np.einsum`` where a probe
+at import finds this numpy's einsum keeping that contract (``CONV_FOLD``),
+and with per-term ufunc calls otherwise.  The one exception to single
+precision is the float64 ``exp``/``logistic`` pair, shared by the attention
+gates and head decoding, which applies ``math.exp`` per element.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ REDUCE_CHUNK_BYTES = 1024 * 1024
 # Byte size of one NCHW accumulator block; it and its product buffer stay in
 # a core's L2 cache.
 ACC_BLOCK_BYTES = 512 * 1024
+# Byte size of the term-major columns the einsum fill gathers per band of
+# output rows.
+BAND_BYTES = 4 * 1024 * 1024
 # numpy's ufunc buffer size, in elements, while a conv runs (numpy asks for a
 # multiple of 16).  Under numpy's default of 8,192 a broadcast product whose
 # contiguous inner run is shorter than the buffer goes through the buffered
@@ -65,7 +70,7 @@ _lock = threading.Lock()
 # A fill request: schedule (an index into _fill's table), stride, the share
 # [lo, hi), then the shapes of the padded input, weights and accumulator.
 _REQUEST = struct.Struct("16q")
-_BLOCKED, _CHANNEL_LAST, _FOLD = range(3)
+_BLOCKED, _CHANNEL_LAST, _FOLD, _EINSUM = range(4)
 
 
 def set_parallel(workers: int) -> None:
@@ -353,13 +358,14 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     product and per add, walking terms with the input channel as the slow
     index and the kernel window row-major within it.  The vectorization below
     adds the (channel, ky, kx) terms to a block of output elements in that
-    order, one term per multiply and add or, on small maps, a chunk of terms
-    per reduction, so the per-element fold order equals the scalar reference
-    exactly.  Which elements form a block, their memory layout and the
-    terms per numpy call depend only on the output shape (see
-    ``CHANNEL_LAST_MAX_PIXELS`` and ``REDUCE_MAX_PIXELS``).  Each process
-    that fills a share, serial or under ``set_parallel``, zeroes that share
-    of the staged accumulator and adds the terms straight into it.
+    order: one ``np.einsum`` call per band of output rows where
+    ``CONV_FOLD`` is "einsum", else one term per multiply and add or, on
+    small maps, a chunk of terms per reduction, so the per-element fold
+    order equals the scalar reference exactly.  Which elements form a block,
+    their memory layout and the terms per numpy call depend only on the
+    output shape (see ``BAND_BYTES``, ``CHANNEL_LAST_MAX_PIXELS`` and
+    ``REDUCE_MAX_PIXELS``).  Each process that fills a share, serial or
+    under ``set_parallel``, writes only that share of the staged accumulator.
     """
     shape = params.output_shape(x.shape)
     if isinstance(x, Meta):
@@ -367,13 +373,15 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     _, oc, oh, ow = shape
     n, c, h, w = x.shape
     k, s, p = params.kernel_size, params.stride, params.padding
-    blocked = oh * ow > CHANNEL_LAST_MAX_PIXELS
     # numpy sums a lone output element's terms pairwise, so a map whose rows
-    # hold one element each stays on the per-term loop
-    schedule = (_BLOCKED if blocked
+    # hold one element each stays on the per-term loop; einsum is called per
+    # image, so for it a row's elements are its oc * ow
+    schedule = (_EINSUM if CONV_FOLD == "einsum" and oc * ow > 1
+                else _BLOCKED if oh * ow > CHANNEL_LAST_MAX_PIXELS
                 else _FOLD if oh * ow <= REDUCE_MAX_PIXELS and n * ow * oc > 1
                 else _CHANNEL_LAST)
-    shapes = ((n, c, h + 2 * p, w + 2 * p), (c, k, k, oc), shape if blocked else (n, oh, ow, oc))
+    nchw = schedule in (_EINSUM, _BLOCKED)
+    shapes = ((n, c, h + 2 * p, w + 2 * p), (c, k, k, oc), shape if nchw else (n, oh, ow, oc))
     with _lock:
         if _helpers:
             xp, wt, acc = _carve(_arena_for(4 * sum(map(math.prod, shapes))), shapes)
@@ -383,8 +391,8 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
             xp.fill(0)
         xp[:, :, p:p + h, p:p + w] = x.array
         wt[...] = params.kernel.transpose(1, 2, 3, 0)  # (in, ky, kx, out)
-        _split(schedule, oc if blocked else oh, xp, wt, s, acc)
-        out = acc if blocked else acc.transpose(0, 3, 1, 2)
+        _split(schedule, oc if schedule == _BLOCKED else oh, xp, wt, s, acc)
+        out = acc if nchw else acc.transpose(0, 3, 1, 2)
         if out.base is not None:  # channel-last, or in the arena the next conv reuses
             out = out.copy()
 
@@ -443,7 +451,74 @@ def _fill(schedule: int, lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: in
           acc: np.ndarray) -> None:
     """Fill units [lo, hi) of ``acc`` with the fill ``schedule`` names, looked
     up in the module when called."""
-    (_fill_blocked, _fill_channel_last, _fold_terms)[schedule](lo, hi, xp, wt, s, acc)
+    (_fill_blocked, _fill_channel_last, _fold_terms,
+     _fill_einsum)[schedule](lo, hi, xp, wt, s, acc)
+
+
+def _fill_einsum(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
+                 out: np.ndarray) -> None:
+    """Output rows [lo, hi) of an NCHW accumulator, in bands of rows whose
+    term-major columns fill about ``BAND_BYTES``.
+
+    Each band's windows are gathered once into contiguous (c*k*k, n, rows,
+    ow) columns, and one ``np.einsum`` per image folds them with the taps.
+    The term axis has the largest stride in both operands, so numpy's
+    iterator keeps it outermost and its inner loop adds one term, times a
+    scalar tap, to a run of output elements: each element receives its
+    terms one at a time, in order.  Each result lands in a private array and
+    is then copied into its rows, because under ``set_parallel`` the shares
+    of rows meet inside every channel plane, and einsum writing the shared
+    accumulator directly made small maps 2-4x slower through false sharing.
+    """
+    n = xp.shape[0]
+    c, k, _, oc = wt.shape
+    ow = out.shape[3]
+    terms = c * k * k
+    taps = wt.reshape(terms, oc)
+    step = max(1, BAND_BYTES // (4 * terms * n * ow))
+    buf = np.empty(terms * n * min(step, hi - lo) * ow, dtype=np.float32)
+    for b in range(lo, hi, step):
+        e = min(b + step, hi)
+        cols = buf[:terms * n * (e - b) * ow].reshape(c, k, k, n, e - b, ow)
+        # (n, c, rows, ow, ky, kx) -> (c, ky, kx, n, rows, ow)
+        np.copyto(cols, _window_view(xp, k, s, b, e, ow).transpose(1, 4, 5, 0, 2, 3))
+        cols = cols.reshape(terms, n, e - b, ow)
+        for i in range(n):
+            out[i, :, b:e] = np.einsum("to,tyx->oyx", taps, cols[:, i])
+
+
+def _einsum_folds_in_order() -> bool:
+    """Whether ``np.einsum`` as ``_fill_einsum`` calls it folds each output
+    element's terms as the per-term ufunc fold does, bit for bit.
+
+    Two probes, on 3 output channels of 3 x 13 pixels, so that the inner
+    loop runs over a conv-like run of elements.  The terms 1 * -(1 + 2^-11)
+    then (1 + 2^-12)^2 sum to 0 with one rounding per multiply and per add,
+    and to 2^-24 where multiply and add fuse into one rounding.  Then 64
+    terms spread over 2^-16..2^16 with random signs, which a reordered or
+    pairwise sum rounds differently.
+    """
+    eps = np.float32(2.0 ** -12)
+    taps = np.ones((2, 3), np.float32)
+    taps[1] = 1 + eps
+    cols = np.empty((2, 3, 13), np.float32)
+    cols[0] = -(1 + 2 * eps)
+    cols[1] = 1 + eps
+    if np.einsum("to,tyx->oyx", taps, cols).any():
+        return False
+    rng = np.random.default_rng(0)
+    taps, cols = (np.ldexp(rng.standard_normal(shape), rng.integers(-16, 17, shape))
+                  .astype(np.float32) for shape in ((64, 3), (64, 3, 13)))
+    want = np.zeros((3, 3, 13), np.float32)
+    for tap, col in zip(taps, cols):
+        np.add(want, np.multiply(tap[:, None, None], col), out=want)
+    got = np.einsum("to,tyx->oyx", taps, cols)
+    return np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+# The fold conv2d runs: "einsum" where this numpy's einsum passes the probe,
+# else "ufunc", the per-term and chunked fills below.
+CONV_FOLD = "einsum" if _einsum_folds_in_order() else "ufunc"
 
 
 def _fill_blocked(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,

@@ -270,6 +270,7 @@ class TestBench:
         doc = json.loads(out)
         assert doc["results"][0]["iters"] == 1
         assert doc["results"][0]["fps"] > 0
+        assert doc["conv_fold"] == T.CONV_FOLD in ("einsum", "ufunc")
 
     def test_median_is_the_middle_run(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--iters", "3", "--input-size", "32",
@@ -282,7 +283,7 @@ class TestBench:
                                "--classes", "1")
         assert code == 0
         assert re.fullmatch(r"v4tiny: 1 iteration\(s\), mean (\S+) ms, median \1 ms, "
-                            r"min \1 ms, \S+ FPS\n", out)
+                            rf"min \1 ms, \S+ FPS, {T.CONV_FOLD} conv fold\n", out)
 
     def test_compare_lists_both_models(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--iters", "1", "--input-size", "64",
@@ -304,6 +305,7 @@ class TestSelftest:
         lines = out.splitlines()
         for name, _ in S.collect_checks():
             assert sum(line.startswith(f"PASS {name}:") for line in lines) == 1, name
+        assert f"PASS conv-vs-naive: bit-exact on a seeded case ({T.CONV_FOLD} conv fold)" in lines
 
     def test_model_and_classes_choose_the_checked_graph(self, capsys, tmp_path):
         code, plain, _ = run_cli(capsys, "selftest")

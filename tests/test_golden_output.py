@@ -101,7 +101,7 @@ def test_reports_at_the_largest_input_run_no_arithmetic(monkeypatch, capsys):
         raise AssertionError("a shape-only walk ran arithmetic")
 
     private = [name for name in vars(T) if name.startswith(("_fill", "_fold", "_window"))]
-    assert {"_fill_blocked", "_fill_channel_last", "_fold_terms", "_fold",
+    assert {"_fill_blocked", "_fill_channel_last", "_fold_terms", "_fill_einsum", "_fold",
             "_window_view"} <= set(private)
     for name in private:
         monkeypatch.setattr(T, name, refuse)

@@ -29,21 +29,42 @@ def rand_tensor(rng, n, c, h, w, lo=-1.0, hi=1.0):
     return T.Tensor(arr)
 
 
-def force_schedule(monkeypatch, schedule, shape, block=1):
+NO_EINSUM = ("this numpy's einsum fuses multiply and add or reorders the terms, "
+             "so conv2d runs the ufunc fills")
+
+
+def use_fold(monkeypatch, fold):
+    """Make conv2d run ``fold``: "ufunc", the per-term and chunked fills, or
+    "einsum", the band fill, which is skipped where this numpy's einsum fails
+    the probe."""
+    if fold == "einsum" and not T._einsum_folds_in_order():
+        pytest.skip(NO_EINSUM)
+    monkeypatch.setattr(T, "CONV_FOLD", fold)
+
+
+def force_schedule(monkeypatch, schedule, shape, block=1, terms=1):
     """Route conv2d through one schedule whatever the size of its (n, oc, oh,
     ow) output ``shape``.
 
-    "blocked" sends every map through the NCHW path with accumulator blocks
-    of ``block`` output channels; "channel_last" sends every map through the
+    "ufunc" runs the ufunc fills under their own shape rule; "blocked" sends
+    every map through the NCHW ufunc path with accumulator blocks of
+    ``block`` output channels; "channel_last" sends every map through the
     channel-last path with one multiply and add per term; "reduce" sends
     every map through the channel-last path that folds chunks of ``block``
-    terms (for a share of the whole map) with one reduction each.
+    terms (for a share of the whole map) with one reduction each; "bands"
+    runs the einsum fill in bands of ``block`` rows of a conv with ``terms``
+    terms (input channels times kernel area).
     """
     n, oc, oh, ow = shape
+    if schedule == "bands":
+        use_fold(monkeypatch, "einsum")
+        monkeypatch.setattr(T, "BAND_BYTES", 4 * terms * n * ow * block)
+        return
+    use_fold(monkeypatch, "ufunc")
     if schedule == "blocked":
         monkeypatch.setattr(T, "CHANNEL_LAST_MAX_PIXELS", 0)
         monkeypatch.setattr(T, "ACC_BLOCK_BYTES", 4 * n * oh * ow * block)
-    else:
+    elif schedule != "ufunc":
         monkeypatch.setattr(T, "CHANNEL_LAST_MAX_PIXELS", 1 << 30)
         if schedule == "channel_last":
             monkeypatch.setattr(T, "REDUCE_MAX_PIXELS", 0)
@@ -52,7 +73,10 @@ def force_schedule(monkeypatch, schedule, shape, block=1):
             monkeypatch.setattr(T, "REDUCE_CHUNK_BYTES", 4 * n * oc * oh * ow * block)
 
 
-SCHEDULES = ("default", "blocked", "channel_last", "reduce")
+# "default" is the fold chosen at import; the einsum fold's bands exist only
+# where this numpy's einsum passes the probe.
+SCHEDULES = (("default", "ufunc", "blocked", "channel_last", "reduce")
+             + (("bands",) if T.CONV_FOLD == "einsum" else ()))
 
 
 @contextlib.contextmanager
@@ -72,7 +96,7 @@ def fill_calls(workers=0):
                 return fill(lo, hi, *args)
             return run
 
-        for name in ("_fill_blocked", "_fill_channel_last", "_fold_terms"):
+        for name in ("_fill_blocked", "_fill_channel_last", "_fold_terms", "_fill_einsum"):
             mp.setattr(T, name, spy(getattr(T, name)))
         T.set_parallel(workers)
         try:
@@ -259,6 +283,7 @@ class TestConv2d:
                          bias=bias)
         ref = oracles.conv2d_naive(x.array, kern, bias, stride, 1)
         assert ref.shape == ((2, 4, 8, 8) if reduces else (2, 4, 9, 9))
+        use_fold(monkeypatch, "ufunc")
         folds, fold = [], T._fold_terms
 
         def spy(lo, hi, *args):
@@ -315,10 +340,48 @@ class TestConv2d:
         finally:
             np.setbufsize(old)
 
+    @pytest.mark.parametrize("bufsize", [T.UFUNC_BUFSIZE, 8192])
+    @pytest.mark.parametrize("c, oc, k, rows, ow", [
+        (3, 32, 3, 8, 208),    # the first conv at 416 px
+        (128, 64, 3, 4, 26),   # a 3x3 stage conv
+        (512, 255, 1, 13, 13),  # a head conv
+        (2, 1, 7, 5, 52),      # the attention gate's spatial conv: one channel
+        (64, 8, 1, 1, 1),      # one pixel, several channels
+    ])
+    def test_numpy_einsum_folds_terms_in_order_with_two_roundings(self, bufsize, c, oc, k,
+                                                                 rows, ow):
+        # The einsum fill's exactness rests on np.einsum("to,tyx->oyx") with
+        # the term axis slowest in both operands adding one product at a
+        # time to each element, in term order, with one rounding for the
+        # multiply and one for the add.  The values spread over 2^-16..2^16
+        # with random signs, so a fused multiply-add or a reordered sum
+        # rounds differently.
+        if not T._einsum_folds_in_order():
+            pytest.skip(NO_EINSUM)
+        rng = np.random.default_rng(c * oc * k)
+        taps, cols = (np.ldexp(rng.standard_normal(shape), rng.integers(-16, 17, shape))
+                      .astype(np.float32) for shape in ((c * k * k, oc), (c * k * k, rows, ow)))
+        want = np.zeros((oc, rows, ow), np.float32)
+        fused = np.zeros((oc, rows, ow), np.float32)
+        for tap, col in zip(taps, cols):
+            np.add(want, np.multiply(tap[:, None, None], col), out=want)
+            fused = (fused + tap[:, None, None].astype(np.float64) * col).astype(np.float32)
+        half = len(taps) // 2
+        halves = (np.einsum("to,tyx->oyx", taps[:half], cols[:half])
+                  + np.einsum("to,tyx->oyx", taps[half:], cols[half:]))
+        old = np.setbufsize(bufsize)
+        try:
+            got = np.einsum("to,tyx->oyx", taps, cols)
+        finally:
+            np.setbufsize(old)
+        assert bits_equal(got, want)
+        assert not bits_equal(fused, want) and not bits_equal(halves, want)
+
     def test_parallel_matches_serial(self, monkeypatch):
-        # 11 output channels in blocks of 3, or 10 output rows: the shares
-        # are uneven for every worker count, and so are the blocks in them,
-        # yet each process fills its share in one call
+        # 11 output channels in blocks of 3, or 10 output rows, in bands of 3
+        # rows or as one chunk: the shares are uneven for every worker count,
+        # and so are the blocks and bands in them, yet each process fills its
+        # share in one call
         rng = np.random.default_rng(9)
         x = rand_tensor(rng, 2, 6, 10, 10)
         kern = (rng.random((11, 6, 3, 3), dtype=np.float32) * 2 - 1)
@@ -326,7 +389,7 @@ class TestConv2d:
         for schedule in SCHEDULES:
             with monkeypatch.context() as mp:
                 if schedule != "default":
-                    force_schedule(mp, schedule, (2, 11, 10, 10), block=3)
+                    force_schedule(mp, schedule, (2, 11, 10, 10), block=3, terms=6 * 9)
                 serial = T.conv2d(x, p).array
                 for workers in (2, 3, 4):
                     with fill_calls(workers) as calls:
@@ -347,7 +410,7 @@ class TestConv2d:
                     units = sorted(u for _, _, lo, hi in calls for u in range(lo, hi))
                     assert units == list(range(total)), case
 
-    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("workers", [0, 2, 3])
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_unpadded_strided_conv_matches_naive(self, monkeypatch, schedule, workers):
         # the only padding-0 conv checked in parallel mode; the map is not
@@ -360,18 +423,21 @@ class TestConv2d:
         ref = oracles.conv2d_naive(x.array, kern, bias, 2, 0)
         assert ref.shape == (2, 7, 9, 8)
         if schedule != "default":
-            force_schedule(monkeypatch, schedule, ref.shape, block=3)
+            force_schedule(monkeypatch, schedule, ref.shape, block=3, terms=5 * 9)
         with fill_calls(workers) as calls:
             got = T.conv2d(x, p).array
         assert bits_equal(got, ref)
         assert in_caller(calls) == ({True} if workers == 0 else {True, False})
 
-    @pytest.mark.parametrize("fill", ["_fill_blocked", "_fill_channel_last", "_fold_terms"])
+    @pytest.mark.parametrize("fill", ["_fill_blocked", "_fill_channel_last", "_fold_terms",
+                                      "_fill_einsum"])
     def test_a_fill_writes_only_its_share(self, monkeypatch, fill):
         # Each process fills its share of one shared accumulator in place, so
         # a fill that wrote outside [lo, hi) would race with a helper.  Blocks
-        # of 2 channels and chunks of a few terms make every fill take more
-        # than one step over the share.
+        # of 2 channels, bands of 2 rows and chunks of a few terms make every
+        # fill take more than one step over the share.
+        if fill == "_fill_einsum":
+            use_fold(monkeypatch, "einsum")
         rng = np.random.default_rng(23)
         n, c, oc, k, s, p = 2, 3, 6, 3, 2, 1
         x = rng.random((n, c, 11, 9), dtype=np.float32) * 2 - 1
@@ -383,22 +449,25 @@ class TestConv2d:
         assert (oh, ow) == (6, 5)
         monkeypatch.setattr(T, "ACC_BLOCK_BYTES", 4 * n * oh * ow * 2)
         monkeypatch.setattr(T, "REDUCE_CHUNK_BYTES", 4 * n * 2 * ow * oc * 4)
-        blocked = fill == "_fill_blocked"
-        shape = ref.shape if blocked else (n, oh, ow, oc)
+        monkeypatch.setattr(T, "BAND_BYTES", 4 * c * k * k * n * ow * 2)
+        nchw = fill in ("_fill_blocked", "_fill_einsum")
+        shape = ref.shape if nchw else (n, oh, ow, oc)
+        axis = 2 if fill == "_fill_einsum" else 1  # output rows of NCHW
         whole, share = np.full(shape, np.nan, np.float32), np.full(shape, np.nan, np.float32)
-        getattr(T, fill)(0, shape[1], xp, wt, s, whole)
-        assert bits_equal(whole if blocked else whole.transpose(0, 3, 1, 2), ref)
-        lo, hi = 1, shape[1] - 2
+        getattr(T, fill)(0, shape[axis], xp, wt, s, whole)
+        assert bits_equal(whole if nchw else whole.transpose(0, 3, 1, 2), ref)
+        lo, hi = 1, shape[axis] - 2
         getattr(T, fill)(lo, hi, xp, wt, s, share)
-        assert np.isnan(share[:, :lo]).all() and np.isnan(share[:, hi:]).all()
-        assert bits_equal(share[:, lo:hi], whole[:, lo:hi])
+        share, whole = np.moveaxis(share, axis, 0), np.moveaxis(whole, axis, 0)
+        assert np.isnan(share[:lo]).all() and np.isnan(share[hi:]).all()
+        assert bits_equal(share[lo:hi], whole[lo:hi])
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
-    @pytest.mark.parametrize("schedule", ["blocked", "channel_last", "reduce"])
+    @pytest.mark.parametrize("schedule", ["blocked", "channel_last", "reduce", "bands"])
     def test_fewer_units_than_processes_run_on_the_caller(self, monkeypatch, schedule,
                                                          workers):
-        # a 1x1 output map has one row; a forced NCHW conv with one output
-        # channel has one channel
+        # a 1x1 output map has one row; a forced blocked NCHW conv with one
+        # output channel has one channel
         rng = np.random.default_rng(13)
         oc, size = (1, 6) if schedule == "blocked" else (5, 1)
         x = rand_tensor(rng, 1, 4, size, size)
@@ -517,14 +586,14 @@ class TestConv2d:
         p = T.ConvParams(3, 8, 3, padding=1,
                          weights=rng.random(8 * 3 * 9, dtype=np.float32))
         serial = T.conv2d(x, p).array
-        caller, blocked, armed = os.getpid(), T._fill_blocked, tmp_path / "armed"
+        caller, fill, armed = os.getpid(), T._fill, tmp_path / "armed"
 
         def dies_in_helper(*args):
             if os.getpid() != caller and armed.exists():
                 os.kill(os.getpid(), signal.SIGKILL)
-            return blocked(*args)
+            return fill(*args)
 
-        monkeypatch.setattr(T, "_fill_blocked", dies_in_helper)
+        monkeypatch.setattr(T, "_fill", dies_in_helper)
         T.set_parallel(2)
         try:
             T.conv2d(x, p)  # the arena grows and the helper reforks now
@@ -600,7 +669,7 @@ class TestConv2d:
         for schedule in SCHEDULES:
             with monkeypatch.context() as mp:
                 if schedule != "default":
-                    force_schedule(mp, schedule, ref.shape, block=2)
+                    force_schedule(mp, schedule, ref.shape, block=2, terms=c * k * k)
                 for caller in (16, 8192, 1 << 20):
                     old = np.setbufsize(caller)
                     try:
@@ -888,37 +957,81 @@ class TestShapeOnly:
         assert ledger == rows
 
 
+def conv_battery_cases():
+    """(input, params, scalar reference, block) for 30 seeded random convs,
+    then two fixed ones on a batch of two at stride 2: a 7x7 conv padded by 3
+    to one output channel, and a 3x3 one, each with maps of at least 6 rows,
+    so that bands of up to 2 rows make 3 or more bands."""
+    rng = np.random.default_rng(1234)
+
+    def case(n, c, oc, k, h, w, s, p):
+        x = rand_tensor(rng, n, c, h, w)
+        kern = (rng.random((oc, c, k, k), dtype=np.float32) * 2 - 1)
+        bias = (rng.random(oc, dtype=np.float32) * 2 - 1)
+        params = T.ConvParams(c, oc, k, stride=s, padding=p,
+                              weights=kern.reshape(-1), bias=bias)
+        return x, params, oracles.conv2d_naive(x.array, kern, bias, s, p)
+
+    for i in range(30):
+        n = int(rng.integers(1, 3))
+        k = int(rng.choice([1, 3, 7]))
+        c = int(rng.integers(1, 3 if k == 7 else 6))
+        oc = 1 if i % 5 == 0 else int(rng.integers(2, 11))
+        h = int(rng.integers(k, 13))
+        w = int(rng.integers(k, 13))
+        s = int(rng.integers(1, 3))
+        p = k // 2 if rng.random() < 0.5 else 0
+        yield *case(n, c, oc, k, h, w, s, p), int(rng.integers(1, 5))
+    yield *case(2, 2, 1, 7, 13, 12, 2, 3), 2
+    yield *case(2, 3, 5, 3, 12, 15, 2, 1), 2
+
+
 class TestRandomizedOracleBattery:
     """Seeded randomized comparison against the scalar references."""
 
     def test_conv_battery(self, monkeypatch):
-        # Every case runs under the shape rule and under each forced schedule,
-        # the blocked one with a random block width that need not divide oc,
-        # the reduce one with chunks of as many terms, which need not divide
-        # the term count.
-        rng = np.random.default_rng(1234)
-        for case in range(30):
-            n = int(rng.integers(1, 3))
-            k = int(rng.choice([1, 3, 7]))
-            c = int(rng.integers(1, 3 if k == 7 else 6))
-            oc = 1 if case % 5 == 0 else int(rng.integers(2, 11))
-            h = int(rng.integers(k, 13))
-            w = int(rng.integers(k, 13))
-            s = int(rng.integers(1, 3))
-            p = k // 2 if rng.random() < 0.5 else 0
-            x = rand_tensor(rng, n, c, h, w)
-            kern = (rng.random((oc, c, k, k), dtype=np.float32) * 2 - 1)
-            bias = (rng.random(oc, dtype=np.float32) * 2 - 1)
-            params = T.ConvParams(c, oc, k, stride=s, padding=p,
-                                  weights=kern.reshape(-1), bias=bias)
-            ref = oracles.conv2d_naive(x.array, kern, bias, s, p)
-            block = int(rng.integers(1, 5))
+        # Every case runs under each fold's shape rule and under each forced
+        # schedule, the blocked one with a random block width that need not
+        # divide oc, the reduce one with chunks of as many terms, which need
+        # not divide the term count, and the einsum one in bands of as many
+        # rows, which need not divide the map's height.
+        for case, (x, params, ref, block) in enumerate(conv_battery_cases()):
+            terms = params.in_channels * params.kernel_size ** 2
             for schedule in SCHEDULES:
                 with monkeypatch.context() as mp:
                     if schedule != "default":
-                        force_schedule(mp, schedule, ref.shape, block)
+                        force_schedule(mp, schedule, ref.shape, block, terms)
                     got = T.conv2d(x, params).array
                 assert bits_equal(got, ref), f"conv case {case} diverged under {schedule}"
+
+    def test_a_fusing_einsum_fails_the_probe_and_conv_keeps_the_ufunc_fills(self,
+                                                                           monkeypatch):
+        # A stand-in for an einsum built with fused multiply-add, as on
+        # aarch64: float64 arithmetic, then one float32 rounding per
+        # multiply-add.  The probe must reject it, and every conv must then
+        # run the ufunc fills and match the scalar reference, although the
+        # stand-in makes some battery case diverge when it does run.
+        calls = []
+
+        def fused_einsum(subscripts, taps, cols):
+            calls.append(subscripts)
+            acc = np.zeros(taps.shape[1:] + cols.shape[1:], np.float32)
+            for tap, col in zip(taps.astype(np.float64), cols.astype(np.float64)):
+                acc = (acc + tap[:, None, None] * col).astype(np.float32)
+            return acc
+
+        cases = list(conv_battery_cases())
+        monkeypatch.setattr(np, "einsum", fused_einsum)
+        assert not T._einsum_folds_in_order() and calls
+        monkeypatch.setattr(T, "CONV_FOLD",
+                            "einsum" if T._einsum_folds_in_order() else "ufunc")
+        calls.clear()
+        for case, (x, params, ref, _) in enumerate(cases):
+            assert bits_equal(T.conv2d(x, params).array, ref), f"conv case {case}"
+        assert calls == []
+        monkeypatch.setattr(T, "CONV_FOLD", "einsum")
+        assert not all(bits_equal(T.conv2d(x, params).array, ref)
+                       for x, params, ref, _ in cases)
 
     @pytest.mark.parametrize("op", ["pool2d", "channel_pool", "spatial_pool"])
     def test_signed_zero_ties(self, op):
