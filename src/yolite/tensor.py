@@ -34,15 +34,16 @@ from .errors import ConfigError, NonFiniteError, ShapeError, YoliteError
 BN_EPSILON = 1e-5
 LEAKY_A = np.float32(10.0)  # leaky activation divisor, i.e. slope 0.1
 
-# Convolution schedule rule: output maps with more pixels than this run in
-# NCHW layout over blocks of output channels; smaller maps run channel-last,
-# so the innermost loop is a contiguous run over output channels.
+# Convolution layout rule: output maps with more pixels than this run in
+# NCHW layout; smaller maps run channel-last, so the innermost loop is a
+# contiguous run over output channels (under the einsum fold only with more
+# than one output channel; see _schedule).
 CHANNEL_LAST_MAX_PIXELS = 13 * 13
-# Channel-last maps of at most this many pixels add a chunk of terms per
-# numpy reduction instead of one term per multiply and add; a chunk's
-# products fill about REDUCE_CHUNK_BYTES.  On larger maps each term's product
-# is long enough that the chunk's extra memory traffic costs more than the
-# calls it saves.
+# Under the ufunc fold, channel-last maps of at most this many pixels add a
+# chunk of terms per numpy reduction instead of one term per multiply and
+# add; a chunk's products fill about REDUCE_CHUNK_BYTES.  On larger maps
+# each term's product is long enough that the chunk's extra memory traffic
+# costs more than the calls it saves.
 REDUCE_MAX_PIXELS = 8 * 8
 REDUCE_CHUNK_BYTES = 1024 * 1024
 # Byte size of one NCHW accumulator block; it and its product buffer stay in
@@ -67,10 +68,13 @@ UFUNC_BUFSIZE = 16
 _helpers: list[tuple[int, int, int]] = []
 _arena: mmap.mmap | None = None
 _lock = threading.Lock()
-# A fill request: schedule (an index into _fill's table), stride, the share
+# A fill request: schedule (the fill _fill runs), stride, the share
 # [lo, hi), then the shapes of the padded input, weights and accumulator.
 _REQUEST = struct.Struct("16q")
-_BLOCKED, _CHANNEL_LAST, _FOLD, _EINSUM = range(4)
+_BLOCKED, _CHANNEL_LAST, _FOLD, _EINSUM, _EINSUM_LAST = range(5)
+# The output subscript of each einsum schedule: the accumulator's layout of
+# one image.
+_EINSUM_OUT = {_EINSUM: "oyx", _EINSUM_LAST: "yxo"}
 
 
 def set_parallel(workers: int) -> None:
@@ -363,9 +367,9 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     small maps, a chunk of terms per reduction, so the per-element fold
     order equals the scalar reference exactly.  Which elements form a block,
     their memory layout and the terms per numpy call depend only on the
-    output shape (see ``BAND_BYTES``, ``CHANNEL_LAST_MAX_PIXELS`` and
-    ``REDUCE_MAX_PIXELS``).  Each process that fills a share, serial or
-    under ``set_parallel``, writes only that share of the staged accumulator.
+    output shape (see ``_schedule``).  Each process that fills a share,
+    serial or under ``set_parallel``, writes only that share of the staged
+    accumulator.
     """
     shape = params.output_shape(x.shape)
     if isinstance(x, Meta):
@@ -373,13 +377,7 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     _, oc, oh, ow = shape
     n, c, h, w = x.shape
     k, s, p = params.kernel_size, params.stride, params.padding
-    # numpy sums a lone output element's terms pairwise, so a map whose rows
-    # hold one element each stays on the per-term loop; einsum is called per
-    # image, so for it a row's elements are its oc * ow
-    schedule = (_EINSUM if CONV_FOLD == "einsum" and oc * ow > 1
-                else _BLOCKED if oh * ow > CHANNEL_LAST_MAX_PIXELS
-                else _FOLD if oh * ow <= REDUCE_MAX_PIXELS and n * ow * oc > 1
-                else _CHANNEL_LAST)
+    schedule = _schedule(shape)
     nchw = schedule in (_EINSUM, _BLOCKED)
     shapes = ((n, c, h + 2 * p, w + 2 * p), (c, k, k, oc), shape if nchw else (n, oh, ow, oc))
     with _lock:
@@ -405,6 +403,30 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         np.add(out, bn.beta[None, :, None, None], out=out)
     _check_finite(out, "conv2d")
     return Tensor(out, _trusted=True)
+
+
+def _schedule(shape) -> int:
+    """The fill that makes an (n, oc, oh, ow) conv output, which also fixes
+    its accumulator's layout: NCHW for ``_EINSUM`` and ``_BLOCKED``,
+    channel-last (n, oh, ow, oc) for the others.
+
+    Maps of at most ``CHANNEL_LAST_MAX_PIXELS`` run channel-last, so each
+    inner loop adds one term to a run of ``oc`` elements instead of the few
+    pixels of one channel.  numpy sums a lone output element's terms
+    pairwise, so a map whose rows hold one element each stays on the
+    per-term loop.  einsum is called per image, so for it a row's elements
+    are its oc * ow; with one output channel its channel-last spelling can
+    leave such a lone element (on a 1x1 map), so one-channel convs fold
+    NCHW.  Under the ufunc fold, maps of at most ``REDUCE_MAX_PIXELS`` add
+    chunks of terms per reduction.
+    """
+    n, oc, oh, ow = shape
+    small = oh * ow <= CHANNEL_LAST_MAX_PIXELS
+    if CONV_FOLD == "einsum" and oc * ow > 1:
+        return _EINSUM_LAST if small and oc > 1 else _EINSUM
+    return (_BLOCKED if not small
+            else _FOLD if oh * ow <= REDUCE_MAX_PIXELS and n * ow * oc > 1
+            else _CHANNEL_LAST)
 
 
 def _arena_for(need: int) -> mmap.mmap:
@@ -450,29 +472,38 @@ def _split(schedule: int, total: int, xp: np.ndarray, wt: np.ndarray, s: int,
 def _fill(schedule: int, lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
           acc: np.ndarray) -> None:
     """Fill units [lo, hi) of ``acc`` with the fill ``schedule`` names, looked
-    up in the module when called."""
-    (_fill_blocked, _fill_channel_last, _fold_terms,
-     _fill_einsum)[schedule](lo, hi, xp, wt, s, acc)
+    up in the module when called; an einsum schedule also passes its output
+    subscript."""
+    if schedule in _EINSUM_OUT:
+        _fill_einsum(lo, hi, xp, wt, s, acc, _EINSUM_OUT[schedule])
+    else:
+        (_fill_blocked, _fill_channel_last, _fold_terms)[schedule](lo, hi, xp, wt, s, acc)
 
 
 def _fill_einsum(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
-                 out: np.ndarray) -> None:
-    """Output rows [lo, hi) of an NCHW accumulator, in bands of rows whose
-    term-major columns fill about ``BAND_BYTES``.
+                 out: np.ndarray, spec: str) -> None:
+    """Output rows [lo, hi) of an accumulator whose images are laid out as
+    ``spec`` says, "oyx" for NCHW or "yxo" for channel-last, in bands of
+    rows whose term-major columns fill about ``BAND_BYTES``.
 
     Each band's windows are gathered once into contiguous (c*k*k, n, rows,
-    ow) columns, and one ``np.einsum`` per image folds them with the taps.
-    The term axis has the largest stride in both operands, so numpy's
-    iterator keeps it outermost and its inner loop adds one term, times a
-    scalar tap, to a run of output elements: each element receives its
-    terms one at a time, in order.  Each result lands in a private array and
-    is then copied into its rows, because under ``set_parallel`` the shares
-    of rows meet inside every channel plane, and einsum writing the shared
-    accumulator directly made small maps 2-4x slower through false sharing.
+    ow) columns, and one ``np.einsum("to,tyx->" + spec)`` per image folds
+    them with the taps.  The term axis has the largest stride in both
+    operands, so numpy's iterator keeps it outermost, and the axis of
+    smallest output stride (a row's pixels in "oyx", the output channels in
+    "yxo") becomes the inner loop, which adds one term, times a tap or a
+    column value, to a contiguous run of output elements: each element
+    receives its terms one at a time, in order.  Each result lands in a
+    private array and is then copied into its rows, because under
+    ``set_parallel`` NCHW shares of rows meet inside every channel plane,
+    and einsum writing the shared accumulator directly made small maps 2-4x
+    slower through false sharing.  Channel-last shares do not meet there,
+    but writing them directly measured no faster, so both layouts copy.
     """
     n = xp.shape[0]
     c, k, _, oc = wt.shape
-    ow = out.shape[3]
+    last = spec == "yxo"
+    ow = out.shape[2 if last else 3]
     terms = c * k * k
     taps = wt.reshape(terms, oc)
     step = max(1, BAND_BYTES // (4 * terms * n * ow))
@@ -484,40 +515,47 @@ def _fill_einsum(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
         np.copyto(cols, _window_view(xp, k, s, b, e, ow).transpose(1, 4, 5, 0, 2, 3))
         cols = cols.reshape(terms, n, e - b, ow)
         for i in range(n):
-            out[i, :, b:e] = np.einsum("to,tyx->oyx", taps, cols[:, i])
+            rows = out[i, b:e] if last else out[i, :, b:e]
+            rows[...] = np.einsum("to,tyx->" + spec, taps, cols[:, i])
 
 
 def _einsum_folds_in_order() -> bool:
-    """Whether ``np.einsum`` as ``_fill_einsum`` calls it folds each output
-    element's terms as the per-term ufunc fold does, bit for bit.
+    """Whether ``np.einsum`` as ``_fill_einsum`` calls it, with each of its
+    output subscripts, folds each output element's terms as the per-term
+    ufunc fold does, bit for bit.
 
-    Two probes, on 3 output channels of 3 x 13 pixels, so that the inner
-    loop runs over a conv-like run of elements.  The terms 1 * -(1 + 2^-11)
-    then (1 + 2^-12)^2 sum to 0 with one rounding per multiply and per add,
-    and to 2^-24 where multiply and add fuse into one rounding.  Then 64
-    terms spread over 2^-16..2^16 with random signs, which a reordered or
-    pairwise sum rounds differently.
+    Two probes per subscript, on 75 output channels of 3 x 25 pixels, so
+    that the inner loop runs over 75 contiguous elements (pixels or
+    channels): past the widest unrolled step of numpy's vector loops, plus
+    a remainder.  The terms 1 * -(1 + 2^-11) then (1 + 2^-12)^2 sum to 0
+    with one rounding per multiply and per add, and to 2^-24 where multiply
+    and add fuse into one rounding.  Then 64 terms spread over 2^-16..2^16
+    with random signs, which a reordered or pairwise sum rounds differently.
     """
     eps = np.float32(2.0 ** -12)
-    taps = np.ones((2, 3), np.float32)
-    taps[1] = 1 + eps
-    cols = np.empty((2, 3, 13), np.float32)
-    cols[0] = -(1 + 2 * eps)
-    cols[1] = 1 + eps
-    if np.einsum("to,tyx->oyx", taps, cols).any():
-        return False
+    fma_taps = np.ones((2, 75), np.float32)
+    fma_taps[1] = 1 + eps
+    fma_cols = np.empty((2, 3, 25), np.float32)
+    fma_cols[0] = -(1 + 2 * eps)
+    fma_cols[1] = 1 + eps
     rng = np.random.default_rng(0)
     taps, cols = (np.ldexp(rng.standard_normal(shape), rng.integers(-16, 17, shape))
-                  .astype(np.float32) for shape in ((64, 3), (64, 3, 13)))
-    want = np.zeros((3, 3, 13), np.float32)
+                  .astype(np.float32) for shape in ((64, 75), (64, 3, 25)))
+    want = np.zeros((75, 3, 25), np.float32)
     for tap, col in zip(taps, cols):
         np.add(want, np.multiply(tap[:, None, None], col), out=want)
-    got = np.einsum("to,tyx->oyx", taps, cols)
-    return np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    for spec in _EINSUM_OUT.values():
+        if np.einsum("to,tyx->" + spec, fma_taps, fma_cols).any():
+            return False
+        got = np.einsum("to,tyx->" + spec, taps, cols)
+        laid_out = want.transpose(["oyx".index(axis) for axis in spec])
+        if not np.array_equal(got.view(np.uint32), laid_out.view(np.uint32)):
+            return False
+    return True
 
 
-# The fold conv2d runs: "einsum" where this numpy's einsum passes the probe,
-# else "ufunc", the per-term and chunked fills below.
+# The fold conv2d runs: "einsum" where this numpy's einsum passes the probe
+# in both layouts, else "ufunc", the per-term and chunked fills below.
 CONV_FOLD = "einsum" if _einsum_folds_in_order() else "ufunc"
 
 

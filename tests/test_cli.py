@@ -384,6 +384,16 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["classes"] == 1
 
+    def test_package_runs_as_a_module(self):
+        ok = subprocess.run([sys.executable, "-m", "yolite", "selftest"],
+                            capture_output=True, text=True, env=child_env(), timeout=300)
+        assert ok.returncode == 0, ok.stderr
+        assert "PASS conv-vs-naive" in ok.stdout
+        bad = subprocess.run([sys.executable, "-m", "yolite", "describe", "--no-such-flag"],
+                             capture_output=True, text=True, env=child_env(), timeout=60)
+        assert bad.returncode == 2
+        assert "--no-such-flag" in bad.stderr and "Traceback" not in bad.stderr
+
     @pytest.mark.parametrize("suffix", ["ppm", "ylti"])
     def test_image_piped_on_stdin_equals_file(self, tmp_path, suffix):
         path = tmp_path / f"img.{suffix}"

@@ -251,3 +251,46 @@ class TestDescribe:
         g = N.build_yolov4_tiny(80)
         doc = N.describe(g)
         assert sum(n["params"] for n in doc["nodes"]) == doc["parameters"]
+
+
+# The convs of each model that fold channel-last under the einsum fold: maps
+# of at most 13x13 with more than one output channel.  Every other conv folds
+# NCHW.  A change to the layout rule fails here by name.
+CHANNEL_LAST_CONVS = {
+    ("v4tiny", 128): ["stage3.conv0", "stage3.conv1", "stage3.conv2", "stage3.conv3",
+                      "trunk", "neck", "head13_conv", "head_13", "fpn_conv",
+                      "head26_conv", "head_26"],
+    ("v4tiny", 416): ["trunk", "neck", "head13_conv", "head_13", "fpn_conv"],
+    ("proposed", 128): ["stage1_aux.cbam.fc1", "stage1_aux.cbam.fc2",
+                        "stage2.a2", "stage2.a3", "stage2.b1",
+                        "stage2_aux.conv1", "stage2_aux.conv2",
+                        "stage2_aux.cbam.fc1", "stage2_aux.cbam.fc2",
+                        "stage3.conv0", "stage3.conv1", "stage3.conv2", "stage3.conv3",
+                        "trunk", "neck", "head13_conv", "head_13", "fpn_conv",
+                        "head26_conv", "head_26"],
+    ("proposed", 416): ["stage1_aux.cbam.fc1", "stage1_aux.cbam.fc2",
+                        "stage2_aux.cbam.fc1", "stage2_aux.cbam.fc2",
+                        "trunk", "neck", "head13_conv", "head_13", "fpn_conv"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(CHANNEL_LAST_CONVS), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_schedule_of_every_model_conv(monkeypatch, key):
+    """Which fill each conv the forward runs takes under the einsum fold,
+    read off a shape-only forward, attention MLP convs included."""
+    model, size = key
+    monkeypatch.setattr(T, "CONV_FOLD", "einsum")  # the rule needs no einsum call
+    g = N.MODELS[model](80)
+    shapes = N.infer_shapes(g, (1, 3, size, size))
+    fills = {T._EINSUM: "nchw", T._EINSUM_LAST: "channel-last"}
+    got = {}
+    for node in g.nodes:
+        ledger = []
+        N.OPS[node.kind].forward(node.payload, [T.Meta(shapes[ref], ledger) for ref in node.inputs])
+        names = {id(p): name for name, p in node.convs()}
+        for op, params, shape in ledger:
+            if op == "conv":
+                got.setdefault(names[id(params)], set()).add(fills.get(T._schedule(shape)))
+    want = {name: {"channel-last" if name in CHANNEL_LAST_CONVS[key] else "nchw"}
+            for name, _ in N.iter_conv_entries(g)}
+    assert got == want

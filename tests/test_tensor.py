@@ -52,13 +52,16 @@ def force_schedule(monkeypatch, schedule, shape, block=1, terms=1):
     channel-last path with one multiply and add per term; "reduce" sends
     every map through the channel-last path that folds chunks of ``block``
     terms (for a share of the whole map) with one reduction each; "bands"
-    runs the einsum fill in bands of ``block`` rows of a conv with ``terms``
-    terms (input channels times kernel area).
+    runs the einsum fill on every map in NCHW layout, in bands of ``block``
+    rows of a conv with ``terms`` terms (input channels times kernel area),
+    and "bands_last" does so channel-last wherever the conv has more than
+    one output channel.
     """
     n, oc, oh, ow = shape
-    if schedule == "bands":
+    if schedule in ("bands", "bands_last"):
         use_fold(monkeypatch, "einsum")
         monkeypatch.setattr(T, "BAND_BYTES", 4 * terms * n * ow * block)
+        monkeypatch.setattr(T, "CHANNEL_LAST_MAX_PIXELS", 0 if schedule == "bands" else 1 << 30)
         return
     use_fold(monkeypatch, "ufunc")
     if schedule == "blocked":
@@ -76,7 +79,7 @@ def force_schedule(monkeypatch, schedule, shape, block=1, terms=1):
 # "default" is the fold chosen at import; the einsum fold's bands exist only
 # where this numpy's einsum passes the probe.
 SCHEDULES = (("default", "ufunc", "blocked", "channel_last", "reduce")
-             + (("bands",) if T.CONV_FOLD == "einsum" else ()))
+             + (("bands", "bands_last") if T.CONV_FOLD == "einsum" else ()))
 
 
 @contextlib.contextmanager
@@ -347,11 +350,16 @@ class TestConv2d:
         (512, 255, 1, 13, 13),  # a head conv
         (2, 1, 7, 5, 52),      # the attention gate's spatial conv: one channel
         (64, 8, 1, 1, 1),      # one pixel, several channels
+        (512, 512, 3, 4, 4),   # trunk at 128 px
+        (128, 128, 3, 8, 8),   # a stage-3 conv at 128 px
+        (256, 512, 3, 6, 13),  # a 6-row share of head13_conv at 416 px
+        (16, 2, 3, 4, 4),      # two output channels
     ])
     def test_numpy_einsum_folds_terms_in_order_with_two_roundings(self, bufsize, c, oc, k,
                                                                  rows, ow):
-        # The einsum fill's exactness rests on np.einsum("to,tyx->oyx") with
-        # the term axis slowest in both operands adding one product at a
+        # The einsum fill's exactness rests on np.einsum("to,tyx->oyx") and,
+        # with more than one output channel, np.einsum("to,tyx->yxo"), with
+        # the term axis slowest in both operands, adding one product at a
         # time to each element, in term order, with one rounding for the
         # multiply and one for the add.  The values spread over 2^-16..2^16
         # with random signs, so a fused multiply-add or a reordered sum
@@ -366,16 +374,22 @@ class TestConv2d:
         for tap, col in zip(taps, cols):
             np.add(want, np.multiply(tap[:, None, None], col), out=want)
             fused = (fused + tap[:, None, None].astype(np.float64) * col).astype(np.float32)
-        half = len(taps) // 2
-        halves = (np.einsum("to,tyx->oyx", taps[:half], cols[:half])
-                  + np.einsum("to,tyx->oyx", taps[half:], cols[half:]))
-        old = np.setbufsize(bufsize)
-        try:
-            got = np.einsum("to,tyx->oyx", taps, cols)
-        finally:
-            np.setbufsize(old)
-        assert bits_equal(got, want)
-        assert not bits_equal(fused, want) and not bits_equal(halves, want)
+        assert not bits_equal(fused, want)
+        for spec in ("oyx", "yxo") if oc > 1 else ("oyx",):
+            def fold(taps, cols):
+                # the result in (oc, rows, ow) order, whatever its layout
+                got = np.einsum("to,tyx->" + spec, taps, cols)
+                return got.transpose([spec.index(axis) for axis in "oyx"])
+
+            half = len(taps) // 2
+            halves = fold(taps[:half], cols[:half]) + fold(taps[half:], cols[half:])
+            old = np.setbufsize(bufsize)
+            try:
+                got = fold(taps, cols)
+            finally:
+                np.setbufsize(old)
+            assert bits_equal(got, want), spec
+            assert not bits_equal(halves, want), spec
 
     def test_parallel_matches_serial(self, monkeypatch):
         # 11 output channels in blocks of 3, or 10 output rows, in bands of 3
@@ -429,13 +443,17 @@ class TestConv2d:
         assert bits_equal(got, ref)
         assert in_caller(calls) == ({True} if workers == 0 else {True, False})
 
-    @pytest.mark.parametrize("fill", ["_fill_blocked", "_fill_channel_last", "_fold_terms",
-                                      "_fill_einsum"])
-    def test_a_fill_writes_only_its_share(self, monkeypatch, fill):
+    @pytest.mark.parametrize("fill, spec", [
+        ("_fill_blocked", ()), ("_fill_channel_last", ()), ("_fold_terms", ()),
+        ("_fill_einsum", ("oyx",)), ("_fill_einsum", ("yxo",)),
+    ], ids=["_fill_blocked", "_fill_channel_last", "_fold_terms", "_fill_einsum",
+            "_fill_einsum-yxo"])
+    def test_a_fill_writes_only_its_share(self, monkeypatch, fill, spec):
         # Each process fills its share of one shared accumulator in place, so
         # a fill that wrote outside [lo, hi) would race with a helper.  Blocks
         # of 2 channels, bands of 2 rows and chunks of a few terms make every
-        # fill take more than one step over the share.
+        # fill take more than one step over the share.  The einsum fill runs
+        # NCHW with the "oyx" subscript and channel-last with "yxo".
         if fill == "_fill_einsum":
             use_fold(monkeypatch, "einsum")
         rng = np.random.default_rng(23)
@@ -450,20 +468,42 @@ class TestConv2d:
         monkeypatch.setattr(T, "ACC_BLOCK_BYTES", 4 * n * oh * ow * 2)
         monkeypatch.setattr(T, "REDUCE_CHUNK_BYTES", 4 * n * 2 * ow * oc * 4)
         monkeypatch.setattr(T, "BAND_BYTES", 4 * c * k * k * n * ow * 2)
-        nchw = fill in ("_fill_blocked", "_fill_einsum")
+        nchw = fill == "_fill_blocked" or spec == ("oyx",)
         shape = ref.shape if nchw else (n, oh, ow, oc)
-        axis = 2 if fill == "_fill_einsum" else 1  # output rows of NCHW
+        axis = 2 if spec == ("oyx",) else 1  # output rows of NCHW
         whole, share = np.full(shape, np.nan, np.float32), np.full(shape, np.nan, np.float32)
-        getattr(T, fill)(0, shape[axis], xp, wt, s, whole)
+        getattr(T, fill)(0, shape[axis], xp, wt, s, whole, *spec)
         assert bits_equal(whole if nchw else whole.transpose(0, 3, 1, 2), ref)
         lo, hi = 1, shape[axis] - 2
-        getattr(T, fill)(lo, hi, xp, wt, s, share)
+        getattr(T, fill)(lo, hi, xp, wt, s, share, *spec)
         share, whole = np.moveaxis(share, axis, 0), np.moveaxis(whole, axis, 0)
         assert np.isnan(share[:lo]).all() and np.isnan(share[hi:]).all()
         assert bits_equal(share[lo:hi], whole[lo:hi])
 
+    @pytest.mark.parametrize("oc, c, workers", [(2, 5, 3), (3, 4, 4), (512, 16, 2)])
+    def test_channel_last_einsum_row_shares_match_serial(self, monkeypatch, oc, c, workers):
+        # A batch of two 13x13 maps, the largest that folds channel-last: its
+        # 13 rows split into shares of 4/4/5, 3/3/3/4 and 6/7 rows.  Serial
+        # runs the per-term ufunc fill, which the battery checks against
+        # the scalar reference.
+        rng = np.random.default_rng(oc)
+        x = rand_tensor(rng, 2, c, 13, 13)
+        p = T.ConvParams(c, oc, 3, padding=1,
+                         weights=rng.random(oc * c * 9, dtype=np.float32) * 2 - 1)
+        with monkeypatch.context() as mp:
+            force_schedule(mp, "channel_last", (2, oc, 13, 13))
+            serial = T.conv2d(x, p).array
+        use_fold(monkeypatch, "einsum")
+        assert T._schedule(serial.shape) == T._EINSUM_LAST
+        with fill_calls(workers) as calls:
+            par = T.conv2d(x, p).array
+        assert bits_equal(par, serial)
+        shares = [13 * i // workers for i in range(workers + 1)]
+        assert sorted((lo, hi) for _, _, lo, hi in calls) == list(zip(shares, shares[1:]))
+
     @pytest.mark.parametrize("workers", [2, 3, 4])
-    @pytest.mark.parametrize("schedule", ["blocked", "channel_last", "reduce", "bands"])
+    @pytest.mark.parametrize("schedule", ["blocked", "channel_last", "reduce", "bands",
+                                          "bands_last"])
     def test_fewer_units_than_processes_run_on_the_caller(self, monkeypatch, schedule,
                                                          workers):
         # a 1x1 output map has one row; a forced blocked NCHW conv with one
@@ -1008,30 +1048,59 @@ class TestRandomizedOracleBattery:
                                                                            monkeypatch):
         # A stand-in for an einsum built with fused multiply-add, as on
         # aarch64: float64 arithmetic, then one float32 rounding per
-        # multiply-add.  The probe must reject it, and every conv must then
-        # run the ufunc fills and match the scalar reference, although the
-        # stand-in makes some battery case diverge when it does run.
-        calls = []
+        # multiply-add, for every output layout and then for the
+        # channel-last one only.  The probe must reject it, and every conv
+        # must then run the ufunc fills and match the scalar reference,
+        # although the stand-in makes some battery case diverge when it does
+        # run.
+        cases, einsum = list(conv_battery_cases()), np.einsum
+        for fused in ("oyx", "yxo"), ("yxo",):
+            calls = []
 
-        def fused_einsum(subscripts, taps, cols):
-            calls.append(subscripts)
-            acc = np.zeros(taps.shape[1:] + cols.shape[1:], np.float32)
-            for tap, col in zip(taps.astype(np.float64), cols.astype(np.float64)):
-                acc = (acc + tap[:, None, None] * col).astype(np.float32)
-            return acc
+            def fused_einsum(subscripts, taps, cols):
+                calls.append(subscripts)
+                if not subscripts.endswith(fused):
+                    return einsum(subscripts, taps, cols)
+                acc = np.float32(0)
+                for tap, col in zip(taps.astype(np.float64), cols.astype(np.float64)):
+                    acc = (acc + einsum(subscripts, tap[None], col[None])).astype(np.float32)
+                return acc
 
-        cases = list(conv_battery_cases())
-        monkeypatch.setattr(np, "einsum", fused_einsum)
-        assert not T._einsum_folds_in_order() and calls
-        monkeypatch.setattr(T, "CONV_FOLD",
-                            "einsum" if T._einsum_folds_in_order() else "ufunc")
-        calls.clear()
-        for case, (x, params, ref, _) in enumerate(cases):
-            assert bits_equal(T.conv2d(x, params).array, ref), f"conv case {case}"
-        assert calls == []
-        monkeypatch.setattr(T, "CONV_FOLD", "einsum")
-        assert not all(bits_equal(T.conv2d(x, params).array, ref)
-                       for x, params, ref, _ in cases)
+            with monkeypatch.context() as mp:
+                mp.setattr(np, "einsum", fused_einsum)
+                assert not T._einsum_folds_in_order(), fused
+                assert calls[-1].endswith(fused), fused  # it stopped at a fused spelling
+                mp.setattr(T, "CONV_FOLD", "einsum" if T._einsum_folds_in_order() else "ufunc")
+                calls.clear()
+                for case, (x, params, ref, _) in enumerate(cases):
+                    assert bits_equal(T.conv2d(x, params).array, ref), f"conv case {case}"
+                assert calls == []
+                mp.setattr(T, "CONV_FOLD", "einsum")
+                assert not all(bits_equal(T.conv2d(x, params).array, ref)
+                               for x, params, ref, _ in cases), fused
+
+    def test_one_output_channel_on_one_pixel_never_folds_channel_last(self, monkeypatch):
+        # With one output channel on a 1x1 map, "->yxo" leaves einsum only
+        # the term axis, which it sums with reordered partial sums: a conv
+        # routed there diverges from the scalar reference.  The schedule
+        # keeps such a conv on the per-term ufunc fill, and one output
+        # channel on a larger small map (the attention gate's 7x7 conv)
+        # on the NCHW einsum.
+        use_fold(monkeypatch, "einsum")
+        rng = np.random.default_rng(31)
+        c = 128
+        x = T.Tensor(np.ldexp(rng.standard_normal((1, c, 3, 3)),
+                              rng.integers(-16, 17, (1, c, 3, 3))).astype(np.float32))
+        kern = np.ldexp(rng.standard_normal((1, c, 3, 3)),
+                        rng.integers(-16, 17, (1, c, 3, 3))).astype(np.float32)
+        p = T.ConvParams(c, 1, 3, weights=kern.reshape(-1))
+        ref = oracles.conv2d_naive(x.array, kern, np.zeros(1, np.float32), 1, 0)
+        assert ref.shape == (1, 1, 1, 1)
+        assert T._schedule(ref.shape) == T._CHANNEL_LAST
+        assert T._schedule((1, 1, 7, 7)) == T._EINSUM
+        assert bits_equal(T.conv2d(x, p).array, ref)
+        monkeypatch.setattr(T, "_schedule", lambda shape: T._EINSUM_LAST)
+        assert not bits_equal(T.conv2d(x, p).array, ref)
 
     @pytest.mark.parametrize("op", ["pool2d", "channel_pool", "spatial_pool"])
     def test_signed_zero_ties(self, op):
