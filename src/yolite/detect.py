@@ -3,16 +3,23 @@ and `detect_image`, the whole path from an image to its detections.
 
 The raw head layout per anchor is (tx, ty, tw, th, to, class scores...): cell
 offsets pass through a sigmoid, box sizes scale the anchor exponentially,
-objectness and per-class scores are sigmoids.  Decoding runs over whole
-arrays in double precision with ``tensor.exp`` and ``tensor.logistic``, which
-apply ``math.exp`` per element, so the emitted boxes are an exact function of
-the head values regardless of platform vector math.
+objectness and per-class scores are sigmoids.
+
+Decoding and suppression run on one array core, `_decode_rows` and
+`_nms_rows`; `decode_head`, `filter_and_nms` and `detect_image` wrap it, and
+only the wrappers build `Detection` objects.  Decoding works in double
+precision with ``tensor.exp`` and ``tensor.logistic``, which apply
+``math.exp`` per element, so the emitted values are an exact function of the
+head values regardless of platform vector math.  The logistic runs on tx, ty
+and objectness, and only on the class logits that can win or tie their row
+(`_CLASS_MARGIN`); the results equal a logistic over every class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,13 +103,20 @@ class AnchorSet:
         return self.by_stride[stride]
 
 
-def decode_head(head: T.Tensor, anchors: AnchorSet, scale: int, input_size: int) -> list[Detection]:
-    """Decode one head tensor into scale*scale*B detections.
+# A class whose logit lies more than _CLASS_MARGIN below its row's largest
+# logit m can neither win the row nor tie it when |m| <= _CLASS_EXACT_MAX:
+# its true probability is below the maximum's by a relative gap of at least
+# ~2e-13, while `tensor.logistic` rounds within a few ulps (under 1e-15).  So
+# only the classes near m take the logistic.  Rows with m outside that range
+# (either clamp, or a non-finite value) take it on every class.
+_CLASS_MARGIN = 1e-4
+_CLASS_EXACT_MAX = 20.0
 
-    Emission order is row-major over grid cells, anchors innermost.  Every
-    candidate carries its argmax class (ties to the lower class id).  Raises
-    NonFiniteError if a decoded box value is not finite.
-    """
+
+def _decode_rows(head: T.Tensor, anchors: AnchorSet, scale: int, input_size: int):
+    """`decode_head`'s candidates as arrays, in its emission order: boxes
+    (rows, 4) as cx, cy, w, h, then class ids, objectness and class
+    probabilities."""
     n, ch, hh, ww = head.shape
     if n != 1:
         raise ShapeError(f"decode_head expects batch size 1, got {n}")
@@ -119,7 +133,7 @@ def decode_head(head: T.Tensor, anchors: AnchorSet, scale: int, input_size: int)
     t = (head.array[0].reshape(b, ch // b, scale, scale)
          .transpose(2, 3, 0, 1).reshape(-1, ch // b).astype(np.float64))
     gy, gx, _ = np.indices((scale, scale, b), dtype=np.float64).reshape(3, -1)
-    sig = T.logistic(t)  # the tw, th columns go unused
+    sig = T.logistic(t[:, (0, 1, 4)])
     cx = (sig[:, 0] + gx) * cell
     cy = (sig[:, 1] + gy) * cell
     with np.errstate(over="ignore"):
@@ -127,57 +141,113 @@ def decode_head(head: T.Tensor, anchors: AnchorSet, scale: int, input_size: int)
     boxes = np.column_stack((cx, cy, wh))
     if not np.isfinite(boxes).all():
         raise NonFiniteError("decoded boxes hold non-finite values")
-    # argmax over the clamped probabilities: logits that clamp to one value
-    # tie there, and the first (lower) class id wins
-    probs = sig[:, 5:]
+    logits = t[:, 5:]
+    top = logits.max(axis=1)
+    near = logits >= (top - _CLASS_MARGIN)[:, None]
+    near[~(np.abs(top) <= _CLASS_EXACT_MAX)] = True
+    # the other classes take -1, below every probability; the argmax over the
+    # clamped probabilities then picks the first maximum, so logits that clamp
+    # to one value tie and the lower class id wins
+    probs = np.full(logits.shape, -1.0)
+    probs[near] = T.logistic(logits[near])
     best = probs.argmax(axis=1)
-    best_p = probs[np.arange(len(best)), best]
+    return boxes, best, sig[:, 2], probs[np.arange(len(best)), best]
+
+
+def decode_head(head: T.Tensor, anchors: AnchorSet, scale: int, input_size: int) -> list[Detection]:
+    """Decode one head tensor into scale*scale*B detections.
+
+    Emission order is row-major over grid cells, anchors innermost.  Every
+    candidate carries its argmax class (ties to the lower class id).  Raises
+    NonFiniteError if a decoded box value is not finite.
+    """
+    return _detections(*_decode_rows(head, anchors, scale, input_size))
+
+
+def _detections(boxes, cls, obj, prob) -> list[Detection]:
     return [Detection(Box(*box), c, o, p) for box, c, o, p in
-            zip(boxes.tolist(), best.tolist(), sig[:, 4].tolist(), best_p.tolist())]
+            zip(boxes.tolist(), cls.tolist(), obj.tolist(), prob.tolist())]
 
 
 # Suppression matrices are built in row blocks of at most this many entries,
-# so memory stays bounded however many candidates share one class.
-_NMS_BLOCK = 1 << 18
+# small enough to stay in cache, so a class of ~550 boxes is walked ~60 rows
+# at a time against the boxes from each block's start onward.
+_NMS_BLOCK = 1 << 15
 
 
-def _suppresses(rows, cols, iou_thresh: float) -> np.ndarray:
-    """[i, j] is whether kept box ``rows[i]`` suppresses box ``cols[j]``:
-    ``iou(rows[i], cols[j]) > iou_thresh`` with `iou`'s float64 operations.
-    Each argument is (x1, y1, x2, y2, area) as column vectors."""
-    ax1, ay1, ax2, ay2, a_area = (v[:, None] for v in rows)
-    # Python's min/max keep their first argument, the kept box's corner,
-    # against a NaN second one; numpy's would return NaN
-    bx1, by1 = (np.where(np.isnan(v), -np.inf, v)[None, :] for v in cols[:2])
-    bx2, by2 = (np.where(np.isnan(v), np.inf, v)[None, :] for v in cols[2:4])
-    b_area = cols[4][None, :]
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    inter = iw * ih
-    union = a_area + b_area - inter
+def _suppresses(rows: np.ndarray, cols: np.ndarray, iou_thresh: float) -> np.ndarray:
+    """[i, j] is whether kept box ``rows[:, i]`` suppresses box ``cols[:, j]``:
+    whether their `iou`, with its float64 operations, exceeds ``iou_thresh``.
+    Each argument is (5, n): x1, y1, x2, y2, area; ``cols`` has its NaN
+    corners widened to -inf/+inf (see `_nms_rows`)."""
+    ax1, ay1, ax2, ay2, a_area = rows[:, :, None]
+    bx1, by1, bx2, by2, b_area = cols[:, None, :]
+    iw = np.minimum(ax2, bx2)
+    side = np.maximum(ax1, bx1)
+    iw -= side
+    ih = np.minimum(ay2, by2)
+    np.maximum(ay1, by1, out=side)
+    ih -= side
+    hit = iw > 0
+    hit &= ih > 0
+    inter = np.multiply(iw, ih, out=iw)
+    union = np.add(a_area, b_area, out=ih)
+    union -= inter
+    hit &= union > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = inter / union
-    return (iw > 0) & (ih > 0) & (union > 0) & (ratio > iou_thresh)
+        ratio = np.divide(inter, union, out=inter)
+    hit &= ratio > iou_thresh
+    return hit
 
 
-def _greedy_keep(geom: np.ndarray, iou_thresh: float) -> np.ndarray:
+def _greedy_keep(rows: np.ndarray, cols: np.ndarray, iou_thresh: float) -> list[int]:
     """Greedy suppression within one class, boxes already in priority order.
 
-    ``geom`` is (5, k): x1, y1, x2, y2, area.  Returns the kept positions,
-    ascending.
+    ``rows`` and ``cols`` are the class's boxes as `_suppresses` takes them.
+    Returns the kept positions, ascending.
     """
-    k = geom.shape[1]
+    k = rows.shape[1]
     removed = np.zeros(k, dtype=bool)
     kept = []
     step = max(1, _NMS_BLOCK // k)
     for start in range(0, k, step):
         stop = min(start + step, k)
-        block = _suppresses(geom[:, start:stop], geom[:, start:], iou_thresh)
+        block = _suppresses(rows[:, start:stop], cols[:, start:], iou_thresh)
+        mine = []
         for r in range(stop - start):
             if not removed[start + r]:
-                kept.append(start + r)
-                removed[start:] |= block[r]
+                mine.append(r)
+                removed[start:stop] |= block[r, :stop - start]
+        # boxes past the block are read only by later blocks
+        removed[stop:] |= block[mine, stop - start:].any(axis=0)
+        kept += [start + r for r in mine]
     return kept
+
+
+def _nms_rows(conf: np.ndarray, cls: np.ndarray, boxes: np.ndarray,
+              conf_thresh: float, iou_thresh: float) -> np.ndarray:
+    """The rows `filter_and_nms` keeps, in its output order, from candidate
+    confidences, class ids and (rows, 4) cx, cy, w, h boxes."""
+    for name, t in (("conf_thresh", conf_thresh), ("iou_thresh", iou_thresh)):
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"{name} must be within [0, 1], got {t}")
+    idx = np.flatnonzero(conf > conf_thresh)
+    if len(idx) == 0:
+        return idx
+    order = idx[np.lexsort((idx, cls[idx], -conf[idx]))]
+    cls = cls[order]
+    cx, cy, w, h = boxes[order].T
+    rows = np.stack((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, w * h))
+    # Python's min/max keep their first argument, the kept box's corner,
+    # against a NaN second one; numpy's would return NaN
+    cols = rows.copy()
+    cols[:2][np.isnan(cols[:2])] = -np.inf
+    cols[2:4][np.isnan(cols[2:4])] = np.inf
+    by_class = np.argsort(cls, kind="stable")
+    bounds = np.flatnonzero(np.diff(cls[by_class])) + 1
+    kept = [members[_greedy_keep(rows[:, members], cols[:, members], iou_thresh)]
+            for members in np.split(by_class, bounds)]
+    return order[np.sort(np.concatenate(kept))]
 
 
 def filter_and_nms(dets: list[Detection], conf_thresh: float = 0.25,
@@ -189,25 +259,16 @@ def filter_and_nms(dets: list[Detection], conf_thresh: float = 0.25,
     and drops any same-class box overlapping a kept box by more than
     ``iou_thresh``.
     """
-    for name, t in (("conf_thresh", conf_thresh), ("iou_thresh", iou_thresh)):
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"{name} must be within [0, 1], got {t}")
     conf = np.array([d.confidence for d in dets], dtype=np.float64)
-    idx = np.flatnonzero(conf > conf_thresh)
-    if len(idx) == 0:
-        return []
-    survivors = [dets[i] for i in idx.tolist()]
-    cls = np.array([d.class_id for d in survivors])
-    order = np.lexsort((idx, cls, -conf[idx]))
-    cls = cls[order]
-    cx, cy, w, h = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h)
-                             for d in survivors], dtype=np.float64)[order].T
-    geom = np.stack((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, w * h))
-    by_class = np.argsort(cls, kind="stable")
-    bounds = np.flatnonzero(np.diff(cls[by_class])) + 1
-    kept = [members[_greedy_keep(geom[:, members], iou_thresh)]
-            for members in np.split(by_class, bounds)]
-    return [survivors[i] for i in order[np.sort(np.concatenate(kept))].tolist()]
+    cls = np.array([d.class_id for d in dets], dtype=np.int64)
+    boxes = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets],
+                     dtype=np.float64).reshape(-1, 4)
+    return [dets[i] for i in _nms_rows(conf, cls, boxes, conf_thresh, iou_thresh).tolist()]
+
+
+# Box fields as arrays: `LetterboxTransform.box_to_original` builds its result
+# with ``type(box)``, so it maps many boxes at once with its one formula.
+_BoxColumns = namedtuple("_BoxColumns", "cx cy w h")
 
 
 def detect_image(g: N.NetworkGraph, image: np.ndarray, input_size: int,
@@ -217,16 +278,20 @@ def detect_image(g: N.NetworkGraph, image: np.ndarray, input_size: int,
     pixels: letterbox to ``input_size``, run ``g``, decode each head at its
     own grid side, filter and suppress, then map the kept boxes back.
 
+    Equals `filter_and_nms` of the `decode_head` lists of both heads, with
+    boxes mapped by `imageio.LetterboxTransform.box_to_original`, but keeps
+    the candidates in arrays and builds objects only for the kept boxes.
     `network.forward` and `imageio.letterbox` are looked up through their
     modules at call time, so a wrapper installed on either sees this call.
     """
     anchors = AnchorSet() if anchors is None else anchors
     x, transform = I.letterbox(image, input_size)
-    dets = []
-    for head in N.forward(g, x):
-        dets += decode_head(head, anchors, head.shape[2], input_size)
-    return [replace(d, box=transform.box_to_original(d.box))
-            for d in filter_and_nms(dets, conf_thresh, iou_thresh)]
+    decoded = [_decode_rows(head, anchors, head.shape[2], input_size)
+               for head in N.forward(g, x)]
+    boxes, cls, obj, prob = (np.concatenate(cols) for cols in zip(*decoded))
+    rows = _nms_rows(obj * prob, cls, boxes, conf_thresh, iou_thresh)
+    mapped = transform.box_to_original(_BoxColumns(*boxes[rows].T))
+    return _detections(np.column_stack(mapped), cls[rows], obj[rows], prob[rows])
 
 
 def _sig6(v: float) -> float:

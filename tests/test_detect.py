@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yolite import detect as D
+from yolite import imageio as I
 from yolite import network as N
 from yolite import tensor as T
 from yolite import weights_io as W
@@ -85,6 +86,69 @@ class TestAnchorSet:
                 D.AnchorSet({32: ((bad, 5.0),)})
 
 
+def _f32_step(x, toward):
+    return float(np.nextafter(np.float32(x), np.float32(toward)))
+
+
+def _margin_row(top):
+    """Logits one float32 step either side of ``top - 1e-4``, then ``top``."""
+    edge = float(np.float32(top - 1e-4))
+    return [_f32_step(edge, -np.inf), edge, _f32_step(edge, np.inf), top]
+
+
+# Class-logit rows that probe `decode_head`'s candidate rule (only logits
+# within 1e-4 of a row maximum of magnitude at most 20 take the logistic).
+# Where two probabilities could tie, the lower class id holds the smaller
+# logit, so a rule that skipped it would pick the wrong class.
+ADVERSARIAL_ROWS = {
+    "equal logits": [[1.5, 1.5, 1.5, -2.0], [-2.0, 3.0, 3.0, 3.0], [-7.0] * 4,
+                     [0.0] * 4],
+    "adjacent float32 at the maximum": (
+        [[0.0, 1e-45, -1.0], [1e-45, 0.0, -1.0]]
+        + [[x, _f32_step(x, np.inf), -1.0] for x in (1e-30, 1e-9, 1e-8, 0.5, 5.0, 19.0)]
+        + [[_f32_step(x, -np.inf), x, -1.0] for x in (-1e-9, -5.0, -19.0)]),
+    "class 1e-4 below the maximum": [_margin_row(top) for top in
+                                     (0.0, 1e-8, 1.0, -1.0, 10.0, -10.0, 19.9999, 20.0)],
+    "maximum at +-20 and one step beyond": [
+        [19.9999, 20.0], [20.0, 20.0], [_f32_step(20.0, -np.inf), 20.0],
+        [20.0, _f32_step(20.0, np.inf)], [19.0, _f32_step(20.0, np.inf)],
+        [-20.0001, -20.0], [-20.0, -20.0], [_f32_step(-20.0, -np.inf), -20.0],
+        [_f32_step(-20.0, -np.inf), _f32_step(-20.0, -np.inf)],
+        [-21.0, _f32_step(-20.0, -np.inf)]],
+    "high clamp": [[36.7, 40.0, 41.0], [40.0, 41.0, 36.7], [41.0, 40.0, 36.7],
+                   [36.0, 36.7, 36.7]],
+    "low clamp": [[-746.0, -745.0], [-745.0, -746.0], [-746.0, -746.0],
+                  [-800.0, -745.0]],
+    "float32 extremes": [[3.4e38, -3.4e38], [-3.4e38, 3.4e38], [3.4e38, 3.4e38],
+                         [-3.4e38, -3.4e38], [0.0, 3.4e38]],
+}
+
+
+def head_of_class_rows(rows):
+    """A head whose decode rows, in emission order, carry ``rows`` as class
+    logits (each padded with its own minimum); other channels are small
+    values.  Returns the head and its input size."""
+    n_classes = max(len(r) for r in rows)
+    scale = math.ceil(math.sqrt(len(rows) / N.HEAD_ANCHORS))
+    per = 5 + n_classes
+    arr = np.random.default_rng(5).uniform(-2, 2, (N.HEAD_ANCHORS, per, scale, scale))
+    for i, row in enumerate(rows):
+        gy, gx, a = np.unravel_index(i, (scale, scale, N.HEAD_ANCHORS))
+        arr[a, 5:, gy, gx] = row + [min(row)] * (n_classes - len(row))
+    head = T.Tensor(arr.reshape(1, -1, scale, scale).astype(np.float32))
+    return head, 32 * scale
+
+
+def decoded(head, input_size):
+    """`decode_head`'s tuples and `oracles.decode_naive`'s on one head."""
+    scale = head.shape[2]
+    got = D.decode_head(head, D.AnchorSet(), scale, input_size)
+    ref = oracles.decode_naive(head.array, D.AnchorSet().for_scale(scale, input_size),
+                               input_size)
+    return [(d.box.cx, d.box.cy, d.box.w, d.box.h, d.objectness, d.class_id, d.class_prob)
+            for d in got], ref
+
+
 class TestDecodeHead:
     def test_zero_head_decodes_to_cell_centers(self):
         head = T.Tensor.zeros(1, 27, 13, 13)  # 3 anchors, 4 classes
@@ -147,6 +211,19 @@ class TestDecodeHead:
         assert (dets[0].class_id, dets[0].class_prob) == (2, 1.0 - 2.0 ** -53)
         ref = oracles.decode_naive(arr, D.AnchorSet().for_scale(2, 64), 64)
         assert [(d.class_id, d.class_prob) for d in dets] == [(r[5], r[6]) for r in ref]
+
+    @pytest.mark.parametrize("case", sorted(ADVERSARIAL_ROWS))
+    def test_candidate_classes_decode_as_scalar(self, case):
+        got, ref = decoded(*head_of_class_rows(ADVERSARIAL_ROWS[case]))
+        assert got == ref
+
+    def test_wide_logits_decode_as_scalar(self):
+        # normal(0, 40) logits cross both clamps and the +-20 bound; tw and th
+        # stay small so the box sizes are finite
+        arr = np.random.default_rng(13).normal(0, 40, (N.HEAD_ANCHORS, 85, 13, 13))
+        arr[:, 2:4] /= 40
+        got, ref = decoded(T.Tensor(arr.reshape(1, 255, 13, 13).astype(np.float32)), 416)
+        assert got == ref
 
     def test_sigmoid_matches_scalar_formula(self):
         rng = np.random.default_rng(11)
@@ -229,6 +306,11 @@ class TestFilterAndNms:
             D.filter_and_nms([], 0.5, 1.1)
 
 
+# `_NMS_BLOCK` values under test: one row per block, and the sizes before
+# and since blocks were made small
+NMS_BLOCKS = (64, 1 << 15, 1 << 18)
+
+
 def nms_both(dets, conf_thresh=0.25, iou_thresh=0.45):
     kept = D.filter_and_nms(dets, conf_thresh, iou_thresh)
     assert kept == oracles.nms_scalar(dets, conf_thresh, iou_thresh)
@@ -280,10 +362,16 @@ class TestNmsEdgeCases:
         assert nms_both(nan_first) == nan_first
 
     def test_large_class_is_walked_in_blocks(self, monkeypatch):
-        monkeypatch.setattr(D, "_NMS_BLOCK", 64)
         rng = np.random.default_rng(12)
-        dets = random_detections(rng, 120, n_classes=1, size=30.0)
-        nms_both(dets, 0.1, 0.3)
+        monkeypatch.setattr(D, "_NMS_BLOCK", 64)
+        nms_both(random_detections(rng, 120, n_classes=1, size=30.0), 0.1, 0.3)
+        # one class of 600 boxes: one row per block, ~54-row blocks, two blocks
+        dets = random_detections(rng, 600, n_classes=1, size=200.0)
+        ref = oracles.nms_scalar(dets, 0.1, 0.3)
+        assert 100 < len(ref) < 550
+        for block in NMS_BLOCKS:
+            monkeypatch.setattr(D, "_NMS_BLOCK", block)
+            assert D.filter_and_nms(dets, 0.1, 0.3) == ref, block
 
 
 _grid = st.sampled_from([0.0, 1.0, 1.5, 2.0, 4.0])
@@ -305,16 +393,24 @@ def test_nms_equals_scalar_reference(pool, picks, conf_thresh, iou_thresh):
 
 
 @pytest.fixture(scope="module")
-def full_heads():
+def seeded_graphs():
+    """Both 80-class models with weight seed 42."""
+    graphs = {}
+    for name, build in (("v4tiny", N.build_yolov4_tiny), ("proposed", N.build_proposed)):
+        graphs[name] = build(80)
+        W.init_seeded(graphs[name], 42)
+    return graphs
+
+
+@pytest.fixture(scope="module")
+def full_heads(seeded_graphs):
     """416 px heads of both models (weight seed 42) on one non-constant
     input, plus normal(0, 4) heads of the full 80-class shape."""
     x = T.Tensor(np.random.default_rng(416).random((1, 3, 416, 416), dtype=np.float32))
     heads = {}
     T.set_parallel(2)
     try:
-        for name, build in (("v4tiny", N.build_yolov4_tiny), ("proposed", N.build_proposed)):
-            g = build(80)
-            W.init_seeded(g, 42)
+        for name, g in seeded_graphs.items():
             heads[name] = N.forward(g, x)
     finally:
         T.set_parallel(0)
@@ -324,7 +420,7 @@ def full_heads():
 
 
 @pytest.mark.parametrize("source", ["v4tiny", "proposed", "normal"])
-def test_full_size_decode_and_nms_equal_scalar(full_heads, source):
+def test_full_size_decode_and_nms_equal_scalar(full_heads, source, monkeypatch):
     dets = []
     for head, scale in zip(full_heads[source], (13, 26)):
         got = D.decode_head(head, D.AnchorSet(), scale, 416)
@@ -333,8 +429,43 @@ def test_full_size_decode_and_nms_equal_scalar(full_heads, source):
                 for d in got] == ref
         dets += got
     assert len(dets) == 2535
-    kept = nms_both(dets, 0.25, 0.45)
-    assert len(kept) > 1000
+    ref = oracles.nms_scalar(dets, 0.25, 0.45)
+    assert len(ref) > 1000
+    for block in NMS_BLOCKS:
+        monkeypatch.setattr(D, "_NMS_BLOCK", block)
+        assert D.filter_and_nms(dets, 0.25, 0.45) == ref, block
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("input_size", [128, 416])
+@pytest.mark.parametrize("model", ["v4tiny", "proposed"])
+def test_detect_image_equals_public_path(seeded_graphs, monkeypatch, model, input_size,
+                                         workers):
+    """`detect_image` keeps rows in arrays; it must equal `filter_and_nms` of
+    both `decode_head` lists, mapped back by `box_to_original`."""
+    image = np.random.default_rng(input_size).random((300, 400, 3), dtype=np.float32)
+    heads, forward = [], N.forward
+
+    def capture(g, x):
+        heads.append(forward(g, x))
+        return heads[-1]
+
+    monkeypatch.setattr(N, "forward", capture)
+    _, transform = I.letterbox(image, input_size)
+    T.set_parallel(workers)
+    try:
+        for conf_thresh in (0.05, 0.25):
+            got = D.detect_image(seeded_graphs[model], image, input_size,
+                                 conf_thresh=conf_thresh)
+            dets = [d for head in heads.pop() for d in
+                    D.decode_head(head, D.AnchorSet(), head.shape[2], input_size)]
+            want = [D.Detection(transform.box_to_original(d.box), d.class_id,
+                                d.objectness, d.class_prob)
+                    for d in D.filter_and_nms(dets, conf_thresh, 0.45)]
+            assert len(want) > 100
+            assert got == want
+    finally:
+        T.set_parallel(0)
 
 
 class TestJsonSerialization:
