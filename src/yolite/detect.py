@@ -3,23 +3,18 @@ and `detect_image`, the whole path from an image to its detections.
 
 The raw head layout per anchor is (tx, ty, tw, th, to, class scores...): cell
 offsets pass through a sigmoid, box sizes scale the anchor exponentially,
-objectness and per-class scores are sigmoids.
-
-Decoding and suppression run on one array core, `_decode_rows` and
-`_nms_rows`; `decode_head`, `filter_and_nms` and `detect_image` wrap it, and
-only the wrappers build `Detection` objects.  Decoding works in double
-precision with ``tensor.exp`` and ``tensor.logistic``, which apply
-``math.exp`` per element, so the emitted values are an exact function of the
-head values regardless of platform vector math.  The logistic runs on tx, ty
-and objectness, and only on the class logits that can win or tie their row
+objectness and per-class scores are sigmoids.  Decoding runs over whole
+arrays in double precision with ``tensor.exp`` and ``tensor.logistic``, which
+apply ``math.exp`` per element, so the emitted boxes are an exact function of
+the head values regardless of platform vector math.  The logistic runs on tx,
+ty and objectness, and only on the class logits that can win or tie their row
 (`_CLASS_MARGIN`); the results equal a logistic over every class.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,10 +108,13 @@ _CLASS_MARGIN = 1e-4
 _CLASS_EXACT_MAX = 20.0
 
 
-def _decode_rows(head: T.Tensor, anchors: AnchorSet, scale: int, input_size: int):
-    """`decode_head`'s candidates as arrays, in its emission order: boxes
-    (rows, 4) as cx, cy, w, h, then class ids, objectness and class
-    probabilities."""
+def decode_head(head: T.Tensor, anchors: AnchorSet, scale: int, input_size: int) -> list[Detection]:
+    """Decode one head tensor into scale*scale*B detections.
+
+    Emission order is row-major over grid cells, anchors innermost.  Every
+    candidate carries its argmax class (ties to the lower class id).  Raises
+    NonFiniteError if a decoded box value is not finite.
+    """
     n, ch, hh, ww = head.shape
     if n != 1:
         raise ShapeError(f"decode_head expects batch size 1, got {n}")
@@ -151,22 +149,9 @@ def _decode_rows(head: T.Tensor, anchors: AnchorSet, scale: int, input_size: int
     probs = np.full(logits.shape, -1.0)
     probs[near] = T.logistic(logits[near])
     best = probs.argmax(axis=1)
-    return boxes, best, sig[:, 2], probs[np.arange(len(best)), best]
-
-
-def decode_head(head: T.Tensor, anchors: AnchorSet, scale: int, input_size: int) -> list[Detection]:
-    """Decode one head tensor into scale*scale*B detections.
-
-    Emission order is row-major over grid cells, anchors innermost.  Every
-    candidate carries its argmax class (ties to the lower class id).  Raises
-    NonFiniteError if a decoded box value is not finite.
-    """
-    return _detections(*_decode_rows(head, anchors, scale, input_size))
-
-
-def _detections(boxes, cls, obj, prob) -> list[Detection]:
+    best_p = probs[np.arange(len(best)), best]
     return [Detection(Box(*box), c, o, p) for box, c, o, p in
-            zip(boxes.tolist(), cls.tolist(), obj.tolist(), prob.tolist())]
+            zip(boxes.tolist(), best.tolist(), sig[:, 2].tolist(), best_p.tolist())]
 
 
 # Suppression matrices are built in row blocks of at most this many entries,
@@ -179,7 +164,7 @@ def _suppresses(rows: np.ndarray, cols: np.ndarray, iou_thresh: float) -> np.nda
     """[i, j] is whether kept box ``rows[:, i]`` suppresses box ``cols[:, j]``:
     whether their `iou`, with its float64 operations, exceeds ``iou_thresh``.
     Each argument is (5, n): x1, y1, x2, y2, area; ``cols`` has its NaN
-    corners widened to -inf/+inf (see `_nms_rows`)."""
+    corners widened to -inf/+inf (see `filter_and_nms`)."""
     ax1, ay1, ax2, ay2, a_area = rows[:, :, None]
     bx1, by1, bx2, by2, b_area = cols[:, None, :]
     iw = np.minimum(ax2, bx2)
@@ -224,19 +209,28 @@ def _greedy_keep(rows: np.ndarray, cols: np.ndarray, iou_thresh: float) -> list[
     return kept
 
 
-def _nms_rows(conf: np.ndarray, cls: np.ndarray, boxes: np.ndarray,
-              conf_thresh: float, iou_thresh: float) -> np.ndarray:
-    """The rows `filter_and_nms` keeps, in its output order, from candidate
-    confidences, class ids and (rows, 4) cx, cy, w, h boxes."""
+def filter_and_nms(dets: list[Detection], conf_thresh: float = 0.25,
+                   iou_thresh: float = 0.45) -> list[Detection]:
+    """Confidence gate followed by greedy per-class suppression.
+
+    Keeps detections with confidence strictly above the threshold, orders
+    them by descending confidence (ties: lower class id, then input order),
+    and drops any same-class box overlapping a kept box by more than
+    ``iou_thresh``.
+    """
     for name, t in (("conf_thresh", conf_thresh), ("iou_thresh", iou_thresh)):
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"{name} must be within [0, 1], got {t}")
+    conf = np.array([d.confidence for d in dets], dtype=np.float64)
     idx = np.flatnonzero(conf > conf_thresh)
     if len(idx) == 0:
-        return idx
-    order = idx[np.lexsort((idx, cls[idx], -conf[idx]))]
+        return []
+    survivors = [dets[i] for i in idx.tolist()]
+    cls = np.array([d.class_id for d in survivors])
+    order = np.lexsort((idx, cls, -conf[idx]))
     cls = cls[order]
-    cx, cy, w, h = boxes[order].T
+    cx, cy, w, h = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h)
+                             for d in survivors], dtype=np.float64)[order].T
     rows = np.stack((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, w * h))
     # Python's min/max keep their first argument, the kept box's corner,
     # against a NaN second one; numpy's would return NaN
@@ -247,28 +241,7 @@ def _nms_rows(conf: np.ndarray, cls: np.ndarray, boxes: np.ndarray,
     bounds = np.flatnonzero(np.diff(cls[by_class])) + 1
     kept = [members[_greedy_keep(rows[:, members], cols[:, members], iou_thresh)]
             for members in np.split(by_class, bounds)]
-    return order[np.sort(np.concatenate(kept))]
-
-
-def filter_and_nms(dets: list[Detection], conf_thresh: float = 0.25,
-                   iou_thresh: float = 0.45) -> list[Detection]:
-    """Confidence gate followed by greedy per-class suppression.
-
-    Keeps detections with confidence strictly above the threshold, orders
-    them by descending confidence (ties: lower class id, then input order),
-    and drops any same-class box overlapping a kept box by more than
-    ``iou_thresh``.
-    """
-    conf = np.array([d.confidence for d in dets], dtype=np.float64)
-    cls = np.array([d.class_id for d in dets], dtype=np.int64)
-    boxes = np.array([(d.box.cx, d.box.cy, d.box.w, d.box.h) for d in dets],
-                     dtype=np.float64).reshape(-1, 4)
-    return [dets[i] for i in _nms_rows(conf, cls, boxes, conf_thresh, iou_thresh).tolist()]
-
-
-# Box fields as arrays: `LetterboxTransform.box_to_original` builds its result
-# with ``type(box)``, so it maps many boxes at once with its one formula.
-_BoxColumns = namedtuple("_BoxColumns", "cx cy w h")
+    return [survivors[i] for i in order[np.sort(np.concatenate(kept))].tolist()]
 
 
 def detect_image(g: N.NetworkGraph, image: np.ndarray, input_size: int,
@@ -278,20 +251,16 @@ def detect_image(g: N.NetworkGraph, image: np.ndarray, input_size: int,
     pixels: letterbox to ``input_size``, run ``g``, decode each head at its
     own grid side, filter and suppress, then map the kept boxes back.
 
-    Equals `filter_and_nms` of the `decode_head` lists of both heads, with
-    boxes mapped by `imageio.LetterboxTransform.box_to_original`, but keeps
-    the candidates in arrays and builds objects only for the kept boxes.
     `network.forward` and `imageio.letterbox` are looked up through their
     modules at call time, so a wrapper installed on either sees this call.
     """
     anchors = AnchorSet() if anchors is None else anchors
     x, transform = I.letterbox(image, input_size)
-    decoded = [_decode_rows(head, anchors, head.shape[2], input_size)
-               for head in N.forward(g, x)]
-    boxes, cls, obj, prob = (np.concatenate(cols) for cols in zip(*decoded))
-    rows = _nms_rows(obj * prob, cls, boxes, conf_thresh, iou_thresh)
-    mapped = transform.box_to_original(_BoxColumns(*boxes[rows].T))
-    return _detections(np.column_stack(mapped), cls[rows], obj[rows], prob[rows])
+    dets = []
+    for head in N.forward(g, x):
+        dets += decode_head(head, anchors, head.shape[2], input_size)
+    return [replace(d, box=transform.box_to_original(d.box))
+            for d in filter_and_nms(dets, conf_thresh, iou_thresh)]
 
 
 def _sig6(v: float) -> float:

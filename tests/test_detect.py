@@ -441,8 +441,8 @@ def test_full_size_decode_and_nms_equal_scalar(full_heads, source, monkeypatch):
 @pytest.mark.parametrize("model", ["v4tiny", "proposed"])
 def test_detect_image_equals_public_path(seeded_graphs, monkeypatch, model, input_size,
                                          workers):
-    """`detect_image` keeps rows in arrays; it must equal `filter_and_nms` of
-    both `decode_head` lists, mapped back by `box_to_original`."""
+    """`detect_image` equals `filter_and_nms` of both `decode_head` lists,
+    mapped back by `box_to_original`."""
     image = np.random.default_rng(input_size).random((300, 400, 3), dtype=np.float32)
     heads, forward = [], N.forward
 
