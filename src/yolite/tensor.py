@@ -6,30 +6,26 @@ fixed accumulation order (input channel as the slow index, then kernel row,
 then kernel column).  That makes results bit-identical to a naive scalar
 reference loop, repeatable across runs, and independent of memory layout,
 tiling, the number of terms one numpy call adds, and the optional parallel
-mode, in which forked helper processes fill shares of each convolution's
-output: all of these only decide *which* output elements and terms are
-computed together, and by which process, never how a single element is
-accumulated.  Convolutions fold their terms with ``np.einsum`` where a probe
-at import finds this numpy's einsum keeping that contract (``CONV_FOLD``),
-and with per-term ufunc calls otherwise.  The one exception to single
-precision is the float64 ``exp``/``logistic`` pair, shared by the attention
-gates and head decoding, which applies ``math.exp`` per element.
+mode, in which a pool of threads fills shares of each convolution's output:
+all of these only decide *which* output elements and terms are computed
+together, and by which thread, never how a single element is accumulated.
+Convolutions fold their terms with ``np.einsum`` where a probe at import
+finds this numpy's einsum keeping that contract (``CONV_FOLD``), and with
+per-term ufunc calls otherwise.  The one exception to single precision is
+the float64 ``exp``/``logistic`` pair, shared by the attention gates and
+head decoding, which applies ``math.exp`` per element.
 """
 
 from __future__ import annotations
 
-import atexit
+import concurrent.futures
 import contextlib
 import math
-import mmap
-import os
-import signal
-import struct
 import threading
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteError, ShapeError, YoliteError
+from .errors import NonFiniteError, ShapeError
 
 BN_EPSILON = 1e-5
 LEAKY_A = np.float32(10.0)  # leaky activation divisor, i.e. slope 0.1
@@ -57,20 +53,15 @@ BAND_BYTES = 4 * 1024 * 1024
 # contiguous inner run is shorter than the buffer goes through the buffered
 # iterator's copies and runs 3-5x slower.  Buffering only decides how numpy
 # chunks a loop, never how one element is computed.  Pooling's strided folds
-# run slower under a small buffer, so only conv2d and the conv helpers set it.
+# run slower under a small buffer, so only conv2d and the pool's conv shares
+# set it.
 UFUNC_BUFSIZE = 16
 
-# Parallel mode.  Each helper is (pid, request pipe write end, reply pipe read
-# end); the arena is an anonymous shared mapping that the caller and every
-# helper see, holding one conv's padded input, transposed weights and
-# accumulator.  conv2d and set_parallel hold the lock, so the caller's
-# threads take turns at them.
-_helpers: list[tuple[int, int, int]] = []
-_arena: mmap.mmap | None = None
+# Parallel mode.  The pool's threads fill every share of a conv but the
+# first, which the caller fills.  conv2d and set_parallel hold the lock, so
+# the caller's threads take turns at them.
+_pool: concurrent.futures.ThreadPoolExecutor | None = None
 _lock = threading.Lock()
-# A fill request: schedule (the fill _fill runs), stride, the share
-# [lo, hi), then the shapes of the padded input, weights and accumulator.
-_REQUEST = struct.Struct("16q")
 _BLOCKED, _CHANNEL_LAST, _FOLD, _EINSUM, _EINSUM_LAST = range(5)
 # The output subscript of each einsum schedule: the accumulator's layout of
 # one image.
@@ -78,97 +69,30 @@ _EINSUM_OUT = {_EINSUM: "oyx", _EINSUM_LAST: "yxo"}
 
 
 def set_parallel(workers: int) -> None:
-    """Split every convolution over ``workers`` processes: the caller and
-    ``workers - 1`` helpers forked from it (POSIX only).
+    """Split every convolution over ``workers`` threads: the caller and a
+    pool of ``workers - 1``.
 
     ``workers`` of 0 or 1 is serial execution.  Repeating the count keeps the
-    helpers; changing it reaps them and forks new ones, and 0 reaps them all
-    and leaves the module's state as it was at import.  Output is
-    bit-identical either way; this only trades wall-clock time.  A helper
-    that dies makes the next conv raise ``YoliteError`` and ends parallel
-    mode.
+    pool; changing it joins the pool's threads and starts a new pool, and 0
+    joins them and leaves the module's state as it was at import.  Output is
+    bit-identical either way; this only trades wall-clock time.  An error in
+    a pool thread's share is raised by that conv once every share has
+    finished, and parallel mode stays on.
     """
+    global _pool
     if workers < 0:
         raise ValueError("workers must be >= 0")
-    if workers >= 2 and not hasattr(os, "fork"):
-        raise ConfigError("parallel convolution needs os.fork, which this platform lacks")
     with _lock:
-        if len(_helpers) + 1 != max(workers, 1):
-            _stop()
+        if _pool_size() + 1 != max(workers, 1):
+            if _pool is not None:
+                _pool.shutdown()
+                _pool = None
             if workers >= 2:
-                _start(workers - 1, mmap.PAGESIZE)
+                _pool = concurrent.futures.ThreadPoolExecutor(workers - 1, "yolite-conv")
 
 
-atexit.register(set_parallel, 0)
-
-
-def _start(count: int, size: int) -> None:
-    """Map a ``size``-byte arena and fork ``count`` helpers that share it."""
-    global _arena
-    _arena = mmap.mmap(-1, size)
-    for _ in range(count):
-        req_r, req_w = os.pipe()
-        rep_r, rep_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (req_r, req_w, rep_r, rep_w):
-                os.close(fd)
-            _stop()
-            raise
-        if pid == 0:
-            inherited = [req_w, rep_r] + [fd for _, *fds in _helpers for fd in fds]
-            _serve(req_r, rep_w, inherited)
-        os.close(req_r)
-        os.close(rep_w)
-        _helpers.append((pid, req_w, rep_r))
-
-
-def _stop() -> list[tuple[int, int]]:
-    """Reap every helper and drop the arena; return each helper's (pid,
-    exit status), a negative status being the signal that ended it."""
-    global _arena
-    for _, requests, _ in _helpers:
-        os.close(requests)  # the helper reads EOF and exits
-    ended = []
-    for pid, _, replies in _helpers:
-        with contextlib.suppress(ChildProcessError):  # reaped elsewhere already
-            ended.append((pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
-        os.close(replies)
-    _helpers.clear()
-    _arena = None  # unmapped once no array views it
-    return ended
-
-
-def _serve(requests: int, replies: int, inherited: list[int]) -> None:
-    """A helper's whole life: fill each requested share in the arena and
-    reply one byte, until the request pipe reads EOF.  It leaves only
-    through ``os._exit``, so it never runs the caller's exit handlers, and it
-    calls no public function of the package."""
-    code = 1
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        for fd in inherited:
-            os.close(fd)
-        np.setbufsize(UFUNC_BUFSIZE)
-        while msg := os.read(requests, _REQUEST.size):
-            schedule, s, lo, hi, *dims = _REQUEST.unpack(msg)
-            xp, wt, acc = _carve(_arena, (dims[:4], dims[4:8], dims[8:]))
-            _fill(schedule, lo, hi, xp, wt, s, acc)
-            os.write(replies, b"\0")
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _carve(buf, shapes) -> list[np.ndarray]:
-    """Float32 arrays of ``shapes`` laid end to end from the start of ``buf``."""
-    views, offset = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(np.frombuffer(buf, np.float32, size, offset).reshape(shape))
-        offset += 4 * size
-    return views
+def _pool_size() -> int:
+    return 0 if _pool is None else _pool._max_workers
 
 
 @contextlib.contextmanager
@@ -367,7 +291,7 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     small maps, a chunk of terms per reduction, so the per-element fold
     order equals the scalar reference exactly.  Which elements form a block,
     their memory layout and the terms per numpy call depend only on the
-    output shape (see ``_schedule``).  Each process that fills a share,
+    output shape (see ``_schedule``).  Each thread that fills a share,
     serial or under ``set_parallel``, writes only that share of the staged
     accumulator.
     """
@@ -381,18 +305,13 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     nchw = schedule in (_EINSUM, _BLOCKED)
     shapes = ((n, c, h + 2 * p, w + 2 * p), (c, k, k, oc), shape if nchw else (n, oh, ow, oc))
     with _lock:
-        if _helpers:
-            xp, wt, acc = _carve(_arena_for(4 * sum(map(math.prod, shapes))), shapes)
-        else:
-            xp, wt, acc = (np.empty(dims, dtype=np.float32) for dims in shapes)
+        xp, wt, acc = (np.empty(dims, dtype=np.float32) for dims in shapes)
         if p > 0:
             xp.fill(0)
         xp[:, :, p:p + h, p:p + w] = x.array
         wt[...] = params.kernel.transpose(1, 2, 3, 0)  # (in, ky, kx, out)
         _split(schedule, oc if schedule == _BLOCKED else oh, xp, wt, s, acc)
-        out = acc if nchw else acc.transpose(0, 3, 1, 2)
-        if out.base is not None:  # channel-last, or in the arena the next conv reuses
-            out = out.copy()
+    out = acc if nchw else acc.transpose(0, 3, 1, 2).copy()
 
     np.add(out, params.bias[None, :, None, None], out=out)
     if params.bn is not None:
@@ -429,44 +348,30 @@ def _schedule(shape) -> int:
             else _CHANNEL_LAST)
 
 
-def _arena_for(need: int) -> mmap.mmap:
-    """The arena, grown to at least ``need`` bytes: a larger one (at least
-    double) is mapped and the helpers are forked again."""
-    if need > len(_arena):
-        size = max(need, 2 * len(_arena))
-        count = len(_helpers)
-        _stop()
-        _start(count, size)
-    return _arena
-
-
 def _split(schedule: int, total: int, xp: np.ndarray, wt: np.ndarray, s: int,
            acc: np.ndarray) -> None:
     """Fill units [0, total) of ``acc`` (output channels for ``_BLOCKED``,
-    else output rows) with one fill call per process.
+    else output rows) with one fill call per thread.
 
-    The units split into one near-equal contiguous share per process; the
-    caller fills the first and each helper one of the others, in the arena.
-    With fewer units than processes the caller fills them all.
+    The units split into one near-equal contiguous share per thread; the
+    caller fills the first and the pool the others, each under the small
+    ufunc buffer, whose size numpy keeps per thread.  With fewer units than
+    threads the caller fills them all.  The caller waits for every share,
+    also when its own raises, and then raises the first error.
     """
-    shares = len(_helpers) + 1 if total > len(_helpers) else 1
+    workers = _pool_size() + 1
+    shares = workers if total >= workers else 1
     bounds = [total * i // shares for i in range(shares + 1)]
-    busy = _helpers[:shares - 1]
-    replies = None
+    fill = _small_ufunc_buffer()(_fill)
+    futures = [_pool.submit(fill, schedule, lo, hi, xp, wt, s, acc)
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
-        for (_, requests, _), lo, hi in zip(busy, bounds[1:], bounds[2:]):
-            os.write(requests, _REQUEST.pack(schedule, s, lo, hi,
-                                             *xp.shape, *wt.shape, *acc.shape))
         _fill(schedule, 0, bounds[1], xp, wt, s, acc)
-        replies = [os.read(fd, 1) for _, _, fd in busy]
-    except BrokenPipeError:  # a helper is gone
-        pass
-    except BaseException:
-        _stop()
-        raise
-    if replies != [b"\0"] * len(busy):
-        ended = [f"{pid} ended with exit status {code}" for pid, code in _stop() if code]
-        raise YoliteError("conv helper " + ("; ".join(ended) or "ended unexpectedly"))
+    finally:
+        errors = [future.exception() for future in futures]  # waits for each share
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def _fill(schedule: int, lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,

@@ -1,15 +1,17 @@
+import threading
+
 import pytest
 
 from yolite import tensor as T
 
 
 @pytest.fixture(autouse=True)
-def no_conv_helpers_left():
-    """Fail a test that ends in parallel mode: a forked conv helper or a
-    mapped arena would outlive it and change the tests after it."""
+def no_conv_pool_left():
+    """Fail a test that ends in parallel mode or leaves a conv pool thread
+    alive: either would outlive it and change the tests after it."""
     yield
-    pids, arena = [pid for pid, *_ in T._helpers], T._arena
-    if pids or arena is not None:
+    pool = T._pool
+    threads = [t.name for t in threading.enumerate() if t.name.startswith("yolite-conv")]
+    if pool is not None or threads:
         T.set_parallel(0)
-        pytest.fail(f"test left conv helpers {pids} and an arena of "
-                    f"{None if arena is None else len(arena)} bytes")
+        pytest.fail(f"test left a conv pool {pool} and live pool threads {threads}")

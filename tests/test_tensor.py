@@ -1,12 +1,10 @@
 import ast
 import contextlib
-import mmap
+import itertools
 import os
 import pathlib
-import signal
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 
@@ -14,7 +12,7 @@ import numpy as np
 import pytest
 
 from yolite import tensor as T
-from yolite.errors import ConfigError, NonFiniteError, ShapeError, YoliteError
+from yolite.errors import NonFiniteError, ShapeError
 
 import oracles
 
@@ -84,18 +82,15 @@ SCHEDULES = (("default", "ufunc", "blocked", "channel_last", "reduce")
 
 @contextlib.contextmanager
 def fill_calls(workers=0):
-    """Run the block under ``set_parallel(workers)`` and collect (pid, numpy
-    ufunc buffer size, lo, hi) for each of conv2d's fill calls, in the caller
-    and in every helper: the spies are in place before the helpers fork, and
-    append their records to one file.  The list fills when the block ends."""
+    """Run the block under ``set_parallel(workers)`` and collect (thread id,
+    numpy ufunc buffer size, lo, hi) for each of conv2d's fill calls, in the
+    caller and in every pool thread.  The list is complete once the block
+    ends: every conv waits for all of its shares."""
     calls = []
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        log = pathlib.Path(tmp, "fill_calls")
-        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-
+    with pytest.MonkeyPatch.context() as mp:
         def spy(fill):
             def run(lo, hi, *args):
-                os.write(fd, f"{os.getpid()} {np.getbufsize()} {lo} {hi}\n".encode())
+                calls.append((threading.get_ident(), np.getbufsize(), lo, hi))
                 return fill(lo, hi, *args)
             return run
 
@@ -105,47 +100,15 @@ def fill_calls(workers=0):
         try:
             yield calls
         finally:
-            T.set_parallel(0)  # the helpers have written everything once reaped
-            os.close(fd)
-            calls.extend(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+            T.set_parallel(0)
 
 
 def in_caller(calls) -> set[bool]:
-    return {pid == os.getpid() for pid, *_ in calls}
+    return {ident == threading.get_ident() for ident, *_ in calls}
 
 
-def helper_pids() -> list[int]:
-    return [pid for pid, *_ in T._helpers]
-
-
-def wait_until_dead(pid: int, timeout: float = 20.0) -> None:
-    """Poll until ``pid`` is gone or a zombie, failing after ``timeout`` s."""
-    stop = time.monotonic() + timeout
-    while time.monotonic() < stop:
-        try:
-            with open(f"/proc/{pid}/stat") as fh:
-                # the state follows the parenthesised command name
-                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
-                    return
-        except FileNotFoundError:
-            return
-        time.sleep(0.02)
-    pytest.fail(f"process {pid} still running after {timeout} s")
-
-
-@contextlib.contextmanager
-def deadline(seconds: int):
-    """Fail the block, instead of hanging, if it runs past ``seconds``."""
-    def expire(*_):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
+def pool_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("yolite-conv")]
 
 
 class TestTensorType:
@@ -300,9 +263,9 @@ class TestConv2d:
         finally:
             T.set_parallel(0)
         assert bits_equal(got, ref)
-        # the caller fills the first share of rows itself
-        first = ref.shape[2] // max(workers, 1)
-        assert folds == ([(0, first)] if reduces else [])
+        # one fold call per share of the rows, the pool's included
+        shares = [ref.shape[2] * i // max(workers, 1) for i in range(max(workers, 1) + 1)]
+        assert sorted(folds) == (list(zip(shares, shares[1:])) if reduces else [])
 
     def test_one_element_tiles_keep_the_fold_order(self):
         # A 1x1 map with one output channel leaves a single output element,
@@ -394,8 +357,8 @@ class TestConv2d:
     def test_parallel_matches_serial(self, monkeypatch):
         # 11 output channels in blocks of 3, or 10 output rows, in bands of 3
         # rows or as one chunk: the shares are uneven for every worker count,
-        # and so are the blocks and bands in them, yet each process fills its
-        # share in one call
+        # and so are the blocks and bands in them, yet each share is filled
+        # in one call
         rng = np.random.default_rng(9)
         x = rand_tensor(rng, 2, 6, 10, 10)
         kern = (rng.random((11, 6, 3, 3), dtype=np.float32) * 2 - 1)
@@ -411,16 +374,13 @@ class TestConv2d:
                     case = f"{schedule} with {workers} workers"
                     assert bits_equal(serial, par), case
                     assert in_caller(calls) == {True, False}, case
-                    # each process fills one contiguous share, the caller the first
+                    # one fill call per contiguous share, the caller's the first
                     total = 11 if schedule == "blocked" else 10
                     shares = [total * i // workers for i in range(workers + 1)]
-                    filled = {}
-                    for pid, _, lo, hi in calls:
-                        filled.setdefault(pid, []).append((lo, hi))
-                    assert all(len(r) == 1 for r in filled.values()), case
-                    spans = sorted((min(r)[0], max(r)[1], pid) for pid, r in filled.items())
+                    spans = sorted((lo, hi, ident) for ident, _, lo, hi in calls)
                     assert [(lo, hi) for lo, hi, _ in spans] == list(zip(shares, shares[1:])), case
-                    assert spans[0][2] == os.getpid(), case
+                    assert spans[0][2] == threading.get_ident(), case
+                    assert threading.get_ident() not in {i for _, _, i in spans[1:]}, case
                     units = sorted(u for _, _, lo, hi in calls for u in range(lo, hi))
                     assert units == list(range(total)), case
 
@@ -449,8 +409,8 @@ class TestConv2d:
     ], ids=["_fill_blocked", "_fill_channel_last", "_fold_terms", "_fill_einsum",
             "_fill_einsum-yxo"])
     def test_a_fill_writes_only_its_share(self, monkeypatch, fill, spec):
-        # Each process fills its share of one shared accumulator in place, so
-        # a fill that wrote outside [lo, hi) would race with a helper.  Blocks
+        # Each thread fills its share of one shared accumulator in place, so
+        # a fill that wrote outside [lo, hi) would race with another.  Blocks
         # of 2 channels, bands of 2 rows and chunks of a few terms make every
         # fill take more than one step over the share.  The einsum fill runs
         # NCHW with the "oyx" subscript and channel-last with "yxo".
@@ -519,56 +479,26 @@ class TestConv2d:
         assert bits_equal(serial, par)
         assert in_caller(calls) == {True}
 
-    @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_arena_grows_and_helpers_refork(self, workers):
-        rng = np.random.default_rng(14)
-        small, large = rand_tensor(rng, 1, 3, 16, 16), rand_tensor(rng, 1, 3, 48, 48)
-        p = T.ConvParams(3, 8, 3, padding=1, weights=rng.random(8 * 3 * 9, dtype=np.float32))
-        serial = [T.conv2d(t, p).array for t in (small, large)]
-        T.set_parallel(workers)
-        try:
-            assert len(T._arena) == mmap.PAGESIZE
-            assert bits_equal(T.conv2d(small, p).array, serial[0])
-            size, pids = len(T._arena), helper_pids()
-            assert bits_equal(T.conv2d(large, p).array, serial[1])
-            # 3 * 50 * 50 padded inputs, 3 * 3 * 3 * 8 weights, 8 * 48 * 48 outputs
-            need = 4 * (3 * 50 * 50 + 3 * 3 * 3 * 8 + 8 * 48 * 48)
-            assert len(T._arena) == max(need, 2 * size)
-            assert len(helper_pids()) == workers - 1
-            assert not set(helper_pids()) & set(pids)
-            assert bits_equal(T.conv2d(small, p).array, serial[0])
-        finally:
-            T.set_parallel(0)
-
     def test_set_parallel_keeps_one_pool_and_joins_it(self):
-        # the pool is the set of helper processes, and joining is reaping
         rng = np.random.default_rng(10)
         x = rand_tensor(rng, 1, 3, 40, 40)
         p = T.ConvParams(3, 8, 3, padding=1,
                          weights=rng.random(8 * 3 * 9, dtype=np.float32))
         try:
             T.set_parallel(4)
-            first = helper_pids()
-            assert len(first) == 3
-            T.set_parallel(4)
-            assert helper_pids() == first
-            T.conv2d(x, p)  # grows the one-page arena, so the helpers refork
-            grown = helper_pids()
-            T.set_parallel(4)
+            first = T._pool
             T.conv2d(x, p)
-            assert helper_pids() == grown and len(grown) == 3
-            for pid in grown:
-                os.kill(pid, 0)  # alive
+            T.set_parallel(4)
+            assert T._pool is first
+            T.conv2d(x, p)
+            assert 1 <= len(pool_threads()) <= 3
             T.set_parallel(2)
-            (second,) = helper_pids()
-            assert second not in grown
+            assert T._pool is not first and pool_threads() == []  # joined
             T.conv2d(x, p)
+            assert len(pool_threads()) == 1
         finally:
             T.set_parallel(0)
-        assert T._helpers == [] and T._arena is None
-        for pid in first + grown + [second]:
-            with pytest.raises(ChildProcessError):  # reaped: no longer a child
-                os.waitpid(pid, os.WNOHANG)
+        assert T._pool is None and pool_threads() == []
 
     def test_serial_restores_the_modules_state(self):
         x = T.Tensor.full((1, 2, 30, 30), 1.0)
@@ -580,11 +510,11 @@ class TestConv2d:
         after = dict(vars(T))
         assert after.keys() == before.keys()
         assert [k for k in before if after[k] is not before[k]] == []
-        assert T._helpers == [] and T._arena is None
+        assert T._pool is None
 
-    def test_threads_sharing_the_arena_get_their_own_results(self):
-        # more threads than cores, switching as often as possible; sizes that
-        # differ make the arena grow while other threads wait for it
+    def test_threads_sharing_the_pool_get_their_own_results(self):
+        # more threads than cores, switching as often as possible, on maps
+        # of different sizes
         rng = np.random.default_rng(17)
         p = T.ConvParams(3, 8, 3, padding=1, weights=rng.random(8 * 3 * 9, dtype=np.float32))
         xs = [rand_tensor(rng, 1, 3, size, size) for size in (8, 24, 33, 40)]
@@ -612,55 +542,47 @@ class TestConv2d:
             assert len(results[i]) == 5
             assert all(bits_equal(got, want) for got in results[i]), i
 
-    def test_set_parallel_needs_fork(self, monkeypatch):
-        monkeypatch.delattr(os, "fork")
-        with pytest.raises(ConfigError, match="os.fork"):
-            T.set_parallel(2)
-        T.set_parallel(1)  # serial needs no fork
-        assert T._helpers == []
-
-    @pytest.mark.parametrize("when", ["before_request", "during_fill"])
-    def test_dead_helper_raises_and_ends_parallel_mode(self, monkeypatch, tmp_path, when):
+    def test_an_error_in_a_pool_share_is_raised_once_every_share_is_done(self, monkeypatch):
+        # Of three shares, the pool's first to start raises at once and the
+        # other is still running then.  The conv raises that error after
+        # both other shares have finished, and parallel mode stays on.
         rng = np.random.default_rng(15)
         x = rand_tensor(rng, 1, 3, 40, 40)
         p = T.ConvParams(3, 8, 3, padding=1,
                          weights=rng.random(8 * 3 * 9, dtype=np.float32))
         serial = T.conv2d(x, p).array
-        caller, fill, armed = os.getpid(), T._fill, tmp_path / "armed"
+        caller, fill, pool_calls, done = threading.get_ident(), T._fill, itertools.count(), []
 
-        def dies_in_helper(*args):
-            if os.getpid() != caller and armed.exists():
-                os.kill(os.getpid(), signal.SIGKILL)
-            return fill(*args)
+        def fails_in_pool(*args):
+            if threading.get_ident() != caller:
+                if next(pool_calls) == 0:
+                    raise RuntimeError("a pool share failed")
+                time.sleep(0.2)
+            fill(*args)
+            done.append(threading.get_ident() == caller)
 
-        monkeypatch.setattr(T, "_fill", dies_in_helper)
-        T.set_parallel(2)
+        monkeypatch.setattr(T, "_fill", fails_in_pool)
+        T.set_parallel(3)
         try:
-            T.conv2d(x, p)  # the arena grows and the helper reforks now
-            (pid,) = helper_pids()
-            if when == "before_request":
-                os.kill(pid, signal.SIGKILL)
-                wait_until_dead(pid)
-            else:
-                armed.touch()
-            with deadline(60), pytest.raises(YoliteError,
-                                             match=f"{pid} ended with exit status -9"):
+            pool = T._pool
+            with pytest.raises(RuntimeError, match="a pool share failed"):
                 T.conv2d(x, p)
-            assert T._helpers == [] and T._arena is None
+            assert sorted(done) == [False, True]
+            monkeypatch.undo()
+            assert T._pool is pool
+            assert bits_equal(T.conv2d(x, p).array, serial)
         finally:
             T.set_parallel(0)
-        monkeypatch.undo()
-        assert bits_equal(T.conv2d(x, p).array, serial)
 
-    def test_killed_caller_leaves_no_helper(self):
-        code = ("import os, signal; from yolite import tensor as T; T.set_parallel(2); "
-                "print(T._helpers[0][0], flush=True); os.kill(os.getpid(), signal.SIGKILL)")
+    def test_a_process_left_in_parallel_mode_exits_cleanly(self):
+        # no set_parallel(0) before exit: concurrent.futures joins the pool
+        code = ("import numpy as np; from yolite import tensor as T; T.set_parallel(2); "
+                "T.conv2d(T.Tensor.full((1, 2, 30, 30), 1.0), "
+                "T.ConvParams(2, 4, 3, padding=1, weights=np.ones(72, np.float32)))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        # the helper inherits the child's stdout, so this returns once it exits
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=60)
-        assert proc.returncode == -signal.SIGKILL
-        wait_until_dead(int(proc.stdout))
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("caller", [4096, 8192, 1 << 20])
     def test_callers_buffer_size_is_restored(self, caller):
@@ -764,8 +686,8 @@ class TestActivations:
             assert "np.exp" not in text and "numpy.exp" not in text, path.name
 
     def test_only_conv_changes_the_ufunc_buffer(self):
-        # numpy's buffer size is per thread: conv2d's context manager and the
-        # forked conv helpers' entry are the only places that set it.
+        # numpy's buffer size is per thread: conv2d and the pool's conv shares
+        # set it only through _small_ufunc_buffer.
         def refs(tree):
             return sum(isinstance(node, ast.Attribute) and node.attr == "setbufsize"
                        or isinstance(node, ast.Name) and node.id == "setbufsize"
@@ -774,7 +696,7 @@ class TestActivations:
 
         for path in pathlib.Path(T.__file__).parent.glob("*.py"):
             tree = ast.parse(path.read_text())
-            allowed = {"_small_ufunc_buffer", "_serve"} if path.name == "tensor.py" else set()
+            allowed = {"_small_ufunc_buffer"} if path.name == "tensor.py" else set()
             inside = {fn.name: refs(fn) for fn in tree.body
                       if isinstance(fn, ast.FunctionDef) and fn.name in allowed}
             assert refs(tree) == sum(inside.values()), path.name
