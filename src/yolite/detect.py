@@ -14,7 +14,7 @@ ty and objectness, and only on the class logits that can win or tie their row
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -259,7 +259,7 @@ def detect_image(g: N.NetworkGraph, image: np.ndarray, input_size: int,
     dets = []
     for head in N.forward(g, x):
         dets += decode_head(head, anchors, head.shape[2], input_size)
-    return [replace(d, box=transform.box_to_original(d.box))
+    return [Detection(transform.box_to_original(d.box), d.class_id, d.objectness, d.class_prob)
             for d in filter_and_nms(dets, conf_thresh, iou_thresh)]
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ShapeError
 from .tensor import Tensor
 
 RAW_MAGIC = b"YLTI"
@@ -133,8 +133,16 @@ def letterbox(image: np.ndarray, size: int) -> tuple[Tensor, LetterboxTransform]
     """Aspect-preserving nearest-neighbor resize onto a gray square canvas.
 
     Returns the (1, 3, size, size) network input and the inverse transform.
+    Raises ShapeError for an image that is not 3-D or has a zero side, and
+    for a size below 1.
     """
+    if np.ndim(image) != 3:
+        raise ShapeError(f"image must be 3-D (h, w, c), got {np.ndim(image)}-D")
     h, w, c = image.shape
+    if min(h, w) == 0:
+        raise ShapeError(f"image has a zero side ({h}x{w})")
+    if size < 1:
+        raise ShapeError(f"letterbox size must be >= 1, got {size}")
     scale = min(size / w, size / h)
     new_w = max(1, min(size, round(w * scale)))
     new_h = max(1, min(size, round(h * scale)))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import functools
 import math
 import threading
 
@@ -57,15 +58,12 @@ BAND_BYTES = 4 * 1024 * 1024
 # set it.
 UFUNC_BUFSIZE = 16
 
-# Parallel mode.  The pool's threads fill every share of a conv but the
-# first, which the caller fills.  conv2d and set_parallel hold the lock, so
-# the caller's threads take turns at them.
+# Parallel mode: each conv runs on _workers threads, the caller and the
+# pool's _workers - 1, which fill every share but the first.  A conv's fill
+# and set_parallel hold the lock, so the caller's threads take turns at them.
 _pool: concurrent.futures.ThreadPoolExecutor | None = None
+_workers = 1
 _lock = threading.Lock()
-_BLOCKED, _CHANNEL_LAST, _FOLD, _EINSUM, _EINSUM_LAST = range(5)
-# The output subscript of each einsum schedule: the accumulator's layout of
-# one image.
-_EINSUM_OUT = {_EINSUM: "oyx", _EINSUM_LAST: "yxo"}
 
 
 def set_parallel(workers: int) -> None:
@@ -79,20 +77,17 @@ def set_parallel(workers: int) -> None:
     a pool thread's share is raised by that conv once every share has
     finished, and parallel mode stays on.
     """
-    global _pool
+    global _pool, _workers
     if workers < 0:
         raise ValueError("workers must be >= 0")
     with _lock:
-        if _pool_size() + 1 != max(workers, 1):
+        if _workers != max(workers, 1):
             if _pool is not None:
                 _pool.shutdown()
                 _pool = None
             if workers >= 2:
                 _pool = concurrent.futures.ThreadPoolExecutor(workers - 1, "yolite-conv")
-
-
-def _pool_size() -> int:
-    return 0 if _pool is None else _pool._max_workers
+            _workers = max(workers, 1)
 
 
 @contextlib.contextmanager
@@ -291,9 +286,10 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     small maps, a chunk of terms per reduction, so the per-element fold
     order equals the scalar reference exactly.  Which elements form a block,
     their memory layout and the terms per numpy call depend only on the
-    output shape (see ``_schedule``).  Each thread that fills a share,
-    serial or under ``set_parallel``, writes only that share of the staged
-    accumulator.
+    output shape (see ``_schedule``).  Outside the lock, a padded input is
+    staged in a zeroed private array and the weights in a private (in, ky,
+    kx, out) one; an unpadded input is read in place.  Each thread that
+    fills a share, serial or under ``set_parallel``, writes only that share.
     """
     shape = params.output_shape(x.shape)
     if isinstance(x, Meta):
@@ -301,17 +297,16 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     _, oc, oh, ow = shape
     n, c, h, w = x.shape
     k, s, p = params.kernel_size, params.stride, params.padding
-    schedule = _schedule(shape)
-    nchw = schedule in (_EINSUM, _BLOCKED)
-    shapes = ((n, c, h + 2 * p, w + 2 * p), (c, k, k, oc), shape if nchw else (n, oh, ow, oc))
-    with _lock:
-        xp, wt, acc = (np.empty(dims, dtype=np.float32) for dims in shapes)
-        if p > 0:
-            xp.fill(0)
+    fill, units, last = _schedule(shape)
+    xp = x.array
+    if p > 0:
+        xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float32)
         xp[:, :, p:p + h, p:p + w] = x.array
-        wt[...] = params.kernel.transpose(1, 2, 3, 0)  # (in, ky, kx, out)
-        _split(schedule, oc if schedule == _BLOCKED else oh, xp, wt, s, acc)
-    out = acc if nchw else acc.transpose(0, 3, 1, 2).copy()
+    wt = params.kernel.transpose(1, 2, 3, 0).copy()  # (in, ky, kx, out)
+    acc = np.empty((n, oh, ow, oc) if last else shape, dtype=np.float32)
+    with _lock:
+        _split(fill, units, xp, wt, s, acc)
+    out = acc.transpose(0, 3, 1, 2).copy() if last else acc
 
     np.add(out, params.bias[None, :, None, None], out=out)
     if params.bn is not None:
@@ -324,10 +319,12 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     return Tensor(out, _trusted=True)
 
 
-def _schedule(shape) -> int:
-    """The fill that makes an (n, oc, oh, ow) conv output, which also fixes
-    its accumulator's layout: NCHW for ``_EINSUM`` and ``_BLOCKED``,
-    channel-last (n, oh, ow, oc) for the others.
+def _schedule(shape) -> tuple:
+    """(fill, units, last) for an (n, oc, oh, ow) conv output: ``conv2d``
+    calls ``fill(lo, hi, xp, wt, s, acc)`` on shares of ``units`` (output
+    channels for ``_fill_blocked``, else output rows) of an accumulator that
+    is channel-last (n, oh, ow, oc) if ``last``, else NCHW.  Each fill is
+    looked up in the module at call time.
 
     Maps of at most ``CHANNEL_LAST_MAX_PIXELS`` run channel-last, so each
     inner loop adds one term to a run of ``oc`` elements instead of the few
@@ -342,16 +339,17 @@ def _schedule(shape) -> int:
     n, oc, oh, ow = shape
     small = oh * ow <= CHANNEL_LAST_MAX_PIXELS
     if CONV_FOLD == "einsum" and oc * ow > 1:
-        return _EINSUM_LAST if small and oc > 1 else _EINSUM
-    return (_BLOCKED if not small
-            else _FOLD if oh * ow <= REDUCE_MAX_PIXELS and n * ow * oc > 1
-            else _CHANNEL_LAST)
+        last = small and oc > 1
+        return functools.partial(_fill_einsum, spec="yxo" if last else "oyx"), oh, last
+    if not small:
+        return _fill_blocked, oc, False
+    reduce = oh * ow <= REDUCE_MAX_PIXELS and n * ow * oc > 1
+    return (_fold_terms if reduce else _fill_channel_last), oh, True
 
 
-def _split(schedule: int, total: int, xp: np.ndarray, wt: np.ndarray, s: int,
+def _split(fill, total: int, xp: np.ndarray, wt: np.ndarray, s: int,
            acc: np.ndarray) -> None:
-    """Fill units [0, total) of ``acc`` (output channels for ``_BLOCKED``,
-    else output rows) with one fill call per thread.
+    """Fill units [0, total) of ``acc`` with one ``fill`` call per thread.
 
     The units split into one near-equal contiguous share per thread; the
     caller fills the first and the pool the others, each under the small
@@ -359,30 +357,18 @@ def _split(schedule: int, total: int, xp: np.ndarray, wt: np.ndarray, s: int,
     threads the caller fills them all.  The caller waits for every share,
     also when its own raises, and then raises the first error.
     """
-    workers = _pool_size() + 1
-    shares = workers if total >= workers else 1
+    shares = _workers if total >= _workers else 1
     bounds = [total * i // shares for i in range(shares + 1)]
-    fill = _small_ufunc_buffer()(_fill)
-    futures = [_pool.submit(fill, schedule, lo, hi, xp, wt, s, acc)
+    in_pool = _small_ufunc_buffer()(fill)
+    futures = [_pool.submit(in_pool, lo, hi, xp, wt, s, acc)
                for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
-        _fill(schedule, 0, bounds[1], xp, wt, s, acc)
+        fill(0, bounds[1], xp, wt, s, acc)
     finally:
         errors = [future.exception() for future in futures]  # waits for each share
     for error in errors:
         if error is not None:
             raise error
-
-
-def _fill(schedule: int, lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
-          acc: np.ndarray) -> None:
-    """Fill units [lo, hi) of ``acc`` with the fill ``schedule`` names, looked
-    up in the module when called; an einsum schedule also passes its output
-    subscript."""
-    if schedule in _EINSUM_OUT:
-        _fill_einsum(lo, hi, xp, wt, s, acc, _EINSUM_OUT[schedule])
-    else:
-        (_fill_blocked, _fill_channel_last, _fold_terms)[schedule](lo, hi, xp, wt, s, acc)
 
 
 def _fill_einsum(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
@@ -449,7 +435,7 @@ def _einsum_folds_in_order() -> bool:
     want = np.zeros((75, 3, 25), np.float32)
     for tap, col in zip(taps, cols):
         np.add(want, np.multiply(tap[:, None, None], col), out=want)
-    for spec in _EINSUM_OUT.values():
+    for spec in ("oyx", "yxo"):
         if np.einsum("to,tyx->" + spec, fma_taps, fma_cols).any():
             return False
         got = np.einsum("to,tyx->" + spec, taps, cols)

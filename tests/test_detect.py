@@ -468,6 +468,21 @@ def test_detect_image_equals_public_path(seeded_graphs, monkeypatch, model, inpu
         T.set_parallel(0)
 
 
+@pytest.mark.parametrize("shape, size", [
+    ((0, 5, 3), 64), ((5, 0, 3), 64), ((5, 4), 64), ((1, 5, 4, 3), 64),
+    ((5, 4, 3), 0), ((5, 4, 3), -32),
+], ids=["zero-height", "zero-width", "2-d", "4-d", "size-0", "negative-size"])
+def test_bad_image_or_size_raises_shape_error(seeded_graphs, shape, size):
+    """`letterbox`, and so `detect_image`, rejects an image that is not 3-D
+    or has a zero side, and a size below 1, with `ShapeError`, not with a
+    bare exception or a numpy warning (which pytest raises here)."""
+    image = np.full(shape, 0.5, np.float32)
+    with pytest.raises(ShapeError):
+        I.letterbox(image, size)
+    with pytest.raises(ShapeError):
+        D.detect_image(seeded_graphs["v4tiny"], image, size)
+
+
 class TestJsonSerialization:
     def test_six_significant_digits(self):
         det = D.Detection(D.Box(123.456789, 0.000123456789, 10.0, 20.0), 2,

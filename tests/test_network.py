@@ -282,7 +282,6 @@ def test_schedule_of_every_model_conv(monkeypatch, key):
     monkeypatch.setattr(T, "CONV_FOLD", "einsum")  # the rule needs no einsum call
     g = N.MODELS[model](80)
     shapes = N.infer_shapes(g, (1, 3, size, size))
-    fills = {T._EINSUM: "nchw", T._EINSUM_LAST: "channel-last"}
     got = {}
     for node in g.nodes:
         ledger = []
@@ -290,7 +289,9 @@ def test_schedule_of_every_model_conv(monkeypatch, key):
         names = {id(p): name for name, p in node.convs()}
         for op, params, shape in ledger:
             if op == "conv":
-                got.setdefault(names[id(params)], set()).add(fills.get(T._schedule(shape)))
+                fill, _, last = T._schedule(shape)
+                assert getattr(fill, "func", None) is T._fill_einsum  # the band fill
+                got.setdefault(names[id(params)], set()).add("channel-last" if last else "nchw")
     want = {name: {"channel-last" if name in CHANNEL_LAST_CONVS[key] else "nchw"}
             for name, _ in N.iter_conv_entries(g)}
     assert got == want

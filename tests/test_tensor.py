@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import functools
 import itertools
 import os
 import pathlib
@@ -89,9 +90,9 @@ def fill_calls(workers=0):
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         def spy(fill):
-            def run(lo, hi, *args):
+            def run(lo, hi, *args, **kwargs):
                 calls.append((threading.get_ident(), np.getbufsize(), lo, hi))
-                return fill(lo, hi, *args)
+                return fill(lo, hi, *args, **kwargs)
             return run
 
         for name in ("_fill_blocked", "_fill_channel_last", "_fold_terms", "_fill_einsum"):
@@ -101,6 +102,14 @@ def fill_calls(workers=0):
             yield calls
         finally:
             T.set_parallel(0)
+
+
+def fill_name(fill) -> str:
+    """A fill ``_schedule`` returns, by name; the band fill with its output
+    subscript, as "_fill_einsum-oyx" or "_fill_einsum-yxo"."""
+    if isinstance(fill, functools.partial):
+        return f"{fill.func.__name__}-{fill.keywords['spec']}"
+    return fill.__name__
 
 
 def in_caller(calls) -> set[bool]:
@@ -403,6 +412,49 @@ class TestConv2d:
         assert bits_equal(got, ref)
         assert in_caller(calls) == ({True} if workers == 0 else {True, False})
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_fills_read_an_unpadded_input_in_place(self, monkeypatch, padding, workers):
+        # With padding 0 every share's fill gets the caller's read-only
+        # array itself; with padding the fills share one private copy.
+        # Either way the caller's array keeps its values and stays
+        # read-only, under every schedule.
+        rng = np.random.default_rng(37)
+        x = rand_tensor(rng, 2, 4, 12, 11)
+        before = x.array.copy()
+        kern = rng.random((6, 4, 3, 3), dtype=np.float32) * 2 - 1
+        p = T.ConvParams(4, 6, 3, padding=padding, weights=kern.reshape(-1))
+        ref = oracles.conv2d_naive(x.array, kern, np.zeros(6, np.float32), 1, padding)
+        schedule = T._schedule
+        for name in SCHEDULES:
+            inputs = []
+
+            def spy(shape):
+                fill, units, last = schedule(shape)
+
+                def run(lo, hi, xp, *args, **kwargs):
+                    inputs.append(xp)
+                    return fill(lo, hi, xp, *args, **kwargs)
+                return run, units, last
+
+            with monkeypatch.context() as mp:
+                if name != "default":
+                    force_schedule(mp, name, ref.shape, block=2, terms=4 * 9)
+                mp.setattr(T, "_schedule", spy)
+                T.set_parallel(workers)
+                try:
+                    got = T.conv2d(x, p).array
+                finally:
+                    T.set_parallel(0)
+            assert bits_equal(got, ref), name
+            assert len(inputs) == max(workers, 1), name
+            if padding == 0:
+                assert all(xp is x.array for xp in inputs), name
+            else:
+                assert all(xp is inputs[0] for xp in inputs), name
+                assert not np.shares_memory(inputs[0], x.array), name
+            assert bits_equal(x.array, before) and not x.array.flags.writeable, name
+
     @pytest.mark.parametrize("fill, spec", [
         ("_fill_blocked", ()), ("_fill_channel_last", ()), ("_fold_terms", ()),
         ("_fill_einsum", ("oyx",)), ("_fill_einsum", ("yxo",)),
@@ -454,7 +506,8 @@ class TestConv2d:
             force_schedule(mp, "channel_last", (2, oc, 13, 13))
             serial = T.conv2d(x, p).array
         use_fold(monkeypatch, "einsum")
-        assert T._schedule(serial.shape) == T._EINSUM_LAST
+        fill, units, last = T._schedule(serial.shape)
+        assert (fill_name(fill), units, last) == ("_fill_einsum-yxo", 13, True)
         with fill_calls(workers) as calls:
             par = T.conv2d(x, p).array
         assert bits_equal(par, serial)
@@ -551,17 +604,18 @@ class TestConv2d:
         p = T.ConvParams(3, 8, 3, padding=1,
                          weights=rng.random(8 * 3 * 9, dtype=np.float32))
         serial = T.conv2d(x, p).array
-        caller, fill, pool_calls, done = threading.get_ident(), T._fill, itertools.count(), []
+        caller, pool_calls, done = threading.get_ident(), itertools.count(), []
+        fill, units, last = T._schedule(serial.shape)
 
-        def fails_in_pool(*args):
+        def fails_in_pool(*args, **kwargs):
             if threading.get_ident() != caller:
                 if next(pool_calls) == 0:
                     raise RuntimeError("a pool share failed")
                 time.sleep(0.2)
-            fill(*args)
+            fill(*args, **kwargs)
             done.append(threading.get_ident() == caller)
 
-        monkeypatch.setattr(T, "_fill", fails_in_pool)
+        monkeypatch.setattr(T, "_schedule", lambda shape: (fails_in_pool, units, last))
         T.set_parallel(3)
         try:
             pool = T._pool
@@ -1018,11 +1072,43 @@ class TestRandomizedOracleBattery:
         p = T.ConvParams(c, 1, 3, weights=kern.reshape(-1))
         ref = oracles.conv2d_naive(x.array, kern, np.zeros(1, np.float32), 1, 0)
         assert ref.shape == (1, 1, 1, 1)
-        assert T._schedule(ref.shape) == T._CHANNEL_LAST
-        assert T._schedule((1, 1, 7, 7)) == T._EINSUM
+        fill, _, last = T._schedule(ref.shape)
+        assert (fill_name(fill), last) == ("_fill_channel_last", True)
+        fill, _, last = T._schedule((1, 1, 7, 7))
+        assert (fill_name(fill), last) == ("_fill_einsum-oyx", False)
         assert bits_equal(T.conv2d(x, p).array, ref)
-        monkeypatch.setattr(T, "_schedule", lambda shape: T._EINSUM_LAST)
+        forced = functools.partial(T._fill_einsum, spec="yxo")
+        monkeypatch.setattr(T, "_schedule", lambda shape: (forced, shape[2], True))
         assert not bits_equal(T.conv2d(x, p).array, ref)
+
+    @pytest.mark.parametrize("fold", ["ufunc", "einsum"])
+    def test_the_battery_runs_every_fill_the_schedule_returns(self, monkeypatch, fold):
+        # Over a grid of output shapes, every fill the shape rule picks is
+        # one that a forced schedule of the battery above runs (the
+        # "default" and "ufunc" entries run the rule itself, so they cover
+        # nothing new), so a fill added to _schedule fails here until the
+        # battery forces it too.  The layout flag is channel-last exactly
+        # for the channel-last fills, and the split unit is the output
+        # channels for the blocked fill and the output rows otherwise.
+        sides = (1, 2, 5, 8, 9, 13, 14, 40)
+        shapes = list(itertools.product((1, 2), (1, 3, 64), sides, sides))
+        forced = set()
+        for name in set(SCHEDULES) - {"default", "ufunc"}:
+            for shape in shapes:
+                with monkeypatch.context() as mp:
+                    force_schedule(mp, name, shape, block=2, terms=9)
+                    forced.add(fill_name(T._schedule(shape)[0]))
+        use_fold(monkeypatch, fold)
+        channel_last = {"_fill_channel_last", "_fold_terms", "_fill_einsum-yxo"}
+        picked = set()
+        for n, oc, oh, ow in shapes:
+            fill, units, last = T._schedule((n, oc, oh, ow))
+            name = fill_name(fill)
+            picked.add(name)
+            assert last == (name in channel_last), (n, oc, oh, ow)
+            assert units == (oc if name == "_fill_blocked" else oh), (n, oc, oh, ow)
+        assert picked <= forced
+        assert len(picked) == (3 if fold == "ufunc" else 4)
 
     @pytest.mark.parametrize("op", ["pool2d", "channel_pool", "spatial_pool"])
     def test_signed_zero_ties(self, op):
