@@ -134,13 +134,17 @@ def letterbox(image: np.ndarray, size: int) -> tuple[Tensor, LetterboxTransform]
 
     Returns the (1, 3, size, size) network input and the inverse transform.
     Raises ShapeError for an image that is not 3-D or has a zero side, and
-    for a size below 1.
+    for a size that is not an integer (``bool`` included; numpy integers
+    are accepted) or is below 1.
     """
     if np.ndim(image) != 3:
         raise ShapeError(f"image must be 3-D (h, w, c), got {np.ndim(image)}-D")
     h, w, c = image.shape
     if min(h, w) == 0:
         raise ShapeError(f"image has a zero side ({h}x{w})")
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+        raise ShapeError(f"letterbox size must be an integer, got {size!r}")
+    size = int(size)
     if size < 1:
         raise ShapeError(f"letterbox size must be >= 1, got {size}")
     scale = min(size / w, size / h)

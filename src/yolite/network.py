@@ -178,9 +178,12 @@ def _check_input_shape(shape) -> None:
 
 def forward(g: NetworkGraph, x: T.Tensor) -> tuple[T.Tensor, ...]:
     """Evaluate every node once, in order; return the outputs of
-    ``g.heads`` in that order (for both builders, coarse head then fine)."""
-    values = forward_all(g, x)
-    return tuple(values[head] for head in g.heads)
+    ``g.heads`` in that order (for both builders, coarse head then fine).
+    Each other output is dropped once its last reader has run."""
+    _check_input_shape(x.shape)
+    heads = g.heads
+    values = _walk(g, x, "evaluation failed", keep=set(heads))
+    return tuple(values[head] for head in heads)
 
 
 def forward_all(g: NetworkGraph, x: T.Tensor) -> dict[str, T.Tensor]:
@@ -200,11 +203,24 @@ def infer_shapes(g: NetworkGraph, input_shape) -> dict[str, tuple]:
     return {key: value.shape for key, value in values.items()}
 
 
-def _walk(g: NetworkGraph, first, failure: str) -> dict:
+def _walk(g: NetworkGraph, first, failure: str, keep: set | None = None) -> dict:
     """Run each node's ``OPS`` forward in order, starting from ``first`` as
-    the value of ``input``."""
+    the value of ``input``, and return the outputs by key.  Without ``keep``
+    every output is returned.  With it, each value whose key is not in
+    ``keep`` is dropped right after the last node that reads it, or that
+    makes it if none reads it, so a forward holds only the values still to
+    be read."""
+    drop = [[] for _ in g.nodes]
+    if keep is not None:
+        last = {}
+        for i, node in enumerate(g.nodes):
+            for key in (*node.inputs, node.id, f"{node.id}.route"):
+                last[key] = i
+        for key, i in last.items():
+            if key not in keep:
+                drop[i].append(key)
     out_by_id = {INPUT_ID: first}
-    for node in g.nodes:
+    for node, done in zip(g.nodes, drop):
         op = OPS[node.kind]
         try:
             out = op.forward(node.payload, [out_by_id[ref] for ref in node.inputs])
@@ -213,6 +229,8 @@ def _walk(g: NetworkGraph, first, failure: str) -> dict:
         if op.routed:
             out, out_by_id[f"{node.id}.route"] = out
         out_by_id[node.id] = out
+        for key in done:
+            out_by_id.pop(key, None)
     return out_by_id
 
 

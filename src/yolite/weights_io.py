@@ -222,35 +222,46 @@ def init_seeded(g: N.NetworkGraph, seed: int) -> None:
             p.bn.running_var[:] = 1.0
 
 
+def _le_f4(a: np.ndarray) -> np.ndarray:
+    """``a`` as C-contiguous little-endian float32, without a copy when it is
+    one already (every parameter and tensor array is, on a little-endian
+    machine), so its buffer can be hashed or written as it stands."""
+    return np.ascontiguousarray(a, dtype="<f4")
+
+
 def params_checksum(g: N.NetworkGraph) -> str:
     """SHA-256 over every parameter array, in canonical order."""
     h = hashlib.sha256()
     for entry_id, p in N.iter_conv_entries(g):
         h.update(entry_id.encode("utf-8"))
         for arr in p.arrays():
-            h.update(arr.astype("<f4").tobytes())
+            h.update(_le_f4(arr))
     return h.hexdigest()
 
 
 def tensor_checksum(t: T.Tensor) -> str:
     """SHA-256 of a tensor's raw little-endian float32 storage."""
-    return hashlib.sha256(t.array.astype("<f4").tobytes()).hexdigest()
+    return hashlib.sha256(_le_f4(t.array)).hexdigest()
 
 
 def save(g: N.NetworkGraph, path) -> None:
-    """Write all parameters to ``path`` in the format described above."""
+    """Write all parameters to ``path`` in the format described above.
+
+    Each array is written straight from its own buffer, so saving holds no
+    copy of the weights.  A write that fails part-way leaves a partial file.
+    """
     entries = N.iter_conv_entries(g)
-    chunks = [MAGIC, struct.pack("<IQI", FORMAT_VERSION, fingerprint(g), len(entries))]
-    for entry_id, p in entries:
-        ident = entry_id.encode("utf-8")
-        arrays = p.arrays()
-        chunks.append(struct.pack("<H", len(ident)))
-        chunks.append(ident)
-        chunks.append(struct.pack("<6I", *(a.size for a in arrays)))
-        for a in arrays:
-            chunks.append(a.astype("<f4").tobytes())
+    header = MAGIC + struct.pack("<IQI", FORMAT_VERSION, fingerprint(g), len(entries))
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(header)
+        for entry_id, p in entries:
+            ident = entry_id.encode("utf-8")
+            arrays = p.arrays()
+            fh.write(struct.pack("<H", len(ident)))
+            fh.write(ident)
+            fh.write(struct.pack("<6I", *(a.size for a in arrays)))
+            for a in arrays:
+                fh.write(_le_f4(a))
 
 
 class _Reader:

@@ -470,17 +470,32 @@ def test_detect_image_equals_public_path(seeded_graphs, monkeypatch, model, inpu
 
 @pytest.mark.parametrize("shape, size", [
     ((0, 5, 3), 64), ((5, 0, 3), 64), ((5, 4), 64), ((1, 5, 4, 3), 64),
-    ((5, 4, 3), 0), ((5, 4, 3), -32),
-], ids=["zero-height", "zero-width", "2-d", "4-d", "size-0", "negative-size"])
+    ((5, 4, 3), 0), ((5, 4, 3), -32), ((5, 4, 3), 64.5), ((5, 4, 3), True),
+    ((5, 4, 3), "64"), ((5, 4, 3), np.float32(64)),
+], ids=["zero-height", "zero-width", "2-d", "4-d", "size-0", "negative-size",
+        "float-size", "bool-size", "str-size", "numpy-float-size"])
 def test_bad_image_or_size_raises_shape_error(seeded_graphs, shape, size):
     """`letterbox`, and so `detect_image`, rejects an image that is not 3-D
-    or has a zero side, and a size below 1, with `ShapeError`, not with a
-    bare exception or a numpy warning (which pytest raises here)."""
+    or has a zero side, and a size that is not an integer or is below 1,
+    with `ShapeError`, not with a bare exception or a numpy warning (which
+    pytest raises here)."""
     image = np.full(shape, 0.5, np.float32)
     with pytest.raises(ShapeError):
         I.letterbox(image, size)
     with pytest.raises(ShapeError):
         D.detect_image(seeded_graphs["v4tiny"], image, size)
+
+
+@pytest.mark.parametrize("size", [np.int64(64), np.int32(64), np.uint16(64)],
+                         ids=lambda size: type(size).__name__)
+def test_numpy_integer_size_is_an_int(seeded_graphs, size):
+    image = np.random.default_rng(4).random((48, 80, 3), dtype=np.float32)
+    x, transform = I.letterbox(image, 64)
+    got, got_transform = I.letterbox(image, size)
+    assert np.array_equal(got.array, x.array)
+    assert vars(got_transform) == vars(transform)
+    assert (D.detect_image(seeded_graphs["v4tiny"], image, size, conf_thresh=0.05)
+            == D.detect_image(seeded_graphs["v4tiny"], image, 64, conf_thresh=0.05))
 
 
 class TestJsonSerialization:

@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -234,6 +237,73 @@ class TestForward:
         for (s13, s26), (t13, t26) in zip(serial, threaded):
             assert np.array_equal(s13.array, t13.array)
             assert np.array_equal(s26.array, t26.array)
+
+
+class TestForwardFreesOutputs:
+    """``forward`` drops each intermediate output once its last reader has
+    run; ``forward_all`` keeps them all."""
+
+    @pytest.mark.parametrize("model", sorted(N.MODELS))
+    def test_forward_returns_forward_alls_heads(self, model):
+        g = N.MODELS[model](3)
+        W.init_seeded(g, 42)
+        x = small_input(64, seed=2)
+        values = N.forward_all(g, x)
+        for head, got in zip(g.heads, N.forward(g, x), strict=True):
+            assert np.array_equal(got.array.view(np.uint32),
+                                  values[head].array.view(np.uint32))
+
+    @pytest.mark.parametrize("model", sorted(N.MODELS))
+    def test_each_node_sees_only_values_still_to_be_read(self, monkeypatch, model):
+        g = N.MODELS[model](2)
+        last = dict.fromkeys(g.heads, len(g.nodes))  # index of each key's last reader
+        for i, node in enumerate(g.nodes):
+            for ref in node.inputs:
+                last[ref] = i
+        arrays = {}  # output key -> weak reference to its array
+        order = iter(enumerate(g.nodes))
+
+        def spy(op):
+            def forward(payload, xs):
+                i, node = next(order)
+                live = {key for key, ref in arrays.items() if ref() is not None}
+                assert live <= {key for key in arrays if last.get(key, -1) >= i}, node.id
+                out = op.forward(payload, xs)
+                main, route = out if op.routed else (out, None)
+                arrays[node.id] = weakref.ref(main.array)
+                if route is not None:
+                    arrays[f"{node.id}.route"] = weakref.ref(route.array)
+                return out
+            return op._replace(forward=forward)
+
+        monkeypatch.setattr(N, "OPS", {kind: spy(op) for kind, op in N.OPS.items()})
+        heads = N.forward(g, small_input(64))
+        assert next(order, None) is None
+        live = {key for key, ref in arrays.items() if ref() is not None}
+        assert live == set(g.heads) and len(heads) == 2
+
+    @pytest.mark.parametrize("model", sorted(N.MODELS))
+    def test_416_forward_peak(self, model):
+        """Traced peak of a 416 px forward, seed-42 weights at 80 classes:
+        at most 20 MiB, where keeping every output took ~28 MB."""
+        g = N.MODELS[model](80)
+        W.init_seeded(g, 42)
+        x = small_input(416)
+        tracemalloc.start()
+        try:
+            N.forward(g, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 << 20
+
+    @pytest.mark.parametrize("walk", [N.forward, N.forward_all])
+    def test_an_error_mid_walk_names_the_node(self, walk):
+        g = N.build_proposed(2)
+        trunk = next(node for node in g.nodes if node.id == "trunk")
+        trunk.payload = B.conv_bn_params(256, 512, 3)  # stage3 gives 512 channels
+        with pytest.raises(GraphError, match="node 'trunk'.*input channels 512"):
+            walk(g, small_input(64))
 
 
 class TestDescribe:
