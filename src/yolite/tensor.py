@@ -70,7 +70,9 @@ def set_parallel(workers: int) -> None:
     """Split every convolution over ``workers`` threads: the caller and a
     pool of ``workers - 1``.
 
-    ``workers`` of 0 or 1 is serial execution.  Repeating the count keeps the
+    ``workers`` of 0 or 1 is serial execution.  A count that is not an
+    integer (``bool`` included; numpy integers are accepted) or is negative
+    raises ``ValueError`` and changes nothing.  Repeating the count keeps the
     pool; changing it joins the pool's threads and starts a new pool, and 0
     joins them and leaves the module's state as it was at import.  Output is
     bit-identical either way; this only trades wall-clock time.  An error in
@@ -78,6 +80,9 @@ def set_parallel(workers: int) -> None:
     finished, and parallel mode stays on.
     """
     global _pool, _workers
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
+    workers = int(workers)
     if workers < 0:
         raise ValueError("workers must be >= 0")
     with _lock:
@@ -199,7 +204,7 @@ class ConvParams:
 
     ``weights`` is stored flat in (out, in, ky, kx) row-major order; ``bias``
     always exists (zero-filled when the layer is batch-normalized).  Non-finite
-    parameters are rejected at construction, never at apply time.
+    parameters passed in are rejected at construction, never at apply time.
     """
 
     __slots__ = ("in_channels", "out_channels", "kernel_size", "stride", "padding",
@@ -216,20 +221,20 @@ class ConvParams:
         self.stride = int(stride)
         self.padding = int(padding)
         n_w = out_channels * in_channels * kernel_size * kernel_size
-        if weights is None:
-            weights = np.zeros(n_w, dtype=np.float32)
-        self.weights = np.ascontiguousarray(weights, dtype=np.float32).reshape(-1)
+        self.weights = (np.zeros(n_w, dtype=np.float32) if weights is None else
+                        np.ascontiguousarray(weights, dtype=np.float32).reshape(-1))
         if self.weights.size != n_w:
             raise ShapeError(
                 f"weight length {self.weights.size} != out*in*k*k = {n_w}")
-        if bias is None:
-            bias = np.zeros(out_channels, dtype=np.float32)
-        self.bias = np.ascontiguousarray(bias, dtype=np.float32).reshape(-1)
+        self.bias = (np.zeros(out_channels, dtype=np.float32) if bias is None else
+                     np.ascontiguousarray(bias, dtype=np.float32).reshape(-1))
         if self.bias.size != out_channels:
             raise ShapeError(f"bias length {self.bias.size} != out_channels = {out_channels}")
-        if not np.isfinite(self.weights).all():
+        # only arrays the caller passed are scanned: the zeros made here are
+        # left unread, so a new graph's pages stay unmapped until written
+        if weights is not None and not np.isfinite(self.weights).all():
             raise NonFiniteError("conv weights hold non-finite values")
-        if not np.isfinite(self.bias).all():
+        if bias is not None and not np.isfinite(self.bias).all():
             raise NonFiniteError("conv bias holds non-finite values")
         if bn is not None and bn.gamma.size != out_channels:
             raise ShapeError(f"batch-norm channel count {bn.gamma.size} != out_channels = {out_channels}")

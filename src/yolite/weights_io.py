@@ -18,9 +18,9 @@ File format ("YLTW", little-endian throughout):
                               running_var element counts (0 = absent)
         arrays                the declared elements as float32
 
-Loading is all-or-nothing: the whole file is parsed and validated against the
-graph, and every array checked for finite values (and non-negative running
-variances), before any parameter array is touched.
+Loading is all-or-nothing: the file is read front to back into new arrays,
+validated against the graph, and every array checked for finite values (and
+non-negative running variances), before the new arrays replace the graph's.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import network as N
 from . import tensor as T
-from .errors import (ArrayLengthError, BadMagicError, FingerprintMismatchError,
+from .errors import (ArrayLengthError, BadMagicError, ConfigError, FingerprintMismatchError,
                      TruncatedFileError, UnsupportedVersionError, WeightFileError)
 
 MAGIC = b"YLTW"
@@ -203,11 +203,17 @@ def init_seeded(g: N.NetworkGraph, seed: int) -> None:
     its own generator, sub-seeded from one master splitmix64 stream, so the
     result depends only on (seed, layer table).  The entries' generators
     step together in one ``_uniform`` call, which hands the weights over in
-    row blocks that are scaled and written in place.
+    row blocks that are scaled and written in place.  A seed that is not an
+    integer in [0, 2**64) (``bool`` excluded; numpy integers are accepted)
+    raises ``ConfigError`` and writes nothing.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed <= _U64:
+        raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     params = [p for _, p in N.iter_conv_entries(g)]
     bounds = [np.sqrt(2.0 / (p.kernel_size ** 2 * p.in_channels)) for p in params]
-    sub_seeds = _splitmix64(seed & _U64, len(params))
+    sub_seeds = _splitmix64(seed, len(params))
     for i, start, k in _uniform(sub_seeds, [p.weights.size for p in params]):
         # 2u - 1 = (k - 2**52) * 2**-52 exactly for u = k * 2**-53, so this
         # rounds the same real (2u - 1) * b to float64, then to float32
@@ -265,34 +271,54 @@ def save(g: N.NetworkGraph, path) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = memoryview(data)
+    """Reads an open file front to back, raising ``TruncatedFileError`` at
+    its end; ``pos`` counts the bytes read so far."""
+
+    def __init__(self, fh):
+        self.fh = fh
         self.pos = 0
         self.layer_id: str | None = None
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
-            raise TruncatedFileError(
-                f"file ends at byte {len(self.data)}, needed {self.pos + n}",
-                layer_id=self.layer_id)
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+    def fill(self, buf) -> None:
+        """Fill ``buf`` with the next ``len(buf)`` bytes, looping over short
+        reads (a pipe returns what it holds)."""
+        view = memoryview(buf).cast("B")
+        got = 0
+        while got < len(view):
+            n = self.fh.readinto(view[got:])
+            if not n:
+                raise TruncatedFileError(
+                    f"file ends at byte {self.pos + got}, needed {self.pos + len(view)}",
+                    layer_id=self.layer_id)
+            got += n
+        self.pos += got
+
+    def take(self, n: int) -> bytearray:
+        buf = bytearray(n)
+        self.fill(buf)
+        return buf
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def floats(self, n: int) -> np.ndarray:
+        """The next ``n`` little-endian float32 values, read straight into a
+        new array (converted to native order only on a big-endian machine)."""
+        arr = np.empty(n, dtype="<f4")
+        self.fill(arr)
+        return arr.astype(np.float32, copy=False)
 
-def load(g: N.NetworkGraph, path) -> None:
-    """Read ``path`` into the graph's parameters.
+    def rest(self) -> int:
+        """Read to the end of the file and return how many bytes were left."""
+        chunk, left = bytearray(1 << 16), 0
+        while n := self.fh.readinto(chunk):
+            left += n
+        return left
 
-    Raises a distinct error per failure mode (bad magic, unknown version,
-    fingerprint mismatch, truncation, array-length mismatch; a plain
-    ``WeightFileError`` for non-finite values or a negative running variance)
-    and leaves the graph untouched unless every check passes.
-    """
-    with open(path, "rb") as fh:
-        rd = _Reader(fh.read())
+
+def _read_checked(rd: _Reader, g: N.NetworkGraph) -> list:
+    """Each entry's ``ConvParams`` and its six new arrays, read from ``rd``
+    to the file's end and checked against the graph; see ``load``."""
     if rd.take(4) != MAGIC:
         raise BadMagicError("not a YLTW weight file")
     version, fp, count = rd.unpack("<IQI")
@@ -310,7 +336,7 @@ def load(g: N.NetworkGraph, path) -> None:
         (id_len,) = rd.unpack("<H")
         ident = rd.take(id_len)
         if ident != entry_id.encode("utf-8"):
-            raise ArrayLengthError(f"layer id {bytes(ident).decode('utf-8', 'replace')!r} "
+            raise ArrayLengthError(f"layer id {ident.decode('utf-8', 'replace')!r} "
                                    f"does not match expected {entry_id!r}")
         rd.layer_id = entry_id
         lengths = rd.unpack("<6I")
@@ -320,16 +346,33 @@ def load(g: N.NetworkGraph, path) -> None:
                 f"layer {entry_id!r} declares array lengths {list(lengths)}, expected {expected}")
         arrays = []
         for name, n in zip(_ARRAY_NAMES, lengths):
-            arr = np.frombuffer(rd.take(4 * n), dtype="<f4")
+            arr = rd.floats(n)
             if not np.isfinite(arr).all():
                 raise WeightFileError(f"layer {entry_id!r}: {name} holds non-finite values")
             arrays.append(arr)
         if (arrays[5] < 0).any():
             raise WeightFileError(f"layer {entry_id!r}: running_var entries must be >= 0")
-        staged.append(arrays)
-    if rd.pos != len(rd.data):
-        raise ArrayLengthError(f"{len(rd.data) - rd.pos} unexpected trailing bytes")
+        staged.append((p, arrays))
+    if left := rd.rest():
+        raise ArrayLengthError(f"{left} unexpected trailing bytes")
+    return staged
 
-    for (_, p), arrays in zip(entries, staged):
-        for dst, src in zip(p.arrays(), arrays):
-            dst[:] = src
+
+def load(g: N.NetworkGraph, path) -> None:
+    """Read ``path`` into the graph's parameters.
+
+    The file is read once, front to back, each array straight into a new
+    parameter array, so no copy of the file is held.  Raises a distinct
+    error per failure mode (bad magic, unknown version, fingerprint
+    mismatch, truncation, array-length mismatch; a plain ``WeightFileError``
+    for non-finite values or a negative running variance) and leaves the
+    graph untouched unless every check passes.  Then the new arrays replace
+    the graph's own: arrays taken from the graph before the load keep the
+    old values.
+    """
+    with open(path, "rb") as fh:
+        staged = _read_checked(_Reader(fh), g)
+    for p, (weights, bias, *bn) in staged:
+        p.weights, p.bias = weights, bias
+        if p.bn is not None:
+            p.bn.gamma, p.bn.beta, p.bn.running_mean, p.bn.running_var = bn

@@ -161,6 +161,10 @@ class TestConvParams:
         with pytest.raises(NonFiniteError):
             T.ConvParams(2, 3, 3, weights=w)
 
+    def test_non_finite_bias_rejected(self):
+        with pytest.raises(NonFiniteError, match="bias"):
+            T.ConvParams(2, 3, 3, bias=np.array([0.0, np.nan, 0.0], np.float32))
+
     def test_negative_running_var_rejected(self):
         with pytest.raises(ValueError):
             T.BatchNorm(np.ones(2, np.float32), np.zeros(2, np.float32),
@@ -552,6 +556,31 @@ class TestConv2d:
         finally:
             T.set_parallel(0)
         assert T._pool is None and pool_threads() == []
+
+    @pytest.mark.parametrize("start", [0, 2])
+    @pytest.mark.parametrize("bad", [1.5, 2.7, np.float64(2.0), "2", True, None, -1])
+    def test_set_parallel_rejects_a_bad_count_and_changes_nothing(self, start, bad):
+        x = T.Tensor.full((1, 2, 30, 30), 1.0)
+        p = T.ConvParams(2, 4, 3, padding=1, weights=np.ones(72, np.float32))
+        want = T.conv2d(x, p).array
+        T.set_parallel(start)
+        try:
+            workers, pool = T._workers, T._pool
+            with pytest.raises(ValueError, match="workers must be"):
+                T.set_parallel(bad)
+            assert T._workers == workers and T._pool is pool
+            assert len(pool_threads()) <= max(start - 1, 0)  # no pool started
+            assert bits_equal(T.conv2d(x, p).array, want)
+        finally:
+            T.set_parallel(0)
+
+    def test_set_parallel_takes_numpy_integers(self):
+        try:
+            T.set_parallel(np.int64(2))
+            assert T._workers == 2 and type(T._workers) is int and T._pool is not None
+        finally:
+            T.set_parallel(np.uint8(0))
+        assert T._workers == 1 and T._pool is None
 
     def test_serial_restores_the_modules_state(self):
         x = T.Tensor.full((1, 2, 30, 30), 1.0)

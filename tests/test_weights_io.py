@@ -1,4 +1,7 @@
 import hashlib
+import os
+import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,8 +10,9 @@ import pytest
 from yolite import network as N
 from yolite import tensor as T
 from yolite import weights_io as W
-from yolite.errors import (ArrayLengthError, BadMagicError, FingerprintMismatchError,
-                           TruncatedFileError, UnsupportedVersionError, WeightFileError)
+from yolite.errors import (ArrayLengthError, BadMagicError, ConfigError,
+                           FingerprintMismatchError, TruncatedFileError,
+                           UnsupportedVersionError, WeightFileError)
 
 import oracles
 
@@ -50,6 +54,28 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def traced_transient(fn, *args) -> int:
+    """Bytes ``fn(*args)`` held at its traced peak beyond what it left
+    allocated."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        current, peak = tracemalloc.get_traced_memory()
+        return peak - current
+    finally:
+        tracemalloc.stop()
+
+
+def held_arrays(g) -> list[np.ndarray]:
+    """Every parameter array object the graph holds, in file order."""
+    out = []
+    for _, p in N.iter_conv_entries(g):
+        out += [p.weights, p.bias]
+        if p.bn is not None:
+            out += [p.bn.gamma, p.bn.beta, p.bn.running_mean, p.bn.running_var]
+    return out
 
 
 class TestPrng:
@@ -152,6 +178,23 @@ class TestInitSeeded:
         W.init_seeded(g1, 1)
         W.init_seeded(g2, 2)
         assert W.params_checksum(g1) != W.params_checksum(g2)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70, np.int64(-1), 1.5, np.float64(2.0),
+                                      True, "2", None])
+    def test_a_seed_outside_u64_raises_config_error_and_writes_nothing(self, small_graph,
+                                                                       seed):
+        arrays, before = held_arrays(small_graph), W.params_checksum(small_graph)
+        with pytest.raises(ConfigError, match="seed must"):
+            W.init_seeded(small_graph, seed)
+        assert all(a is b for a, b in zip(held_arrays(small_graph), arrays))
+        assert W.params_checksum(small_graph) == before
+
+    def test_numpy_integer_seeds_match_python_ints(self):
+        for seed in (2 ** 64 - 1, 7):
+            g1, g2 = N.build_yolov4_tiny(2), N.build_yolov4_tiny(2)
+            W.init_seeded(g1, seed)
+            W.init_seeded(g2, np.uint64(seed))
+            assert W.params_checksum(g1) == W.params_checksum(g2)
 
     def test_scale_and_zero_bias(self):
         g = N.build_yolov4_tiny(2)
@@ -354,6 +397,132 @@ class TestSaveLoad:
         with pytest.raises(TruncatedFileError) as err:
             W.load(N.build_yolov4_tiny(2), path)
         assert err.value.layer_id is not None
+
+
+class TestStreamingLoad:
+    """``load`` reads the file front to back into new arrays and installs
+    them only once every check has passed."""
+
+    @pytest.mark.parametrize("model", sorted(N.MODELS))
+    def test_load_holds_no_copy_of_the_file(self, seeded80, tmp_path, model):
+        # the file is ~24 MB; only the new arrays themselves stay allocated
+        path = tmp_path / "w.yltw"
+        W.save(seeded80[model], path)
+        assert traced_transient(W.load, N.MODELS[model](80), path) <= 1 << 20
+
+    @pytest.mark.parametrize("model", sorted(N.MODELS))
+    def test_loaded_arrays_are_new_native_and_match_the_saved_graph(self, seeded80, tmp_path,
+                                                                    model):
+        path = tmp_path / "w.yltw"
+        W.save(seeded80[model], path)
+        g = N.MODELS[model](80)
+        old = held_arrays(g)
+        values = [a.copy() for a in old]
+        W.load(g, path)
+        for before, value, a in zip(old, values, held_arrays(g)):
+            assert a is not before and np.array_equal(before, value)  # no longer aliased
+            assert a.flags.c_contiguous and a.flags.writeable and a.flags.owndata
+            assert a.dtype == np.float32 and a.dtype.isnative and a.ndim == 1
+        assert W.params_checksum(g) == W.params_checksum(seeded80[model])
+        x = T.Tensor.full((1, 3, 64, 64), 0.5)
+        for got, want in zip(N.forward(g, x), N.forward(seeded80[model], x)):
+            assert np.array_equal(got.array.view(np.uint32), want.array.view(np.uint32))
+
+    # first entry of a saved 2-class v4tiny file: id length at byte 20, the
+    # id "stem1" at 22, its six array lengths at 27, its weights from 51
+    CORRUPT = {
+        "magic": (lambda b: b"NOPE" + b[4:], BadMagicError),
+        "version": (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], UnsupportedVersionError),
+        "fingerprint": (lambda b: b[:8] + bytes([b[8] ^ 1]) + b[9:], FingerprintMismatchError),
+        "layer count": (lambda b: b[:16] + struct.pack("<I", 1) + b[20:], ArrayLengthError),
+        "layer id": (lambda b: b[:22] + b"X" + b[23:], ArrayLengthError),
+        "lengths": (lambda b: b[:27] + struct.pack("<I", 1) + b[31:], ArrayLengthError),
+        "non-finite": (lambda b: b[:51] + struct.pack("<f", np.inf) + b[55:], WeightFileError),
+        "trailing bytes": (lambda b: b + b"xx", ArrayLengthError),
+    }
+
+    @staticmethod
+    def assert_load_fails_and_changes_nothing(path, error):
+        target = N.build_yolov4_tiny(2)
+        W.init_seeded(target, 5)
+        arrays, before = held_arrays(target), W.params_checksum(target)
+        with pytest.raises(error) as err:
+            W.load(target, path)
+        assert all(a is b for a, b in zip(held_arrays(target), arrays))
+        assert W.params_checksum(target) == before
+        return err.value
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPT))
+    def test_a_corrupt_file_changes_nothing(self, small_graph, tmp_path, kind):
+        corrupt, error = self.CORRUPT[kind]
+        path = tmp_path / "w.yltw"
+        W.save(small_graph, path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        exc = self.assert_load_fails_and_changes_nothing(path, error)
+        assert type(exc) is error
+
+    def test_a_negative_variance_changes_nothing(self, small_graph, tmp_path):
+        entry_id, p = N.iter_conv_entries(small_graph)[-2]
+        p.bn.running_var[-1] = -0.5
+        path = tmp_path / "w.yltw"
+        W.save(small_graph, path)
+        exc = self.assert_load_fails_and_changes_nothing(path, WeightFileError)
+        assert str(exc) == f"layer {entry_id!r}: running_var entries must be >= 0"
+
+    def test_a_truncated_file_changes_nothing(self, small_graph, tmp_path):
+        path = tmp_path / "w.yltw"
+        W.save(small_graph, path)
+        blob = path.read_bytes()
+        rng = np.random.default_rng(1)
+        for cut in [0, 3, 20, 51, len(blob) - 1, *rng.integers(4, len(blob) - 1, 6)]:
+            path.write_bytes(blob[:cut])
+            exc = self.assert_load_fails_and_changes_nothing(path, TruncatedFileError)
+            assert str(exc).startswith(f"file ends at byte {cut}, needed ")
+            assert (exc.layer_id is None) == (cut < 51)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestLoadFromFifo:
+    @staticmethod
+    def feed(fifo, data: bytes, chunk: int = 4093) -> threading.Thread:
+        """A started thread that writes ``data`` into ``fifo`` in small chunks."""
+        def write():
+            try:
+                with open(fifo, "wb", buffering=0) as fh:
+                    for i in range(0, len(data), chunk):
+                        fh.write(data[i:i + chunk])
+            except BrokenPipeError:  # the reader stopped early
+                pass
+        writer = threading.Thread(target=write)
+        writer.start()
+        return writer
+
+    def test_a_fifo_loads_the_same_parameters(self, small_graph, tmp_path):
+        path, fifo = tmp_path / "w.yltw", tmp_path / "w.fifo"
+        W.save(small_graph, path)
+        os.mkfifo(fifo)
+        writer = self.feed(fifo, path.read_bytes())
+        g = N.build_yolov4_tiny(2)
+        try:
+            W.load(g, fifo)
+        finally:
+            writer.join(30)
+        assert not writer.is_alive()
+        assert W.params_checksum(g) == W.params_checksum(small_graph)
+
+    def test_a_fifo_cut_mid_array_names_the_layer(self, small_graph, tmp_path):
+        path, fifo = tmp_path / "w.yltw", tmp_path / "w.fifo"
+        W.save(small_graph, path)
+        os.mkfifo(fifo)
+        last_id = N.iter_conv_entries(small_graph)[-1][0]
+        writer = self.feed(fifo, path.read_bytes()[:-3])
+        try:
+            with pytest.raises(TruncatedFileError) as err:
+                W.load(N.build_yolov4_tiny(2), fifo)
+        finally:
+            writer.join(30)
+        assert not writer.is_alive()
+        assert err.value.layer_id == last_id
 
 
 @pytest.mark.parametrize("model", sorted(N.MODELS))
