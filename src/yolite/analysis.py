@@ -128,17 +128,15 @@ RESBLOCK_D_REFERENCE_COSTS = (
 def flops_of_graph(g: N.NetworkGraph, input_size: int = 416) -> FlopsReport:
     """Cost an entire graph at a given square input size.
 
-    Each node's forward runs on shape-only inputs, and every conv and pool
+    One shape-only walk runs every node's forward, and every conv and pool
     it records becomes one row, in the order it ran: ``id`` or ``id.sub``
     for a conv, ``id.pool`` for a pool.  So the ledger lists exactly what the
     forward runs, but for the attention MLP that the cost model counts free.
     """
-    shapes = N.infer_shapes(g, (1, 3, input_size, input_size))
+    ledger: list = []  # a node's rows, emptied after each node
     items = []
-    for node in g.nodes:
-        ledger: list = []
-        inputs = [T.Meta(shapes[ref], ledger) for ref in node.inputs]
-        N.OPS[node.kind].forward(node.payload, inputs)
+
+    def on_node(node: N.LayerNode) -> None:
         names = {id(p): name for name, p in node.convs()}
         # The cost model's one exception: an aux block's attention MLP runs on
         # 1x1 pooled vectors and costs nothing.
@@ -149,6 +147,10 @@ def flops_of_graph(g: N.NetworkGraph, input_size: int = 416) -> FlopsReport:
                 items.append(_pool(f"{node.id}.pool", m, arg, c))
             elif id(arg) not in free:
                 items.append(_conv(names[id(arg)], m, arg.kernel_size, arg.in_channels, c))
+        ledger.clear()
+
+    N._walk(g, T.Meta((1, 3, input_size, input_size), ledger), "shape inference failed",
+            on_node=on_node)
     return flops_of_list(items, label=f"{g.name}@{input_size}")
 
 

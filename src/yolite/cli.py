@@ -186,11 +186,8 @@ def cmd_flops(args) -> int:
                               "resblock_d": res.to_json_dict(),
                               "ratio": round(ratio, 4)}))
         else:
-            print(csp.to_text())
-            print()
-            print(res.to_text())
-            print()
-            print(f"ratio: {csp.total} / {res.total} = {ratio:.4f}")
+            print(f"{csp.to_text()}\n\n{res.to_text()}\n\n"
+                  f"ratio: {csp.total} / {res.total} = {ratio:.4f}")
         return EXIT_OK
     report = A.flops_of_graph(N.MODELS[args.model](args.classes), args.input_size)
     print(_dump_json(report.to_json_dict()) if args.format == "json" else report.to_text())

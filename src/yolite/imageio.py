@@ -61,9 +61,9 @@ def _parse_ppm(data: bytes, path) -> np.ndarray:
 
 def write_ppm(path, image: np.ndarray) -> None:
     """Write an (h, w, 3) uint8 array as binary P6."""
-    h, w, c = image.shape
-    if c != 3 or image.dtype != np.uint8:
-        raise ValueError("write_ppm needs an (h, w, 3) uint8 array")
+    if np.ndim(image) != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
+        raise ValueError(f"write_ppm needs an (h, w, 3) uint8 array, got {image.dtype} {image.shape}")
+    h, w, _ = image.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(image.tobytes())
@@ -92,6 +92,9 @@ def _parse_raw_tensor(data: bytes, path) -> np.ndarray:
 
 
 def write_raw_tensor(path, arr: np.ndarray) -> None:
+    """Write an (h, w, c) array as YLTI, zero-sized and non-finite ones too."""
+    if np.ndim(arr) != 3:
+        raise ValueError(f"write_raw_tensor needs an (h, w, c) array, got {np.ndim(arr)}-D")
     h, w, c = arr.shape
     with open(path, "wb") as fh:
         fh.write(RAW_MAGIC)

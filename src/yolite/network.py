@@ -3,12 +3,12 @@
 A graph is an ordered list of named nodes; every node consumes earlier nodes
 only (the reserved id ``input`` denotes the network input, and ``<id>.route``
 addresses a routed node's secondary output, so node ids hold no ``.``).
-Node kinds are the keys of ``OPS``: conv, head, upsample, concat, add, and
-the three stage kinds csp, resblock_d and aux.  Shapes are not stated
-separately: ``infer_shapes`` runs the same forwards on shape-only
-``tensor.Meta`` values.  Both builders produce two detection heads: one at
-1/32 of the input resolution and one at 1/16, so a 416x416 input yields
-13x13 and 26x26 prediction maps.
+Node kinds are the keys of ``OPS``, which only this module reads: conv,
+head, upsample, concat, add, and the stage kinds csp, resblock_d and aux.
+Shapes and costs are not stated separately: ``infer_shapes`` and
+``analysis.flops_of_graph`` walk the forwards on shape-only ``tensor.Meta``
+values.  Both builders produce two heads, at 1/32 and 1/16 of the input
+resolution, so a 416x416 input yields 13x13 and 26x26 prediction maps.
 """
 
 from __future__ import annotations
@@ -180,7 +180,6 @@ def forward(g: NetworkGraph, x: T.Tensor) -> tuple[T.Tensor, ...]:
     """Evaluate every node once, in order; return the outputs of
     ``g.heads`` in that order (for both builders, coarse head then fine).
     Each other output is dropped once its last reader has run."""
-    _check_input_shape(x.shape)
     heads = g.heads
     values = _walk(g, x, "evaluation failed", keep=set(heads))
     return tuple(values[head] for head in heads)
@@ -189,7 +188,6 @@ def forward(g: NetworkGraph, x: T.Tensor) -> tuple[T.Tensor, ...]:
 def forward_all(g: NetworkGraph, x: T.Tensor) -> dict[str, T.Tensor]:
     """Like ``forward`` but returns every node's output (secondary outputs
     under ``id.route``), for inspection and shape-contract checks."""
-    _check_input_shape(x.shape)
     return _walk(g, x, "evaluation failed")
 
 
@@ -198,18 +196,20 @@ def infer_shapes(g: NetworkGraph, input_shape) -> dict[str, tuple]:
     secondary outputs), from the forward run on a shape-only input.  Raises
     GraphError naming the first node whose forward rejects its inputs, with
     that forward's own message."""
-    _check_input_shape(input_shape)
     values = _walk(g, T.Meta(input_shape), "shape inference failed")
     return {key: value.shape for key, value in values.items()}
 
 
-def _walk(g: NetworkGraph, first, failure: str, keep: set | None = None) -> dict:
-    """Run each node's ``OPS`` forward in order, starting from ``first`` as
-    the value of ``input``, and return the outputs by key.  Without ``keep``
-    every output is returned.  With it, each value whose key is not in
-    ``keep`` is dropped right after the last node that reads it, or that
-    makes it if none reads it, so a forward holds only the values still to
-    be read."""
+def _walk(g: NetworkGraph, first, failure: str, keep: set | None = None,
+          on_node: Callable | None = None) -> dict:
+    """Check ``first`` as the network input, run each node's ``OPS`` forward
+    in order with ``first`` as the value of ``input``, and return the outputs
+    by key.  Without ``keep`` every output is returned.  With it, each value
+    whose key is not in ``keep`` is dropped right after the last node that
+    reads it, or that makes it if none reads it, so a forward holds only the
+    values still to be read.  ``on_node(node)``, if given, is called right
+    after each node runs and its dropped values are gone."""
+    _check_input_shape(first.shape)
     drop = [[] for _ in g.nodes]
     if keep is not None:
         last = {}
@@ -231,6 +231,8 @@ def _walk(g: NetworkGraph, first, failure: str, keep: set | None = None) -> dict
         out_by_id[node.id] = out
         for key in done:
             out_by_id.pop(key, None)
+        if on_node is not None:
+            on_node(node)
     return out_by_id
 
 
@@ -253,15 +255,9 @@ def count_layers(g: NetworkGraph) -> int:
 def describe(g: NetworkGraph, input_size: int = 416) -> dict:
     """JSON-friendly structural summary of the graph at a given input size."""
     shapes = infer_shapes(g, (1, 3, input_size, input_size))
-    nodes = []
-    for node in g.nodes:
-        nodes.append({
-            "id": node.id,
-            "kind": node.kind,
-            "inputs": list(node.inputs),
-            "output_shape": list(shapes[node.id]),
-            "params": sum(p.n_params() for _, p in node.convs()),
-        })
+    nodes = [{"id": node.id, "kind": node.kind, "inputs": list(node.inputs),
+              "output_shape": list(shapes[node.id]),
+              "params": sum(p.n_params() for _, p in node.convs())} for node in g.nodes]
     return {
         "model": g.name,
         "classes": g.classes,

@@ -6,13 +6,18 @@ multiply and per add), accumulation with the input channel as the slow index
 and the kernel window row-major within it.  The fast implementations are
 required to match these references bit for bit where the module contracts
 say so.  None of this code is shared with the package, except that
-`nms_scalar` measures overlap with `detect.iou`, the IoU the contract names.
+`nms_scalar` measures overlap with `detect.iou`, the IoU the contract names,
+and `flops_rows_per_node` runs the package's node forwards (`network.OPS`)
+on shape-only `tensor.Meta` values.
 """
 
 import math
 
 import numpy as np
 
+from yolite import blocks as B
+from yolite import network as N
+from yolite import tensor as T
 from yolite.detect import iou
 
 f32 = np.float32
@@ -321,3 +326,26 @@ def xoshiro_lanes(seed: int, count: int, lanes: int = 256) -> list[int]:
     while len(out) < count:
         out.extend(xoshiro_step(s) for s in states)
     return out[:count]
+
+
+def flops_rows_per_node(g, size: int) -> list[tuple]:
+    """The cost rows of ``g`` at ``size`` px as (layer, kind, M, K, Cin,
+    Cout, FLOPs), from a second interpreter: take every node's input shapes
+    from ``infer_shapes``, rerun the node's ``OPS`` forward on fresh ``Meta``
+    values with a ledger of its own, and turn each conv and pool it records
+    into a row, but for an aux block's attention MLP."""
+    shapes = N.infer_shapes(g, (1, 3, size, size))
+    rows = []
+    for node in g.nodes:
+        ledger = []
+        N.OPS[node.kind].forward(node.payload, [T.Meta(shapes[ref], ledger) for ref in node.inputs])
+        names = {id(p): name for name, p in node.convs()}
+        free = ({id(node.payload.cbam.fc1), id(node.payload.cbam.fc2)}
+                if isinstance(node.payload, B.AuxBlock) else set())
+        for op, arg, (_, c, m, _) in ledger:
+            if op == "pool":
+                rows.append((f"{node.id}.pool", "pool", m, arg, c, c, c * m * m * arg * arg))
+            elif id(arg) not in free:
+                k, c_in = arg.kernel_size, arg.in_channels
+                rows.append((names[id(arg)], "conv", m, k, c_in, c, m * m * k * k * c_in * c))
+    return rows

@@ -1,10 +1,14 @@
 import json
+import re
 
 import pytest
 
 from yolite import analysis as A
 from yolite import network as N
 from yolite import tensor as T
+from yolite.errors import GraphError, ShapeError
+
+import oracles
 
 
 class TestLayerCosts:
@@ -116,6 +120,56 @@ class TestGraphCosts:
         monkeypatch.setattr(T, "pool2d", record_pool)
         N.forward(g, T.Tensor.zeros(1, 3, 64, 64))
         assert rows == ledger
+
+
+class TestOneWalk:
+    """`flops_of_graph` reads its rows off one shape-only walk of the graph."""
+
+    @pytest.mark.parametrize("size", [32, 128, 416, 608])
+    @pytest.mark.parametrize("classes", [1, 80])
+    @pytest.mark.parametrize("model", sorted(N.MODELS))
+    def test_rows_equal_the_per_node_rerun(self, model, classes, size):
+        g = N.MODELS[model](classes)
+        rows = [(e.layer_id, e.kind, e.m, e.k, e.c_in, e.c_out, e.flops)
+                for e in A.flops_of_graph(g, size).entries]
+        assert rows == oracles.flops_rows_per_node(g, size)
+
+    @pytest.mark.parametrize("model", sorted(N.MODELS))
+    def test_each_node_runs_once(self, monkeypatch, model):
+        ran = []
+
+        def spy(op):
+            return op._replace(forward=lambda p, xs: ran.append(p) or op.forward(p, xs))
+
+        monkeypatch.setattr(N, "OPS", {kind: spy(op) for kind, op in N.OPS.items()})
+        g = N.MODELS[model](80)
+        A.flops_of_graph(g, 416)
+        assert ran == [node.payload for node in g.nodes]
+
+
+BROKEN = N.NetworkGraph("broken", 1, [N.LayerNode("up", "upsample", [N.INPUT_ID]),
+                                      N.LayerNode("bad", "add", ["up", N.INPUT_ID])])
+SIDE = "input spatial size must be a square multiple of 32, got "
+SHAPE_ERRORS = [
+    ("flops", N.build_yolov4_tiny(2), 33, ShapeError, SIDE + "33x33"),
+    ("describe", N.build_yolov4_tiny(2), 33, ShapeError, SIDE + "33x33"),
+    ("infer", N.build_yolov4_tiny(2), (1, 3, 33, 33), ShapeError, SIDE + "33x33"),
+    ("infer", N.build_yolov4_tiny(2), (1, 3, 32, 64), ShapeError, SIDE + "32x64"),
+    ("infer", N.build_yolov4_tiny(2), (1, 2, 32, 32), ShapeError,
+     "network input must have 3 channels, got 2"),
+    *[(walk, BROKEN, arg, GraphError, "node 'bad': shape inference failed: add needs "
+       "identical shapes: (1, 3, 64, 64) vs (1, 3, 32, 32)")
+      for walk, arg in (("flops", 32), ("describe", 32), ("infer", (1, 3, 32, 32)))],
+]
+
+
+@pytest.mark.parametrize("walk, g, arg, cls, message", SHAPE_ERRORS,
+                         ids=["flops-33", "describe-33", "infer-33", "infer-non-square",
+                              "infer-2-channel", "flops-node", "describe-node", "infer-node"])
+def test_shape_walks_raise_the_input_check_or_name_the_node(walk, g, arg, cls, message):
+    run = {"flops": A.flops_of_graph, "describe": N.describe, "infer": N.infer_shapes}[walk]
+    with pytest.raises(cls, match=f"^{re.escape(message)}$"):
+        run(g, arg)
 
 
 class TestReceptiveField:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from yolite import imageio as I
 from yolite import network as N
 from yolite import tensor as T
 from yolite import weights_io as W
-from yolite.errors import NonFiniteError, ShapeError
+from yolite.errors import InputError, NonFiniteError, ShapeError
 
 import oracles
 
@@ -484,6 +485,38 @@ def test_bad_image_or_size_raises_shape_error(seeded_graphs, shape, size):
         I.letterbox(image, size)
     with pytest.raises(ShapeError):
         D.detect_image(seeded_graphs["v4tiny"], image, size)
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (1, 5, 4, 3)], ids=["2-d", "4-d"])
+def test_image_writers_state_their_rank_rule(tmp_path, shape):
+    """Each writer rejects an array that is not (h, w, c) with its own
+    `ValueError`, before it opens the file."""
+    path = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"^write_ppm needs an \(h, w, 3\) uint8 array, got "):
+        I.write_ppm(path, np.zeros(shape, np.uint8))
+    with pytest.raises(ValueError, match=r"^write_raw_tensor needs an \(h, w, c\) array, got "
+                                         f"{len(shape)}-D$"):
+        I.write_raw_tensor(path, np.zeros(shape, np.float32))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("image", [np.zeros((5, 4, 4), np.uint8), np.zeros((5, 4, 3))],
+                         ids=["4-channel", "float64"])
+def test_write_ppm_names_channels_and_dtype(tmp_path, image):
+    message = f"write_ppm needs an (h, w, 3) uint8 array, got {image.dtype} {image.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        I.write_ppm(tmp_path / "out.ppm", image)
+
+
+@pytest.mark.parametrize("arr, message", [
+    (np.zeros((0, 5, 3), np.float32), "zero dimension"),
+    (np.full((2, 2, 3), np.nan, np.float32), "non-finite"),
+], ids=["zero-sized", "non-finite"])
+def test_write_raw_tensor_writes_what_the_reader_refuses(tmp_path, arr, message):
+    path = tmp_path / "bad.ylti"
+    I.write_raw_tensor(path, arr)
+    with pytest.raises(InputError, match=message):
+        I.read_raw_tensor(path)
 
 
 @pytest.mark.parametrize("size", [np.int64(64), np.int32(64), np.uint16(64)],

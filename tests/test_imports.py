@@ -64,3 +64,16 @@ def test_all_lists_exactly_the_public_names():
     public = {n for n, v in vars(yolite).items()
               if not n.startswith("_") and not isinstance(v, ModuleType)}
     assert public == set(names)
+
+
+def test_only_network_reads_the_op_table():
+    """One module interprets graphs: no other package module names
+    ``network.OPS``, by attribute, by name or by import."""
+    readers = set()
+    for module in MODULES - {"network"}:
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "OPS"
+                    or isinstance(node, ast.Name) and node.id == "OPS"
+                    or isinstance(node, ast.alias) and node.name == "OPS"):
+                readers.add(module)
+    assert readers == set()

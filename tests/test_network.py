@@ -141,6 +141,49 @@ class TestBuilders:
             N.forward_all(g, T.Tensor.zeros(1, 3, 32, 32))
 
 
+class TestWalkHook:
+    """`_walk` calls ``on_node(node)`` right after each node runs; the public
+    walkers pass no hook."""
+
+    @pytest.mark.parametrize("walk", [
+        lambda g: N.forward(g, small_input(64)),
+        lambda g: N.forward_all(g, small_input(64)),
+        lambda g: N.infer_shapes(g, (1, 3, 64, 64)),
+    ], ids=["forward", "forward_all", "infer_shapes"])
+    @pytest.mark.parametrize("model", sorted(N.MODELS))
+    def test_fires_once_per_node_right_after_it_runs(self, monkeypatch, model, walk):
+        g = N.MODELS[model](2)
+        events, passed, _walk = [], [], N._walk
+
+        def spy(op):
+            return op._replace(forward=lambda p, xs: events.append("run") or op.forward(p, xs))
+
+        def walk_with_hook(*args, on_node=None, **kwargs):
+            passed.append(on_node)
+            return _walk(*args, on_node=events.append, **kwargs)
+
+        monkeypatch.setattr(N, "OPS", {kind: spy(op) for kind, op in N.OPS.items()})
+        monkeypatch.setattr(N, "_walk", walk_with_hook)
+        walk(g)
+        assert passed == [None]
+        assert len(events) == 2 * len(g.nodes)
+        assert events[::2] == ["run"] * len(g.nodes)
+        assert all(got is node for got, node in zip(events[1::2], g.nodes))
+
+    def test_no_call_for_a_node_that_fails(self):
+        g = N.NetworkGraph("broken", 1, [N.LayerNode("up", "upsample", [N.INPUT_ID]),
+                                         N.LayerNode("bad", "add", ["up", N.INPUT_ID]),
+                                         N.LayerNode("after", "upsample", ["up"])])
+        seen = []
+        with pytest.raises(GraphError, match="node 'bad'"):
+            N._walk(g, T.Meta((1, 3, 32, 32)), "shape inference failed", on_node=seen.append)
+        assert [node.id for node in seen] == ["up"]
+        seen.clear()
+        with pytest.raises(ShapeError, match="3 channels"):
+            N._walk(g, T.Meta((1, 2, 32, 32)), "shape inference failed", on_node=seen.append)
+        assert seen == []
+
+
 class TestParameterCounts:
     def test_single_conv_arithmetic(self):
         p = T.ConvParams(16, 32, 3)
@@ -351,17 +394,18 @@ def test_schedule_of_every_model_conv(monkeypatch, key):
     model, size = key
     monkeypatch.setattr(T, "CONV_FOLD", "einsum")  # the rule needs no einsum call
     g = N.MODELS[model](80)
-    shapes = N.infer_shapes(g, (1, 3, size, size))
-    got = {}
-    for node in g.nodes:
-        ledger = []
-        N.OPS[node.kind].forward(node.payload, [T.Meta(shapes[ref], ledger) for ref in node.inputs])
+    ledger, got = [], {}
+
+    def on_node(node):
         names = {id(p): name for name, p in node.convs()}
         for op, params, shape in ledger:
             if op == "conv":
                 fill, _, last = T._schedule(shape)
                 assert getattr(fill, "func", None) is T._fill_einsum  # the band fill
                 got.setdefault(names[id(params)], set()).add("channel-last" if last else "nchw")
+        ledger.clear()
+
+    N._walk(g, T.Meta((1, 3, size, size), ledger), "shape inference failed", on_node=on_node)
     want = {name: {"channel-last" if name in CHANNEL_LAST_CONVS[key] else "nchw"}
             for name, _ in N.iter_conv_entries(g)}
     assert got == want
