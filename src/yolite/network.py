@@ -171,7 +171,7 @@ def _check_input_shape(shape) -> None:
     n, c, h, w = shape
     if c != 3:
         raise ShapeError(f"network input must have 3 channels, got {c}")
-    if h != w or h % INPUT_MULTIPLE or h == 0:
+    if h != w or h % INPUT_MULTIPLE or h <= 0:
         raise ShapeError(f"input spatial size must be a square multiple of {INPUT_MULTIPLE}, "
                          f"got {h}x{w}")
 

@@ -18,7 +18,6 @@ head decoding, which applies ``math.exp`` per element.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import functools
 import math
@@ -31,8 +30,8 @@ from .errors import NonFiniteError, ShapeError
 BN_EPSILON = 1e-5
 LEAKY_A = np.float32(10.0)  # leaky activation divisor, i.e. slope 0.1
 
-# Convolution layout rule: output maps with more pixels than this run in
-# NCHW layout; smaller maps run channel-last, so the innermost loop is a
+# Convolution order rule: output maps with more pixels than this fold in
+# NCHW order; smaller maps fold channel-last, so the innermost loop is a
 # contiguous run over output channels (under the einsum fold only with more
 # than one output channel; see _schedule).
 CHANNEL_LAST_MAX_PIXELS = 13 * 13
@@ -43,7 +42,7 @@ CHANNEL_LAST_MAX_PIXELS = 13 * 13
 # costs more than the calls it saves.
 REDUCE_MAX_PIXELS = 8 * 8
 REDUCE_CHUNK_BYTES = 1024 * 1024
-# Byte size of one NCHW accumulator block; it and its product buffer stay in
+# Byte size of one NCHW output block; it and its product buffer stay in
 # a core's L2 cache.
 ACC_BLOCK_BYTES = 512 * 1024
 # Byte size of the term-major columns the einsum fill gathers per band of
@@ -61,7 +60,7 @@ UFUNC_BUFSIZE = 16
 # Parallel mode: each conv runs on _workers threads, the caller and the
 # pool's _workers - 1, which fill every share but the first.  A conv's fill
 # and set_parallel hold the lock, so the caller's threads take turns at them.
-_pool: concurrent.futures.ThreadPoolExecutor | None = None
+_pool = None  # a concurrent.futures.ThreadPoolExecutor, imported when first made
 _workers = 1
 _lock = threading.Lock()
 
@@ -91,6 +90,7 @@ def set_parallel(workers: int) -> None:
                 _pool.shutdown()
                 _pool = None
             if workers >= 2:
+                import concurrent.futures
                 _pool = concurrent.futures.ThreadPoolExecutor(workers - 1, "yolite-conv")
             _workers = max(workers, 1)
 
@@ -290,28 +290,27 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     ``CONV_FOLD`` is "einsum", else one term per multiply and add or, on
     small maps, a chunk of terms per reduction, so the per-element fold
     order equals the scalar reference exactly.  Which elements form a block,
-    their memory layout and the terms per numpy call depend only on the
-    output shape (see ``_schedule``).  Outside the lock, a padded input is
-    staged in a zeroed private array and the weights in a private (in, ky,
-    kx, out) one; an unpadded input is read in place.  Each thread that
-    fills a share, serial or under ``set_parallel``, writes only that share.
+    the order a block adds in and the terms per numpy call depend only on
+    the output shape (see ``_schedule``).  Outside the lock, a padded input
+    is staged in a zeroed private array and the weights in a private (in,
+    ky, kx, out) one; an unpadded input is read in place.  Each thread that
+    fills a share, serial or under ``set_parallel``, writes only that share
+    of the one NCHW output.
     """
     shape = params.output_shape(x.shape)
     if isinstance(x, Meta):
         return x.derive(shape, "conv", params)
-    _, oc, oh, ow = shape
     n, c, h, w = x.shape
     k, s, p = params.kernel_size, params.stride, params.padding
-    fill, units, last = _schedule(shape)
+    fill, units = _schedule(shape)
     xp = x.array
     if p > 0:
         xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float32)
         xp[:, :, p:p + h, p:p + w] = x.array
     wt = params.kernel.transpose(1, 2, 3, 0).copy()  # (in, ky, kx, out)
-    acc = np.empty((n, oh, ow, oc) if last else shape, dtype=np.float32)
+    out = np.empty(shape, dtype=np.float32)
     with _lock:
-        _split(fill, units, xp, wt, s, acc)
-    out = acc.transpose(0, 3, 1, 2).copy() if last else acc
+        _split(fill, units, xp, wt, s, out)
 
     np.add(out, params.bias[None, :, None, None], out=out)
     if params.bn is not None:
@@ -325,13 +324,12 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
 
 
 def _schedule(shape) -> tuple:
-    """(fill, units, last) for an (n, oc, oh, ow) conv output: ``conv2d``
-    calls ``fill(lo, hi, xp, wt, s, acc)`` on shares of ``units`` (output
-    channels for ``_fill_blocked``, else output rows) of an accumulator that
-    is channel-last (n, oh, ow, oc) if ``last``, else NCHW.  Each fill is
-    looked up in the module at call time.
+    """(fill, units) for an (n, oc, oh, ow) conv output: ``conv2d`` calls
+    ``fill(lo, hi, xp, wt, s, out)`` on shares of ``units`` (output channels
+    for ``_fill_blocked``, else output rows) of the NCHW output ``out``.
+    Each fill is looked up in the module at call time.
 
-    Maps of at most ``CHANNEL_LAST_MAX_PIXELS`` run channel-last, so each
+    Maps of at most ``CHANNEL_LAST_MAX_PIXELS`` fold channel-last, so each
     inner loop adds one term to a run of ``oc`` elements instead of the few
     pixels of one channel.  numpy sums a lone output element's terms
     pairwise, so a map whose rows hold one element each stays on the
@@ -344,17 +342,17 @@ def _schedule(shape) -> tuple:
     n, oc, oh, ow = shape
     small = oh * ow <= CHANNEL_LAST_MAX_PIXELS
     if CONV_FOLD == "einsum" and oc * ow > 1:
-        last = small and oc > 1
-        return functools.partial(_fill_einsum, spec="yxo" if last else "oyx"), oh, last
+        spec = "yxo" if small and oc > 1 else "oyx"
+        return functools.partial(_fill_einsum, spec=spec), oh
     if not small:
-        return _fill_blocked, oc, False
+        return _fill_blocked, oc
     reduce = oh * ow <= REDUCE_MAX_PIXELS and n * ow * oc > 1
-    return (_fold_terms if reduce else _fill_channel_last), oh, True
+    return (_fold_terms if reduce else _fill_channel_last), oh
 
 
 def _split(fill, total: int, xp: np.ndarray, wt: np.ndarray, s: int,
-           acc: np.ndarray) -> None:
-    """Fill units [0, total) of ``acc`` with one ``fill`` call per thread.
+           out: np.ndarray) -> None:
+    """Fill units [0, total) of ``out`` with one ``fill`` call per thread.
 
     The units split into one near-equal contiguous share per thread; the
     caller fills the first and the pool the others, each under the small
@@ -365,10 +363,10 @@ def _split(fill, total: int, xp: np.ndarray, wt: np.ndarray, s: int,
     shares = _workers if total >= _workers else 1
     bounds = [total * i // shares for i in range(shares + 1)]
     in_pool = _small_ufunc_buffer()(fill)
-    futures = [_pool.submit(in_pool, lo, hi, xp, wt, s, acc)
+    futures = [_pool.submit(in_pool, lo, hi, xp, wt, s, out)
                for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
-        fill(0, bounds[1], xp, wt, s, acc)
+        fill(0, bounds[1], xp, wt, s, out)
     finally:
         errors = [future.exception() for future in futures]  # waits for each share
     for error in errors:
@@ -378,9 +376,9 @@ def _split(fill, total: int, xp: np.ndarray, wt: np.ndarray, s: int,
 
 def _fill_einsum(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
                  out: np.ndarray, spec: str) -> None:
-    """Output rows [lo, hi) of an accumulator whose images are laid out as
-    ``spec`` says, "oyx" for NCHW or "yxo" for channel-last, in bands of
-    rows whose term-major columns fill about ``BAND_BYTES``.
+    """Output rows [lo, hi) of the NCHW output, in bands of rows whose
+    term-major columns fill about ``BAND_BYTES``, each image's band folded
+    in the order ``spec`` names: "oyx" (NCHW) or "yxo" (channel-last).
 
     Each band's windows are gathered once into contiguous (c*k*k, n, rows,
     ow) columns, and one ``np.einsum("to,tyx->" + spec)`` per image folds
@@ -390,16 +388,14 @@ def _fill_einsum(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
     "yxo") becomes the inner loop, which adds one term, times a tap or a
     column value, to a contiguous run of output elements: each element
     receives its terms one at a time, in order.  Each result lands in a
-    private array and is then copied into its rows, because under
-    ``set_parallel`` NCHW shares of rows meet inside every channel plane,
-    and einsum writing the shared accumulator directly made small maps 2-4x
-    slower through false sharing.  Channel-last shares do not meet there,
-    but writing them directly measured no faster, so both layouts copy.
+    private array and is then copied, transposed to NCHW, into its rows,
+    because under ``set_parallel`` shares of rows meet inside every channel
+    plane, and einsum writing the shared output directly made small maps
+    2-4x slower through false sharing.
     """
-    n = xp.shape[0]
+    n, _, _, ow = out.shape
     c, k, _, oc = wt.shape
-    last = spec == "yxo"
-    ow = out.shape[2 if last else 3]
+    nchw = [spec.index(axis) for axis in "oyx"]  # spec's axes to (o, y, x)
     terms = c * k * k
     taps = wt.reshape(terms, oc)
     step = max(1, BAND_BYTES // (4 * terms * n * ow))
@@ -411,8 +407,7 @@ def _fill_einsum(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
         np.copyto(cols, _window_view(xp, k, s, b, e, ow).transpose(1, 4, 5, 0, 2, 3))
         cols = cols.reshape(terms, n, e - b, ow)
         for i in range(n):
-            rows = out[i, b:e] if last else out[i, :, b:e]
-            rows[...] = np.einsum("to,tyx->" + spec, taps, cols[:, i])
+            out[i, :, b:e] = np.einsum("to,tyx->" + spec, taps, cols[:, i]).transpose(nchw)
 
 
 def _einsum_folds_in_order() -> bool:
@@ -425,8 +420,9 @@ def _einsum_folds_in_order() -> bool:
     channels): past the widest unrolled step of numpy's vector loops, plus
     a remainder.  The terms 1 * -(1 + 2^-11) then (1 + 2^-12)^2 sum to 0
     with one rounding per multiply and per add, and to 2^-24 where multiply
-    and add fuse into one rounding.  Then 64 terms spread over 2^-16..2^16
-    with random signs, which a reordered or pairwise sum rounds differently.
+    and add fuse into one rounding.  Then 64 terms with signs, mantissas and
+    exponents in [-16, 16] hashed from their index, which a reordered or
+    pairwise sum rounds differently.
     """
     eps = np.float32(2.0 ** -12)
     fma_taps = np.ones((2, 75), np.float32)
@@ -434,9 +430,12 @@ def _einsum_folds_in_order() -> bool:
     fma_cols = np.empty((2, 3, 25), np.float32)
     fma_cols[0] = -(1 + 2 * eps)
     fma_cols[1] = 1 + eps
-    rng = np.random.default_rng(0)
-    taps, cols = (np.ldexp(rng.standard_normal(shape), rng.integers(-16, 17, shape))
-                  .astype(np.float32) for shape in ((64, 75), (64, 3, 25)))
+    h = np.arange(2 * 64 * 75, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    h = (h ^ h >> np.uint64(29)) * np.uint64(0xBF58476D1CE4E5B9)
+    bits = (h >> np.uint64(32)).astype(np.int64)  # the best-mixed 32 bits
+    mantissa = (1 + (bits & 0x7FFFFF) / 2.0 ** 23) * (1 - 2 * (bits >> 31))
+    spread = np.ldexp(mantissa, (bits >> 23 & 0xFF) % 33 - 16).astype(np.float32)
+    taps, cols = spread[:4800].reshape(64, 75), spread[4800:].reshape(64, 3, 25)
     want = np.zeros((75, 3, 25), np.float32)
     for tap, col in zip(taps, cols):
         np.add(want, np.multiply(tap[:, None, None], col), out=want)
@@ -451,13 +450,13 @@ def _einsum_folds_in_order() -> bool:
 
 
 # The fold conv2d runs: "einsum" where this numpy's einsum passes the probe
-# in both layouts, else "ufunc", the per-term and chunked fills below.
+# for both subscripts, else "ufunc", the per-term and chunked fills below.
 CONV_FOLD = "einsum" if _einsum_folds_in_order() else "ufunc"
 
 
 def _fill_blocked(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
                   out: np.ndarray) -> None:
-    """Output channels [lo, hi) of an NCHW accumulator, in blocks of channels
+    """Output channels [lo, hi) of the NCHW output, in blocks of channels
     that fill about ``ACC_BLOCK_BYTES``, each zeroed and then added into.
 
     Each term's strided window is copied into a contiguous buffer, so every
@@ -482,35 +481,34 @@ def _fill_blocked(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
 
 def _fill_channel_last(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
                        out: np.ndarray) -> None:
-    """Output rows [lo, hi) of a channel-last (n, oh, ow, oc) accumulator,
-    zeroed, then one multiply and one add per (channel, ky, kx) term."""
-    c, k = wt.shape[:2]
-    win = _window_view(xp, k, s, lo, hi, out.shape[2])
-    acc = out[:, lo:hi]
-    acc.fill(0)
+    """Output rows [lo, hi) of the NCHW output, folded in a private zeroed
+    (n, rows, ow, oc) array, one multiply and add per term, then transposed."""
+    c, k, _, oc = wt.shape
+    win = _window_view(xp, k, s, lo, hi, out.shape[3])
+    acc = np.zeros((xp.shape[0], hi - lo, out.shape[3], oc), dtype=np.float32)
     tmp = np.empty_like(acc)
     for ci, ky, kx in np.ndindex(c, k, k):
         np.multiply(win[:, ci, :, :, ky, kx, None], wt[ci, ky, kx], out=tmp)
         np.add(acc, tmp, out=acc)
+    out[:, :, lo:hi] = acc.transpose(0, 3, 1, 2)
 
 
 def _fold_terms(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
                 out: np.ndarray) -> None:
-    """Output rows [lo, hi) of a channel-last (n, oh, ow, oc) accumulator,
-    zeroed, then a chunk of terms whose products fill about
-    ``REDUCE_CHUNK_BYTES`` per step.
+    """Output rows [lo, hi) of the NCHW output, folded in a private zeroed
+    (n, rows, ow, oc) array a chunk of terms at a time, whose products fill
+    about ``REDUCE_CHUNK_BYTES`` per step, then written transposed.
 
     Row 0 of the chunk buffer holds the running sums and each further row one
     term's products, so ``np.add.reduce`` over axis 0 adds the terms to each
     element one at a time and in order, as long as the rows have more than
     one element.
     """
-    c, k = wt.shape[:2]
+    c, k, _, oc = wt.shape
     terms = c * k * k
-    acc = out[:, lo:hi]
-    acc.fill(0)
+    acc = np.zeros((xp.shape[0], hi - lo, out.shape[3], oc), dtype=np.float32)
     # every term's window at once: (n, c, rows, ow, ky, kx) -> (c, ky, kx, n, rows, ow)
-    win = _window_view(xp, k, s, lo, hi, out.shape[2])
+    win = _window_view(xp, k, s, lo, hi, out.shape[3])
     cols = win.transpose(1, 4, 5, 0, 2, 3).reshape((terms,) + acc.shape[:3] + (1,))
     taps = wt.reshape(terms, 1, 1, 1, -1)
     step = max(1, REDUCE_CHUNK_BYTES // (4 * acc.size))
@@ -520,6 +518,7 @@ def _fold_terms(lo: int, hi: int, xp: np.ndarray, wt: np.ndarray, s: int,
         buf[0] = acc
         np.multiply(cols[t:t + m], taps[t:t + m], out=buf[1:m + 1])
         np.add.reduce(buf[:m + 1], axis=0, out=acc)
+    out[:, :, lo:hi] = acc.transpose(0, 3, 1, 2)
 
 
 def _window_view(a: np.ndarray, k: int, s: int, lo: int, hi: int, ow: int) -> np.ndarray:

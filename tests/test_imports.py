@@ -2,6 +2,9 @@
 can be read, and loaded, after the layers it uses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -66,14 +69,41 @@ def test_all_lists_exactly_the_public_names():
     assert public == set(names)
 
 
+def modules_naming(names: set[str], owner: str) -> set[str]:
+    """The package modules but ``owner`` that name any of ``names``, by
+    attribute, by name or by import."""
+    readers = set()
+    for module in MODULES - {owner}:
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    or isinstance(node, ast.Name) and node.id in names
+                    or isinstance(node, ast.alias) and node.name in names):
+                readers.add(module)
+    return readers
+
+
 def test_only_network_reads_the_op_table():
     """One module interprets graphs: no other package module names
     ``network.OPS``, by attribute, by name or by import."""
-    readers = set()
-    for module in MODULES - {"network"}:
-        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
-            if (isinstance(node, ast.Attribute) and node.attr == "OPS"
-                    or isinstance(node, ast.Name) and node.id == "OPS"
-                    or isinstance(node, ast.alias) and node.name == "OPS"):
-                readers.add(module)
-    assert readers == set()
+    assert modules_naming({"OPS"}, "network") == set()
+
+
+def test_only_tensor_reads_the_conv_schedule():
+    """``tensor`` alone picks and runs conv fills: no other package module
+    names ``_schedule``, ``_split`` or a fill."""
+    fills = {"_fill_blocked", "_fill_channel_last", "_fold_terms", "_fill_einsum"}
+    assert modules_naming({"_schedule", "_split"} | fills, "tensor") == set()
+    assert modules_naming({"_schedule"}, "") == {"tensor"}  # the check can see a reader
+
+
+def test_import_loads_neither_numpy_random_nor_concurrent_futures():
+    """A fresh ``import yolite`` leaves both out of ``sys.modules``: the
+    einsum probe hashes its terms, and ``set_parallel`` imports the thread
+    pool when it first makes one."""
+    code = ("import sys, yolite; "
+            "print(sorted(m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from yolite import analysis as A
 from yolite import blocks as B
 from yolite import network as N
 from yolite import tensor as T
@@ -263,6 +264,39 @@ class TestForward:
         with pytest.raises(ShapeError):
             N.forward(g, T.Tensor.zeros(1, 3, 64, 96))
 
+    @pytest.mark.parametrize("model", sorted(N.MODELS))
+    @pytest.mark.parametrize("side", [-32, -64])
+    def test_the_input_check_rejects_a_negative_side(self, model, side):
+        # -32 % 32 == 0, so the check must test the sign itself, before the
+        # first conv reports a side too small for its kernel
+        g = N.MODELS[model](2)
+        shape = (1, 3, side, side)
+        message = rf"^input spatial size must be a square multiple of 32, got {side}x{side}$"
+        for walk in (lambda: N.infer_shapes(g, shape), lambda: N.describe(g, side),
+                     lambda: A.flops_of_graph(g, side), lambda: N.forward(g, T.Meta(shape))):
+            with pytest.raises(ShapeError, match=message):
+                walk()
+
+    @pytest.mark.parametrize("model", sorted(N.MODELS))
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_ufunc_fold_forward_matches_the_einsum_fold(self, monkeypatch, model, workers):
+        # every fill writes the one NCHW output, whichever fold and order
+        # made it, so both folds give the same heads bit for bit
+        if not T._einsum_folds_in_order():
+            pytest.skip("this numpy's einsum does not fold in order")
+        g = N.MODELS[model](80)
+        W.init_seeded(g, 42)
+        x = small_input(64, seed=3)
+        heads = {}
+        T.set_parallel(workers)
+        try:
+            for fold in ("einsum", "ufunc"):
+                monkeypatch.setattr(T, "CONV_FOLD", fold)
+                heads[fold] = [h.array.view(np.uint32) for h in N.forward(g, x)]
+        finally:
+            T.set_parallel(0)
+        assert all(np.array_equal(e, u) for e, u in zip(heads["einsum"], heads["ufunc"]))
+
     def test_batch_dimension_carries_through(self):
         g = N.build_yolov4_tiny(2)
         h13, h26 = N.forward(g, T.Tensor.zeros(2, 3, 64, 64))
@@ -366,9 +400,10 @@ class TestDescribe:
         assert sum(n["params"] for n in doc["nodes"]) == doc["parameters"]
 
 
-# The convs of each model that fold channel-last under the einsum fold: maps
-# of at most 13x13 with more than one output channel.  Every other conv folds
-# NCHW.  A change to the layout rule fails here by name.
+# The convs of each model that fold channel-last (einsum subscript "yxo")
+# under the einsum fold: maps of at most 13x13 with more than one output
+# channel.  Every other conv folds NCHW ("oyx").  A change to the order rule
+# fails here by name.
 CHANNEL_LAST_CONVS = {
     ("v4tiny", 128): ["stage3.conv0", "stage3.conv1", "stage3.conv2", "stage3.conv3",
                       "trunk", "neck", "head13_conv", "head_13", "fpn_conv",
@@ -400,12 +435,12 @@ def test_schedule_of_every_model_conv(monkeypatch, key):
         names = {id(p): name for name, p in node.convs()}
         for op, params, shape in ledger:
             if op == "conv":
-                fill, _, last = T._schedule(shape)
+                fill, _ = T._schedule(shape)
                 assert getattr(fill, "func", None) is T._fill_einsum  # the band fill
-                got.setdefault(names[id(params)], set()).add("channel-last" if last else "nchw")
+                got.setdefault(names[id(params)], set()).add(fill.keywords["spec"])
         ledger.clear()
 
     N._walk(g, T.Meta((1, 3, size, size), ledger), "shape inference failed", on_node=on_node)
-    want = {name: {"channel-last" if name in CHANNEL_LAST_CONVS[key] else "nchw"}
+    want = {name: {"yxo" if name in CHANNEL_LAST_CONVS[key] else "oyx"}
             for name, _ in N.iter_conv_entries(g)}
     assert got == want

@@ -46,12 +46,12 @@ def force_schedule(monkeypatch, schedule, shape, block=1, terms=1):
     ow) output ``shape``.
 
     "ufunc" runs the ufunc fills under their own shape rule; "blocked" sends
-    every map through the NCHW ufunc path with accumulator blocks of
+    every map through the NCHW ufunc path with output blocks of
     ``block`` output channels; "channel_last" sends every map through the
     channel-last path with one multiply and add per term; "reduce" sends
     every map through the channel-last path that folds chunks of ``block``
     terms (for a share of the whole map) with one reduction each; "bands"
-    runs the einsum fill on every map in NCHW layout, in bands of ``block``
+    runs the einsum fill on every map in NCHW order, in bands of ``block``
     rows of a conv with ``terms`` terms (input channels times kernel area),
     and "bands_last" does so channel-last wherever the conv has more than
     one output channel.
@@ -434,12 +434,12 @@ class TestConv2d:
             inputs = []
 
             def spy(shape):
-                fill, units, last = schedule(shape)
+                fill, units = schedule(shape)
 
                 def run(lo, hi, xp, *args, **kwargs):
                     inputs.append(xp)
                     return fill(lo, hi, xp, *args, **kwargs)
-                return run, units, last
+                return run, units
 
             with monkeypatch.context() as mp:
                 if name != "default":
@@ -465,11 +465,12 @@ class TestConv2d:
     ], ids=["_fill_blocked", "_fill_channel_last", "_fold_terms", "_fill_einsum",
             "_fill_einsum-yxo"])
     def test_a_fill_writes_only_its_share(self, monkeypatch, fill, spec):
-        # Each thread fills its share of one shared accumulator in place, so
-        # a fill that wrote outside [lo, hi) would race with another.  Blocks
+        # Each thread fills its share of the one NCHW output in place, so a
+        # fill that wrote outside [lo, hi) would race with another.  Blocks
         # of 2 channels, bands of 2 rows and chunks of a few terms make every
-        # fill take more than one step over the share.  The einsum fill runs
-        # NCHW with the "oyx" subscript and channel-last with "yxo".
+        # fill take more than one step over the share.  The einsum fill folds
+        # NCHW with the "oyx" subscript and channel-last with "yxo"; both,
+        # like the channel-last ufunc fills, write the NCHW output.
         if fill == "_fill_einsum":
             use_fold(monkeypatch, "einsum")
         rng = np.random.default_rng(23)
@@ -484,13 +485,11 @@ class TestConv2d:
         monkeypatch.setattr(T, "ACC_BLOCK_BYTES", 4 * n * oh * ow * 2)
         monkeypatch.setattr(T, "REDUCE_CHUNK_BYTES", 4 * n * 2 * ow * oc * 4)
         monkeypatch.setattr(T, "BAND_BYTES", 4 * c * k * k * n * ow * 2)
-        nchw = fill == "_fill_blocked" or spec == ("oyx",)
-        shape = ref.shape if nchw else (n, oh, ow, oc)
-        axis = 2 if spec == ("oyx",) else 1  # output rows of NCHW
-        whole, share = np.full(shape, np.nan, np.float32), np.full(shape, np.nan, np.float32)
-        getattr(T, fill)(0, shape[axis], xp, wt, s, whole, *spec)
-        assert bits_equal(whole if nchw else whole.transpose(0, 3, 1, 2), ref)
-        lo, hi = 1, shape[axis] - 2
+        axis = 1 if fill == "_fill_blocked" else 2  # output channels, else rows
+        whole, share = (np.full(ref.shape, np.nan, np.float32) for _ in range(2))
+        getattr(T, fill)(0, ref.shape[axis], xp, wt, s, whole, *spec)
+        assert bits_equal(whole, ref)
+        lo, hi = 1, ref.shape[axis] - 2
         getattr(T, fill)(lo, hi, xp, wt, s, share, *spec)
         share, whole = np.moveaxis(share, axis, 0), np.moveaxis(whole, axis, 0)
         assert np.isnan(share[:lo]).all() and np.isnan(share[hi:]).all()
@@ -510,8 +509,8 @@ class TestConv2d:
             force_schedule(mp, "channel_last", (2, oc, 13, 13))
             serial = T.conv2d(x, p).array
         use_fold(monkeypatch, "einsum")
-        fill, units, last = T._schedule(serial.shape)
-        assert (fill_name(fill), units, last) == ("_fill_einsum-yxo", 13, True)
+        fill, units = T._schedule(serial.shape)
+        assert (fill_name(fill), units) == ("_fill_einsum-yxo", 13)
         with fill_calls(workers) as calls:
             par = T.conv2d(x, p).array
         assert bits_equal(par, serial)
@@ -634,7 +633,7 @@ class TestConv2d:
                          weights=rng.random(8 * 3 * 9, dtype=np.float32))
         serial = T.conv2d(x, p).array
         caller, pool_calls, done = threading.get_ident(), itertools.count(), []
-        fill, units, last = T._schedule(serial.shape)
+        fill, units = T._schedule(serial.shape)
 
         def fails_in_pool(*args, **kwargs):
             if threading.get_ident() != caller:
@@ -644,7 +643,7 @@ class TestConv2d:
             fill(*args, **kwargs)
             done.append(threading.get_ident() == caller)
 
-        monkeypatch.setattr(T, "_schedule", lambda shape: (fails_in_pool, units, last))
+        monkeypatch.setattr(T, "_schedule", lambda shape: (fails_in_pool, units))
         T.set_parallel(3)
         try:
             pool = T._pool
@@ -1053,7 +1052,7 @@ class TestRandomizedOracleBattery:
                                                                            monkeypatch):
         # A stand-in for an einsum built with fused multiply-add, as on
         # aarch64: float64 arithmetic, then one float32 rounding per
-        # multiply-add, for every output layout and then for the
+        # multiply-add, for every output subscript and then for the
         # channel-last one only.  The probe must reject it, and every conv
         # must then run the ufunc fills and match the scalar reference,
         # although the stand-in makes some battery case diverge when it does
@@ -1084,6 +1083,22 @@ class TestRandomizedOracleBattery:
                 assert not all(bits_equal(T.conv2d(x, params).array, ref)
                                for x, params, ref, _ in cases), fused
 
+    def test_an_einsum_that_adds_the_terms_in_reverse_fails_the_probe(self, monkeypatch):
+        # A stand-in einsum with one rounding per multiply and per add that
+        # walks the terms last to first.  The probe's multiply-add pair sums
+        # to 0 either way, so only its hashed wide-spread terms can tell.
+        if not T._einsum_folds_in_order():
+            pytest.skip(NO_EINSUM)
+        einsum, calls = np.einsum, []
+
+        def reversed_einsum(subscripts, taps, cols):
+            calls.append(subscripts)
+            return einsum(subscripts, taps[::-1].copy(), cols[::-1].copy())
+
+        monkeypatch.setattr(np, "einsum", reversed_einsum)
+        assert not T._einsum_folds_in_order()
+        assert calls == ["to,tyx->oyx", "to,tyx->oyx"]  # it stopped at the spread terms
+
     def test_one_output_channel_on_one_pixel_never_folds_channel_last(self, monkeypatch):
         # With one output channel on a 1x1 map, "->yxo" leaves einsum only
         # the term axis, which it sums with reordered partial sums: a conv
@@ -1101,13 +1116,11 @@ class TestRandomizedOracleBattery:
         p = T.ConvParams(c, 1, 3, weights=kern.reshape(-1))
         ref = oracles.conv2d_naive(x.array, kern, np.zeros(1, np.float32), 1, 0)
         assert ref.shape == (1, 1, 1, 1)
-        fill, _, last = T._schedule(ref.shape)
-        assert (fill_name(fill), last) == ("_fill_channel_last", True)
-        fill, _, last = T._schedule((1, 1, 7, 7))
-        assert (fill_name(fill), last) == ("_fill_einsum-oyx", False)
+        assert fill_name(T._schedule(ref.shape)[0]) == "_fill_channel_last"
+        assert fill_name(T._schedule((1, 1, 7, 7))[0]) == "_fill_einsum-oyx"
         assert bits_equal(T.conv2d(x, p).array, ref)
         forced = functools.partial(T._fill_einsum, spec="yxo")
-        monkeypatch.setattr(T, "_schedule", lambda shape: (forced, shape[2], True))
+        monkeypatch.setattr(T, "_schedule", lambda shape: (forced, shape[2]))
         assert not bits_equal(T.conv2d(x, p).array, ref)
 
     @pytest.mark.parametrize("fold", ["ufunc", "einsum"])
@@ -1116,9 +1129,8 @@ class TestRandomizedOracleBattery:
         # one that a forced schedule of the battery above runs (the
         # "default" and "ufunc" entries run the rule itself, so they cover
         # nothing new), so a fill added to _schedule fails here until the
-        # battery forces it too.  The layout flag is channel-last exactly
-        # for the channel-last fills, and the split unit is the output
-        # channels for the blocked fill and the output rows otherwise.
+        # battery forces it too.  The split unit is the output channels for
+        # the blocked fill and the output rows otherwise.
         sides = (1, 2, 5, 8, 9, 13, 14, 40)
         shapes = list(itertools.product((1, 2), (1, 3, 64), sides, sides))
         forced = set()
@@ -1128,13 +1140,11 @@ class TestRandomizedOracleBattery:
                     force_schedule(mp, name, shape, block=2, terms=9)
                     forced.add(fill_name(T._schedule(shape)[0]))
         use_fold(monkeypatch, fold)
-        channel_last = {"_fill_channel_last", "_fold_terms", "_fill_einsum-yxo"}
         picked = set()
         for n, oc, oh, ow in shapes:
-            fill, units, last = T._schedule((n, oc, oh, ow))
+            fill, units = T._schedule((n, oc, oh, ow))
             name = fill_name(fill)
             picked.add(name)
-            assert last == (name in channel_last), (n, oc, oh, ow)
             assert units == (oc if name == "_fill_blocked" else oh), (n, oc, oh, ow)
         assert picked <= forced
         assert len(picked) == (3 if fold == "ufunc" else 4)
