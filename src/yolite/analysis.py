@@ -14,15 +14,17 @@ from dataclasses import dataclass
 from . import blocks as B
 from . import network as N
 from . import tensor as T
+from .errors import integer
 
 __all__ = ["FlopsEntry", "FlopsReport", "ReceptiveField",
-           "flops_of_layer", "flops_of_pool", "flops_of_list", "flops_of_graph",
+           "flops_of_layer", "flops_of_pool", "flops_of_graph",
            "format_table", "receptive_field", "CSP_REFERENCE_COSTS",
            "RESBLOCK_D_REFERENCE_COSTS"]
 
 
 def flops_of_layer(m: int, k: int, c_in: int, c_out: int) -> int:
     """Convolution cost M^2 * K^2 * C_in * C_out (one count per MAC)."""
+    m, k, c_in, c_out = (integer(v, "each cost-model argument") for v in (m, k, c_in, c_out))
     if min(m, k, c_in, c_out) < 1:
         raise ValueError("all cost-model arguments must be >= 1")
     return m * m * k * k * c_in * c_out
@@ -30,6 +32,7 @@ def flops_of_layer(m: int, k: int, c_in: int, c_out: int) -> int:
 
 def flops_of_pool(m: int, k: int, c: int) -> int:
     """Pooling cost C * M^2 * K^2."""
+    m, k, c = (integer(v, "each cost-model argument") for v in (m, k, c))
     if min(m, k, c) < 1:
         raise ValueError("all cost-model arguments must be >= 1")
     return c * m * m * k * k
@@ -101,11 +104,6 @@ def _pool(layer_id: str, m: int, k: int, c: int) -> FlopsEntry:
     return FlopsEntry(layer_id, "pool", m, k, c, c, flops_of_pool(m, k, c))
 
 
-def flops_of_list(items, label: str = "") -> FlopsReport:
-    """Report a flat list of FlopsEntry rows."""
-    return FlopsReport(items, label=label)
-
-
 # Reference cost tables for one 104x104, 64-channel stage of each block
 # variant, used by the `flops --paper-fixtures` command and the acceptance
 # suite.  Intentionally independent of the graph builders.
@@ -149,9 +147,8 @@ def flops_of_graph(g: N.NetworkGraph, input_size: int = 416) -> FlopsReport:
                 items.append(_conv(names[id(arg)], m, arg.kernel_size, arg.in_channels, c))
         ledger.clear()
 
-    N._walk(g, T.Meta((1, 3, input_size, input_size), ledger), "shape inference failed",
-            on_node=on_node)
-    return flops_of_list(items, label=f"{g.name}@{input_size}")
+    N._walk(g, T.Meta((1, 3, input_size, input_size), ledger), on_node=on_node)
+    return FlopsReport(items, label=f"{g.name}@{input_size}")
 
 
 @dataclass(frozen=True)
@@ -169,6 +166,7 @@ def receptive_field(layers) -> ReceptiveField:
         raise ValueError("layer list must be non-empty")
     r, j = 1, 1
     for k, stride in layers:
+        k, stride = integer(k, "kernel"), integer(stride, "stride")
         if k < 1 or stride < 1:
             raise ValueError("kernel and stride must be >= 1")
         r += (k - 1) * j

@@ -84,10 +84,6 @@ def csp_forward_with_route(block: CspBlock, x: T.Tensor) -> tuple[T.Tensor, T.Te
     return out, x3
 
 
-def csp_forward(block: CspBlock, x: T.Tensor) -> T.Tensor:
-    return csp_forward_with_route(block, x)[0]
-
-
 class ResBlockD:
     """Downsampling residual stage with two parallel paths.
 
@@ -186,8 +182,3 @@ def aux_forward(block: AuxBlock, x: T.Tensor) -> T.Tensor:
     a = cbl(x, block.conv1)
     b = cbl(a, block.conv2)
     return T.concat_channels(a, cbam_forward(block.cbam, b))
-
-
-def fuse(stage_out: T.Tensor, aux_out: T.Tensor) -> T.Tensor:
-    """Elementwise sum merging the auxiliary features into the backbone."""
-    return T.add(stage_out, aux_out)

@@ -178,8 +178,8 @@ def cmd_describe(args) -> int:
 
 def cmd_flops(args) -> int:
     if args.paper_fixtures:
-        csp = A.flops_of_list(A.CSP_REFERENCE_COSTS, label="csp-block@104x104x64")
-        res = A.flops_of_list(A.RESBLOCK_D_REFERENCE_COSTS, label="resblock-d@104x104x64")
+        csp = A.FlopsReport(A.CSP_REFERENCE_COSTS, label="csp-block@104x104x64")
+        res = A.FlopsReport(A.RESBLOCK_D_REFERENCE_COSTS, label="resblock-d@104x104x64")
         ratio = csp.total / res.total
         if args.format == "json":
             print(_dump_json({"csp_block": csp.to_json_dict(),

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule."""
+
+import numbers
 
 
 class YoliteError(Exception):
@@ -62,3 +64,11 @@ class ConfigError(YoliteError):
 
 class InputError(YoliteError):
     """An input file (image or raw tensor) is unreadable or ill-formed."""
+
+
+def integer(value, what: str, error: type = ValueError) -> int:
+    """``value`` as an ``int`` if it is a Python or numpy integer (``bool``
+    excluded); otherwise raise ``error`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)

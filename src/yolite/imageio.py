@@ -14,19 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, ShapeError
+from .errors import InputError, ShapeError, integer
 from .tensor import Tensor
 
 RAW_MAGIC = b"YLTI"
 PAD_VALUE = 127.5 / 255.0  # neutral gray
 
 
-def read_ppm(path) -> np.ndarray:
-    """Strict binary P6 reader (maxval 255); returns (h, w, 3) uint8."""
-    return _parse_ppm(Path(path).read_bytes(), path)
-
-
 def _parse_ppm(data: bytes, path) -> np.ndarray:
+    """Strict binary P6 parser (maxval 255); returns (h, w, 3) uint8."""
     if not data.startswith(b"P6"):
         raise InputError(f"{path}: not a binary P6 PPM file")
     pos = 2
@@ -69,12 +65,8 @@ def write_ppm(path, image: np.ndarray) -> None:
         fh.write(image.tobytes())
 
 
-def read_raw_tensor(path) -> np.ndarray:
-    """Read a YLTI file; returns (h, w, c) float32 in [0, 1]."""
-    return _parse_raw_tensor(Path(path).read_bytes(), path)
-
-
 def _parse_raw_tensor(data: bytes, path) -> np.ndarray:
+    """YLTI parser; returns (h, w, c) float32, as stored."""
     if data[:4] != RAW_MAGIC:
         raise InputError(f"{path}: not a YLTI raw tensor file")
     if len(data) < 16:
@@ -145,9 +137,7 @@ def letterbox(image: np.ndarray, size: int) -> tuple[Tensor, LetterboxTransform]
     h, w, c = image.shape
     if min(h, w) == 0:
         raise ShapeError(f"image has a zero side ({h}x{w})")
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-        raise ShapeError(f"letterbox size must be an integer, got {size!r}")
-    size = int(size)
+    size = integer(size, "letterbox size", ShapeError)
     if size < 1:
         raise ShapeError(f"letterbox size must be >= 1, got {size}")
     scale = min(size / w, size / h)

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from . import blocks as B
 from . import tensor as T
-from .errors import GraphError, ShapeError
+from .errors import GraphError, ShapeError, integer
 
 INPUT_ID = "input"
 HEAD_ANCHORS = 3  # prior boxes per head cell, each predicting 5 + classes channels
@@ -67,7 +67,7 @@ OPS = {
     "head": Op(lambda p, xs: T.conv2d(xs[0], p), T.ConvParams),
     "upsample": Op(lambda p, xs: T.upsample_nearest2x(xs[0])),
     "concat": Op(lambda p, xs: functools.reduce(T.concat_channels, xs), arity=(2, None)),
-    "add": Op(lambda p, xs: B.fuse(xs[0], xs[1]), arity=(2, 2)),
+    "add": Op(lambda p, xs: T.add(xs[0], xs[1]), arity=(2, 2)),
     "csp": Op(lambda p, xs: B.csp_forward_with_route(p, xs[0]), B.CspBlock, routed=True),
     "resblock_d": Op(lambda p, xs: B.resblock_d_forward(p, xs[0]), B.ResBlockD),
     "aux": Op(lambda p, xs: B.aux_forward(p, xs[0]), B.AuxBlock),
@@ -117,6 +117,7 @@ def _assemble(name: str, classes: int, stages: list[LayerNode]) -> NetworkGraph:
     """One variant's graph: the shared stem, then ``stages`` (which read
     ``stem2`` and end in a csp node ``stage3``), then the shared trunk conv,
     neck, both heads, and the upsample path between scales."""
+    classes = integer(classes, "classes")
     if classes < 1:
         raise ValueError("classes must be >= 1")
     head_ch = HEAD_ANCHORS * (5 + classes)
@@ -169,6 +170,8 @@ MODELS = {"v4tiny": build_yolov4_tiny, "proposed": build_proposed}
 
 def _check_input_shape(shape) -> None:
     n, c, h, w = shape
+    for value, axis in zip(shape, ("batch", "channels", "height", "width")):
+        integer(value, f"network input {axis}", ShapeError)
     if c != 3:
         raise ShapeError(f"network input must have 3 channels, got {c}")
     if h != w or h % INPUT_MULTIPLE or h <= 0:
@@ -181,14 +184,14 @@ def forward(g: NetworkGraph, x: T.Tensor) -> tuple[T.Tensor, ...]:
     ``g.heads`` in that order (for both builders, coarse head then fine).
     Each other output is dropped once its last reader has run."""
     heads = g.heads
-    values = _walk(g, x, "evaluation failed", keep=set(heads))
+    values = _walk(g, x, keep=set(heads))
     return tuple(values[head] for head in heads)
 
 
 def forward_all(g: NetworkGraph, x: T.Tensor) -> dict[str, T.Tensor]:
     """Like ``forward`` but returns every node's output (secondary outputs
     under ``id.route``), for inspection and shape-contract checks."""
-    return _walk(g, x, "evaluation failed")
+    return _walk(g, x)
 
 
 def infer_shapes(g: NetworkGraph, input_shape) -> dict[str, tuple]:
@@ -196,20 +199,23 @@ def infer_shapes(g: NetworkGraph, input_shape) -> dict[str, tuple]:
     secondary outputs), from the forward run on a shape-only input.  Raises
     GraphError naming the first node whose forward rejects its inputs, with
     that forward's own message."""
-    values = _walk(g, T.Meta(input_shape), "shape inference failed")
+    values = _walk(g, T.Meta(input_shape))
     return {key: value.shape for key, value in values.items()}
 
 
-def _walk(g: NetworkGraph, first, failure: str, keep: set | None = None,
+def _walk(g: NetworkGraph, first, keep: set | None = None,
           on_node: Callable | None = None) -> dict:
     """Check ``first`` as the network input, run each node's ``OPS`` forward
     in order with ``first`` as the value of ``input``, and return the outputs
-    by key.  Without ``keep`` every output is returned.  With it, each value
-    whose key is not in ``keep`` is dropped right after the last node that
-    reads it, or that makes it if none reads it, so a forward holds only the
-    values still to be read.  ``on_node(node)``, if given, is called right
-    after each node runs and its dropped values are gone."""
+    by key; a node whose forward rejects its inputs raises GraphError ("shape
+    inference failed" on a ``tensor.Meta``, else "evaluation failed").
+    Without ``keep`` every output is returned.  With it, each value whose key
+    is not in ``keep`` is dropped right after the last node that reads it, or
+    that makes it if none reads it, so a forward holds only the values still
+    to be read.  ``on_node(node)``, if given, is called right after each node
+    runs and its dropped values are gone."""
     _check_input_shape(first.shape)
+    failure = "shape inference failed" if isinstance(first, T.Meta) else "evaluation failed"
     drop = [[] for _ in g.nodes]
     if keep is not None:
         last = {}
@@ -247,11 +253,6 @@ def count_params(g: NetworkGraph) -> int:
     return sum(p.n_params() for _, p in iter_conv_entries(g))
 
 
-def count_layers(g: NetworkGraph) -> int:
-    """Number of convolution layers, counting composite blocks' internals."""
-    return len(iter_conv_entries(g))
-
-
 def describe(g: NetworkGraph, input_size: int = 416) -> dict:
     """JSON-friendly structural summary of the graph at a given input size."""
     shapes = infer_shapes(g, (1, 3, input_size, input_size))
@@ -263,7 +264,7 @@ def describe(g: NetworkGraph, input_size: int = 416) -> dict:
         "classes": g.classes,
         "input_size": input_size,
         "parameters": count_params(g),
-        "conv_layers": count_layers(g),
+        "conv_layers": len(iter_conv_entries(g)),
         "heads": {head: list(shapes[head]) for head in g.heads},
         "nodes": nodes,
     }

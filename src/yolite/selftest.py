@@ -62,8 +62,8 @@ def _check_elementwise_ops() -> str:
 
 
 def _check_reference_costs() -> str:
-    csp = A.flops_of_list(A.CSP_REFERENCE_COSTS).total
-    res = A.flops_of_list(A.RESBLOCK_D_REFERENCE_COSTS).total
+    csp = A.FlopsReport(A.CSP_REFERENCE_COSTS).total
+    res = A.FlopsReport(A.RESBLOCK_D_REFERENCE_COSTS).total
     assert csp == 742_064_128, f"csp reference total {csp}"
     assert res == 64_376_832, f"residual reference total {res}"
     assert 11.52 <= csp / res <= 11.54

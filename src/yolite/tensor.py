@@ -25,7 +25,7 @@ import threading
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import NonFiniteError, ShapeError, integer
 
 BN_EPSILON = 1e-5
 LEAKY_A = np.float32(10.0)  # leaky activation divisor, i.e. slope 0.1
@@ -79,9 +79,7 @@ def set_parallel(workers: int) -> None:
     finished, and parallel mode stays on.
     """
     global _pool, _workers
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
-    workers = int(workers)
+    workers = integer(workers, "workers")
     if workers < 0:
         raise ValueError("workers must be >= 0")
     with _lock:
@@ -213,13 +211,13 @@ class ConvParams:
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0, weights=None, bias=None,
                  bn: BatchNorm | None = None):
+        in_channels = self.in_channels = integer(in_channels, "conv in_channels")
+        out_channels = self.out_channels = integer(out_channels, "conv out_channels")
+        kernel_size = self.kernel_size = integer(kernel_size, "conv kernel_size")
+        stride = self.stride = integer(stride, "conv stride")
+        padding = self.padding = integer(padding, "conv padding")
         if min(in_channels, out_channels, kernel_size, stride) < 1 or padding < 0:
             raise ValueError("conv dimensions must be positive (padding >= 0)")
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
-        self.kernel_size = int(kernel_size)
-        self.stride = int(stride)
-        self.padding = int(padding)
         n_w = out_channels * in_channels * kernel_size * kernel_size
         self.weights = (np.zeros(n_w, dtype=np.float32) if weights is None else
                         np.ascontiguousarray(weights, dtype=np.float32).reshape(-1))
@@ -260,9 +258,12 @@ class ConvParams:
 
     def output_shape(self, shape) -> tuple[int, int, int, int]:
         """The conv rule, which ``conv2d`` applies to tensors and shape-only
-        values alike: an (n, c, h, w) input of ``in_channels`` channels whose
-        padded sides are at least the kernel maps to (n, out_channels, oh, ow)."""
+        values alike: an (n, c, h, w) input of at least one image and
+        ``in_channels`` channels whose padded sides are at least the kernel
+        maps to (n, out_channels, oh, ow)."""
         n, c, h, w = shape
+        if n < 1:
+            raise ShapeError(f"batch size must be >= 1, got {n}")
         if c != self.in_channels:
             raise ShapeError(f"input channels {c} != conv in_channels {self.in_channels}")
         k, s, p = self.kernel_size, self.stride, self.padding
@@ -559,6 +560,7 @@ def pool2d(x: Tensor, kind: str, k: int, s: int) -> Tensor:
     row-major."""
     if kind not in ("max", "avg"):
         raise ValueError(f"unknown pool kind {kind!r}")
+    k, s = integer(k, "pool kernel"), integer(s, "pool stride")
     if k < 1 or s < 1:
         raise ValueError("pool kernel and stride must be >= 1")
     n, c, h, w = x.shape

@@ -34,7 +34,7 @@ import numpy as np
 from . import network as N
 from . import tensor as T
 from .errors import (ArrayLengthError, BadMagicError, ConfigError, FingerprintMismatchError,
-                     TruncatedFileError, UnsupportedVersionError, WeightFileError)
+                     TruncatedFileError, UnsupportedVersionError, WeightFileError, integer)
 
 MAGIC = b"YLTW"
 FORMAT_VERSION = 1
@@ -207,8 +207,7 @@ def init_seeded(g: N.NetworkGraph, seed: int) -> None:
     integer in [0, 2**64) (``bool`` excluded; numpy integers are accepted)
     raises ``ConfigError`` and writes nothing.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    seed = integer(seed, "seed", ConfigError)
     if not 0 <= seed <= _U64:
         raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     params = [p for _, p in N.iter_conv_entries(g)]

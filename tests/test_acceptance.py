@@ -28,7 +28,7 @@ def bits_equal(a, b):
 
 def test_criterion_01_csp_reference_total():
     t0 = time.perf_counter()
-    total = A.flops_of_list(A.CSP_REFERENCE_COSTS).total
+    total = A.FlopsReport(A.CSP_REFERENCE_COSTS).total
     elapsed = time.perf_counter() - t0
     assert total == 742_064_128
     assert elapsed < 1.0
@@ -37,7 +37,7 @@ def test_criterion_01_csp_reference_total():
 
 def test_criterion_02_resblock_reference_total():
     t0 = time.perf_counter()
-    total = A.flops_of_list(A.RESBLOCK_D_REFERENCE_COSTS).total
+    total = A.FlopsReport(A.RESBLOCK_D_REFERENCE_COSTS).total
     elapsed = time.perf_counter() - t0
     assert total == 64_376_832
     assert elapsed < 1.0
@@ -45,8 +45,8 @@ def test_criterion_02_resblock_reference_total():
 
 
 def test_criterion_03_block_cost_ratio():
-    ratio = (A.flops_of_list(A.CSP_REFERENCE_COSTS).total
-             / A.flops_of_list(A.RESBLOCK_D_REFERENCE_COSTS).total)
+    ratio = (A.FlopsReport(A.CSP_REFERENCE_COSTS).total
+             / A.FlopsReport(A.RESBLOCK_D_REFERENCE_COSTS).total)
     assert 11.52 <= ratio <= 11.54
     report(3, f"block cost ratio {ratio:.4f} within [11.52, 11.54] "
               "(the coarse published claim rounds this to ~10:1)")

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from yolite import analysis as A
@@ -25,27 +26,41 @@ class TestLayerCosts:
         with pytest.raises(ValueError):
             A.flops_of_pool(52, 0, 64)
 
+    @pytest.mark.parametrize("cost, args", [
+        (A.flops_of_layer, (2.0, 3, 4, 5)), (A.flops_of_layer, (4, True, 4, 5)),
+        (A.flops_of_pool, (4, 2, 2.0)),
+    ], ids=["float-layer", "bool-layer", "float-pool"])
+    def test_non_integer_argument_rejected(self, cost, args):
+        bad = next(v for v in args if type(v) is not int)
+        with pytest.raises(ValueError, match=f"^each cost-model argument must be an integer, "
+                                             f"got {bad}$"):
+            cost(*args)
+
+    def test_numpy_integers_give_int_costs(self):
+        assert type(A.flops_of_layer(np.int64(2), 3, np.int32(4), 5)) is int
+        assert A.flops_of_pool(np.uint8(4), 2, 3) == A.flops_of_pool(4, 2, 3)
+
 
 class TestReferenceLists:
     def test_csp_reference_total(self):
-        assert A.flops_of_list(A.CSP_REFERENCE_COSTS).total == 742_064_128
+        assert A.FlopsReport(A.CSP_REFERENCE_COSTS).total == 742_064_128
 
     def test_resblock_d_reference_total(self):
-        assert A.flops_of_list(A.RESBLOCK_D_REFERENCE_COSTS).total == 64_376_832
+        assert A.FlopsReport(A.RESBLOCK_D_REFERENCE_COSTS).total == 64_376_832
 
     def test_block_cost_ratio(self):
-        ratio = (A.flops_of_list(A.CSP_REFERENCE_COSTS).total
-                 / A.flops_of_list(A.RESBLOCK_D_REFERENCE_COSTS).total)
+        ratio = (A.FlopsReport(A.CSP_REFERENCE_COSTS).total
+                 / A.FlopsReport(A.RESBLOCK_D_REFERENCE_COSTS).total)
         assert 11.52 <= ratio <= 11.54
 
     def test_empty_list_total_zero(self):
-        assert A.flops_of_list([]).total == 0
+        assert A.FlopsReport([]).total == 0
 
     def test_additivity(self):
         both = list(A.CSP_REFERENCE_COSTS) + list(A.RESBLOCK_D_REFERENCE_COSTS)
-        assert (A.flops_of_list(both).total
-                == A.flops_of_list(A.CSP_REFERENCE_COSTS).total
-                + A.flops_of_list(A.RESBLOCK_D_REFERENCE_COSTS).total)
+        assert (A.FlopsReport(both).total
+                == A.FlopsReport(A.CSP_REFERENCE_COSTS).total
+                + A.FlopsReport(A.RESBLOCK_D_REFERENCE_COSTS).total)
 
 
 class TestGraphCosts:
@@ -150,6 +165,8 @@ class TestOneWalk:
 BROKEN = N.NetworkGraph("broken", 1, [N.LayerNode("up", "upsample", [N.INPUT_ID]),
                                       N.LayerNode("bad", "add", ["up", N.INPUT_ID])])
 SIDE = "input spatial size must be a square multiple of 32, got "
+NOT_INT = "network input {} must be an integer, got {!r}"
+EMPTY = "node 'stem1': shape inference failed: batch size must be >= 1, got {}"
 SHAPE_ERRORS = [
     ("flops", N.build_yolov4_tiny(2), 33, ShapeError, SIDE + "33x33"),
     ("describe", N.build_yolov4_tiny(2), 33, ShapeError, SIDE + "33x33"),
@@ -157,6 +174,18 @@ SHAPE_ERRORS = [
     ("infer", N.build_yolov4_tiny(2), (1, 3, 32, 64), ShapeError, SIDE + "32x64"),
     ("infer", N.build_yolov4_tiny(2), (1, 2, 32, 32), ShapeError,
      "network input must have 3 channels, got 2"),
+    ("flops", N.build_yolov4_tiny(2), 64.0, ShapeError, NOT_INT.format("height", 64.0)),
+    ("describe", N.build_yolov4_tiny(2), 64.0, ShapeError, NOT_INT.format("height", 64.0)),
+    ("infer", N.build_yolov4_tiny(2), (1.0, 3, 64, 64), ShapeError,
+     NOT_INT.format("batch", 1.0)),
+    ("infer", N.build_yolov4_tiny(2), (True, 3, 64, 64), ShapeError,
+     NOT_INT.format("batch", True)),
+    ("infer", N.build_yolov4_tiny(2), (1, 3.0, 64, 64), ShapeError,
+     NOT_INT.format("channels", 3.0)),
+    ("infer", N.build_yolov4_tiny(2), (1, 3, 64, np.float32(64)), ShapeError,
+     NOT_INT.format("width", np.float32(64))),
+    ("infer", N.build_yolov4_tiny(2), (0, 3, 32, 32), GraphError, EMPTY.format(0)),
+    ("infer", N.build_yolov4_tiny(2), (-1, 3, 32, 32), GraphError, EMPTY.format(-1)),
     *[(walk, BROKEN, arg, GraphError, "node 'bad': shape inference failed: add needs "
        "identical shapes: (1, 3, 64, 64) vs (1, 3, 32, 32)")
       for walk, arg in (("flops", 32), ("describe", 32), ("infer", (1, 3, 32, 32)))],
@@ -165,7 +194,11 @@ SHAPE_ERRORS = [
 
 @pytest.mark.parametrize("walk, g, arg, cls, message", SHAPE_ERRORS,
                          ids=["flops-33", "describe-33", "infer-33", "infer-non-square",
-                              "infer-2-channel", "flops-node", "describe-node", "infer-node"])
+                              "infer-2-channel", "flops-float", "describe-float",
+                              "infer-float-batch", "infer-bool-batch", "infer-float-channels",
+                              "infer-numpy-float-width", "infer-empty-batch",
+                              "infer-negative-batch", "flops-node", "describe-node",
+                              "infer-node"])
 def test_shape_walks_raise_the_input_check_or_name_the_node(walk, g, arg, cls, message):
     run = {"flops": A.flops_of_graph, "describe": N.describe, "infer": N.infer_shapes}[walk]
     with pytest.raises(cls, match=f"^{re.escape(message)}$"):
@@ -192,3 +225,16 @@ class TestReceptiveField:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             A.receptive_field([])
+
+    @pytest.mark.parametrize("layers, message", [
+        ([(0, 1)], "kernel and stride must be >= 1"),
+        ([(3, 1), (3, 0)], "kernel and stride must be >= 1"),
+        ([(3, 1), (3.0, 1)], "kernel must be an integer, got 3.0"),
+        ([(3, True)], "stride must be an integer, got True"),
+    ], ids=["zero-kernel", "zero-stride", "float-kernel", "bool-stride"])
+    def test_bad_layer_rejected(self, layers, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            A.receptive_field(layers)
+
+    def test_numpy_integers(self):
+        assert A.receptive_field([(np.int64(3), np.int64(2)), (3, 1)]) == A.ReceptiveField(7, 2)

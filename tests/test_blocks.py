@@ -40,18 +40,26 @@ class TestCspBlock:
     def test_stage_shape_contract(self):
         block = B.CspBlock(64)
         x = T.Tensor.zeros(1, 64, 104, 104)
-        out = B.csp_forward(block, x)
+        out = B.csp_forward_with_route(block, x)[0]
         assert out.shape == (1, 128, 52, 52)
 
     def test_odd_channels_rejected(self):
         with pytest.raises(ValueError):
             B.CspBlock(63)
+        with pytest.raises(ValueError, match="^ResBlockD channel count must be even, got 63$"):
+            B.ResBlockD(63)
+
+    @pytest.mark.parametrize("x", [T.Tensor.zeros(1, 4, 4, 4), T.Meta((1, 4, 4, 4))],
+                             ids=["tensor", "meta"])
+    def test_cbam_channel_mismatch_rejected(self, x):
+        with pytest.raises(ShapeError, match="^cbam expects 8 input channels, got 4$"):
+            B.cbam_forward(B.Cbam(8), x)
 
     def test_zero_network_outputs_zero(self):
         block = B.CspBlock(8)
         zero_bn([p for _, p in block.convs()])
         x = rand_tensor(np.random.default_rng(0), 1, 8, 8, 8)
-        out = B.csp_forward(block, x)
+        out = B.csp_forward_with_route(block, x)[0]
         assert np.all(out.array == 0.0)
 
     def test_matches_manual_composition(self):
@@ -206,23 +214,23 @@ class TestFuse:
         rng = np.random.default_rng(61)
         x = rand_tensor(rng, 1, 4, 6, 6)
         z = T.Tensor.zeros(1, 4, 6, 6)
-        assert bits_equal(B.fuse(x, z).array, x.array)
+        assert bits_equal(T.add(x, z).array, x.array)
 
     def test_commutative(self):
         rng = np.random.default_rng(62)
         a = rand_tensor(rng, 1, 4, 6, 6)
         b = rand_tensor(rng, 1, 4, 6, 6)
-        assert bits_equal(B.fuse(a, b).array, B.fuse(b, a).array)
+        assert bits_equal(T.add(a, b).array, T.add(b, a).array)
 
     def test_matches_add(self):
         rng = np.random.default_rng(63)
         a = rand_tensor(rng, 1, 4, 6, 6)
         b = rand_tensor(rng, 1, 4, 6, 6)
-        assert bits_equal(B.fuse(a, b).array, oracles.add_naive(a.array, b.array))
+        assert bits_equal(T.add(a, b).array, oracles.add_naive(a.array, b.array))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            B.fuse(T.Tensor.zeros(1, 2, 4, 4), T.Tensor.zeros(1, 2, 4, 5))
+            T.add(T.Tensor.zeros(1, 2, 4, 4), T.Tensor.zeros(1, 2, 4, 5))
 
 
 class TestStageInterchangeability:
@@ -230,7 +238,7 @@ class TestStageInterchangeability:
         rng = np.random.default_rng(71)
         x = rand_tensor(rng, 1, 8, 12, 12)
         combos = [
-            B.csp_forward(B.CspBlock(8), x),
+            B.csp_forward_with_route(B.CspBlock(8), x)[0],
             B.resblock_d_forward(B.ResBlockD(8), x),
             B.aux_forward(B.AuxBlock(8), x),
         ]
@@ -242,4 +250,4 @@ class TestStageInterchangeability:
         x = rand_tensor(rng, 1, 8, 12, 12)
         stage = B.resblock_d_forward(B.ResBlockD(8), x)
         assist = B.aux_forward(B.AuxBlock(8), x)
-        assert B.fuse(stage, assist).shape == stage.shape
+        assert T.add(stage, assist).shape == stage.shape

@@ -111,7 +111,7 @@ class TestDetect:
         got = json.loads(out)["detections"]
 
         # same pixels pushed through the library without the letterbox wrapper
-        pixels = I.read_ppm(img_path).astype(np.float32) / np.float32(255.0)
+        pixels = I.load_image(img_path)
         x = T.Tensor(np.ascontiguousarray(pixels.transpose(2, 0, 1))[None])
         g = N.build_yolov4_tiny(8)
         W.init_seeded(g, 7)
@@ -208,6 +208,13 @@ class TestDetect:
         code, _, err = run_cli(capsys, "detect", "--input-size", "64", str(raw))
         assert code == 3
         assert "zero dimension" in err
+
+    def test_four_channel_raw_tensor_exits_3(self, capsys, tmp_path):
+        raw = tmp_path / "rgba.ylti"
+        I.write_raw_tensor(raw, np.zeros((4, 4, 4), np.float32))
+        code, out, err = run_cli(capsys, "detect", "--input-size", "64", str(raw))
+        assert (code, out) == (3, "")
+        assert err == f"error: {raw}: detect needs 3 channels, got 4\n"
 
     @pytest.mark.parametrize("bad_value", [np.nan, -1.0])
     def test_invalid_running_var_in_weight_file_exits_4(self, capsys, tmp_path, bad_value):

@@ -33,9 +33,8 @@ def random_detections(rng, count, n_classes=5, size=100.0):
 
 
 class TestBoxGeometry:
-    def test_corner_round_trip(self):
-        box = D.Box(10.0, 20.0, 4.0, 6.0)
-        assert D.Box.from_corners(*box.corners()) == box
+    def test_corners(self):
+        assert D.Box(10.0, 20.0, 4.0, 6.0).corners() == (8.0, 17.0, 12.0, 23.0)
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
@@ -49,8 +48,8 @@ class TestBoxGeometry:
         assert D.iou(D.Box(0, 0, 2, 2), D.Box(10, 10, 2, 2)) == 0.0
 
     def test_iou_worked_example(self):
-        a = D.Box.from_corners(0, 0, 2, 2)
-        b = D.Box.from_corners(1, 1, 3, 3)
+        a = D.Box(1, 1, 2, 2)  # corners (0, 0, 2, 2)
+        b = D.Box(2, 2, 2, 2)  # corners (1, 1, 3, 3)
         assert abs(D.iou(a, b) - 1 / 7) < 1e-12
 
     def test_iou_symmetric_and_bounded(self):
@@ -85,6 +84,11 @@ class TestAnchorSet:
         for bad in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 D.AnchorSet({32: ((bad, 5.0),)})
+
+    def test_a_stride_without_anchors_is_named(self):
+        message = "no anchors for stride 8 (scale 10 at 80)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            D.AnchorSet().for_scale(10, 80)
 
 
 def _f32_step(x, toward):
@@ -151,6 +155,14 @@ def decoded(head, input_size):
 
 
 class TestDecodeHead:
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 18, 2, 2), "decode_head expects batch size 1, got 2"),
+        ((1, 18, 2, 3), "head spatial size 2x3 != expected scale 2"),
+    ], ids=["batch", "side"])
+    def test_head_shape_checked(self, shape, message):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            D.decode_head(T.Tensor.zeros(*shape), D.AnchorSet(), 2, 64)
+
     def test_zero_head_decodes_to_cell_centers(self):
         head = T.Tensor.zeros(1, 27, 13, 13)  # 3 anchors, 4 classes
         dets = D.decode_head(head, D.AnchorSet(), 13, 416)
@@ -516,7 +528,7 @@ def test_write_raw_tensor_writes_what_the_reader_refuses(tmp_path, arr, message)
     path = tmp_path / "bad.ylti"
     I.write_raw_tensor(path, arr)
     with pytest.raises(InputError, match=message):
-        I.read_raw_tensor(path)
+        I.load_image(path)
 
 
 @pytest.mark.parametrize("size", [np.int64(64), np.int32(64), np.uint16(64)],

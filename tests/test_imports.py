@@ -107,3 +107,21 @@ def test_import_loads_neither_numpy_random_nor_concurrent_futures():
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def bool_tests(module: str) -> int:
+    """How many ``isinstance`` calls in ``module`` test for ``bool``, alone
+    or in a tuple of types."""
+    found = 0
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            found += any(isinstance(t, ast.Name) and t.id == "bool" for t in types)
+    return found
+
+
+def test_only_errors_states_the_integer_rule():
+    """``errors.integer`` is the package's one integer check: no other
+    module tests ``isinstance(..., bool)``."""
+    assert {m for m in MODULES if bool_tests(m)} == {"errors"}

@@ -42,6 +42,14 @@ class TestBuilders:
         with pytest.raises(ValueError):
             N.build_proposed(0)
 
+    @pytest.mark.parametrize("model", sorted(N.MODELS))
+    def test_classes_must_be_an_integer(self, model):
+        for classes in (2.5, True, 2.0):
+            with pytest.raises(ValueError, match=f"^classes must be an integer, got {classes}$"):
+                N.MODELS[model](classes)
+        g = N.MODELS[model](np.int64(2))
+        assert type(g.classes) is int and g.classes == 2
+
     def test_every_node_reaches_a_head(self):
         for g in (N.build_yolov4_tiny(80), N.build_proposed(80)):
             consumers: dict[str, set] = {}
@@ -138,8 +146,12 @@ class TestBuilders:
             N.infer_shapes(g, (1, 3, 32, 32))
         with pytest.raises(GraphError, match="node 'bad'"):
             N.describe(g, 32)
-        with pytest.raises(GraphError, match="node 'bad'"):
+        with pytest.raises(GraphError, match="^node 'bad': evaluation failed: "):
             N.forward_all(g, T.Tensor.zeros(1, 3, 32, 32))
+        # the walk reads its failure text off its input
+        for walk in (N.forward, N.forward_all):
+            with pytest.raises(GraphError, match="^node 'bad': shape inference failed: "):
+                walk(g, T.Meta((1, 3, 32, 32)))
 
 
 class TestWalkHook:
@@ -177,11 +189,11 @@ class TestWalkHook:
                                          N.LayerNode("after", "upsample", ["up"])])
         seen = []
         with pytest.raises(GraphError, match="node 'bad'"):
-            N._walk(g, T.Meta((1, 3, 32, 32)), "shape inference failed", on_node=seen.append)
+            N._walk(g, T.Meta((1, 3, 32, 32)), on_node=seen.append)
         assert [node.id for node in seen] == ["up"]
         seen.clear()
         with pytest.raises(ShapeError, match="3 channels"):
-            N._walk(g, T.Meta((1, 2, 32, 32)), "shape inference failed", on_node=seen.append)
+            N._walk(g, T.Meta((1, 2, 32, 32)), on_node=seen.append)
         assert seen == []
 
 
@@ -204,8 +216,8 @@ class TestParameterCounts:
         assert 0 < prop - base < 0.5e6
 
     def test_layer_counts(self):
-        assert N.count_layers(N.build_yolov4_tiny(80)) == 21
-        assert N.count_layers(N.build_proposed(80)) == 31
+        assert len(N.iter_conv_entries(N.build_yolov4_tiny(80))) == 21
+        assert len(N.iter_conv_entries(N.build_proposed(80))) == 31
 
 
 class TestForward:
@@ -374,6 +386,15 @@ class TestForwardFreesOutputs:
             tracemalloc.stop()
         assert peak <= 20 << 20
 
+    @pytest.mark.parametrize("fold", ["einsum", "ufunc"])
+    @pytest.mark.parametrize("walk", [N.forward, N.forward_all])
+    def test_an_empty_batch_is_refused_by_the_first_conv(self, monkeypatch, walk, fold):
+        monkeypatch.setattr(T, "CONV_FOLD", fold)
+        empty = T.Tensor(np.zeros((0, 3, 32, 32), np.float32))
+        with pytest.raises(GraphError, match="^node 'stem1': evaluation failed: "
+                                             "batch size must be >= 1, got 0$"):
+            walk(N.build_yolov4_tiny(1), empty)
+
     @pytest.mark.parametrize("walk", [N.forward, N.forward_all])
     def test_an_error_mid_walk_names_the_node(self, walk):
         g = N.build_proposed(2)
@@ -440,7 +461,7 @@ def test_schedule_of_every_model_conv(monkeypatch, key):
                 got.setdefault(names[id(params)], set()).add(fill.keywords["spec"])
         ledger.clear()
 
-    N._walk(g, T.Meta((1, 3, size, size), ledger), "shape inference failed", on_node=on_node)
+    N._walk(g, T.Meta((1, 3, size, size), ledger), on_node=on_node)
     want = {name: {"yxo" if name in CHANNEL_LAST_CONVS[key] else "oyx"}
             for name, _ in N.iter_conv_entries(g)}
     assert got == want

@@ -4,6 +4,7 @@ import functools
 import itertools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -170,6 +171,54 @@ class TestConvParams:
             T.BatchNorm(np.ones(2, np.float32), np.zeros(2, np.float32),
                         np.zeros(2, np.float32), np.array([1.0, -0.5], np.float32))
 
+    def test_batch_norm_lengths_and_values_checked(self):
+        one, two = np.ones(3, np.float32), np.ones(2, np.float32)
+        bad = np.array([1.0, np.inf, 1.0], np.float32)
+        for args, cls, message in [
+            ((one, two, one, one), ShapeError, "batch-norm beta length 2 != gamma length 3"),
+            ((one, one, one, two), ShapeError, "batch-norm running_var length 2 != gamma length 3"),
+            ((one, one, bad, one), NonFiniteError,
+             "batch-norm running_mean holds non-finite values"),
+            ((bad, one, one, one), NonFiniteError, "batch-norm gamma holds non-finite values"),
+        ]:
+            with pytest.raises(cls, match=f"^{message}$"):
+                T.BatchNorm(*args)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((0, 8, 3), {}), ((3, 0, 3), {}), ((3, 8, 0), {}),
+        ((3, 8, 3), {"stride": 0}), ((3, 8, 3), {"padding": -1}),
+    ], ids=["in", "out", "kernel", "stride", "padding"])
+    def test_dimensions_must_be_positive(self, args, kwargs):
+        message = "conv dimensions must be positive (padding >= 0)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            T.ConvParams(*args, **kwargs)
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((3, 8, 3.0), {}, "conv kernel_size must be an integer, got 3.0"),
+        ((3, 8, 2.5), {"weights": np.zeros(3 * 8 * 4)},
+         "conv kernel_size must be an integer, got 2.5"),
+        ((3.0, 8, 3), {}, "conv in_channels must be an integer, got 3.0"),
+        ((3, True, 3), {}, "conv out_channels must be an integer, got True"),
+        ((3, 8, 3), {"stride": 1.5}, "conv stride must be an integer, got 1.5"),
+        ((3, 8, 3), {"padding": 1.0}, "conv padding must be an integer, got 1.0"),
+    ], ids=["float-kernel", "fractional-kernel-with-weights", "float-in", "bool-out",
+            "float-stride", "float-padding"])
+    def test_dimensions_must_be_integers(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            T.ConvParams(*args, **kwargs)
+
+    def test_dimensions_take_numpy_integers(self):
+        p = T.ConvParams(np.int64(3), np.uint8(8), np.int32(3), stride=np.int16(2),
+                         padding=np.int64(1))
+        dims = (p.in_channels, p.out_channels, p.kernel_size, p.stride, p.padding)
+        assert dims == (3, 8, 3, 2, 1) and {type(d) for d in dims} == {int}
+
+    def test_bias_and_batch_norm_lengths_checked(self):
+        with pytest.raises(ShapeError, match="^bias length 7 != out_channels = 8$"):
+            T.ConvParams(3, 8, 3, bias=np.zeros(7, np.float32))
+        with pytest.raises(ShapeError, match="^batch-norm channel count 4 != out_channels = 8$"):
+            T.ConvParams(3, 8, 3, bn=T.BatchNorm.identity(4))
+
 
 class TestConv2d:
     def test_scaling_identity(self):
@@ -209,6 +258,16 @@ class TestConv2d:
         p = T.ConvParams(1, 1, 3, padding=0)
         with pytest.raises(ShapeError):
             T.conv2d(x, p)
+        with pytest.raises(ShapeError, match="^width 1 too small for kernel 3 with padding 0$"):
+            T.conv2d(T.Tensor.zeros(1, 1, 3, 1), p)
+
+    @pytest.mark.parametrize("fold", ["einsum", "ufunc"])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_empty_batch_rejected(self, monkeypatch, fold, padding):
+        monkeypatch.setattr(T, "CONV_FOLD", fold)
+        x = T.Tensor(np.zeros((0, 3, 8, 8), np.float32))
+        with pytest.raises(ShapeError, match="^batch size must be >= 1, got 0$"):
+            T.conv2d(x, T.ConvParams(3, 4, 3, padding=padding))
 
     def test_linearity_without_bias_bn(self):
         rng = np.random.default_rng(7)
@@ -749,6 +808,14 @@ class TestPool2d:
         with pytest.raises(ValueError):
             T.pool2d(x, "avg", 2, 0)
 
+    def test_kernel_and_stride_must_be_integers(self):
+        x = T.Tensor.zeros(1, 2, 4, 4)
+        with pytest.raises(ValueError, match="^pool kernel must be an integer, got 2.0$"):
+            T.pool2d(x, "max", 2.0, 2)
+        with pytest.raises(ValueError, match="^pool stride must be an integer, got True$"):
+            T.pool2d(x, "avg", 2, True)
+        assert T.pool2d(x, "max", np.int64(2), np.int64(2)).shape == (1, 2, 2, 2)
+
     def test_window_larger_than_input_rejected(self):
         x = T.Tensor.zeros(1, 1, 3, 3)
         with pytest.raises(ShapeError):
@@ -919,6 +986,11 @@ class TestReductions:
         with pytest.raises(ShapeError):
             T.channel_pool(T.Tensor.zeros(1, 0, 2, 2), "avg")
 
+    def test_unknown_kind_rejected(self):
+        for pool in (T.channel_pool, T.spatial_pool):
+            with pytest.raises(ValueError, match="^unknown reduction kind 'min'$"):
+                pool(T.Tensor.zeros(1, 2, 2, 2), "min")
+
 
 class TestUpsample:
     def test_single_pixel(self):
@@ -946,11 +1018,15 @@ SHAPE_ONLY_CASES = [
     (T.conv2d, [(1, 3, 9, 9)], (T.ConvParams(3, 4, 3, stride=2, padding=1),)),
     (T.conv2d, [(1, 2, 8, 8)], (T.ConvParams(3, 4, 3),)),
     (T.conv2d, [(1, 3, 2, 8)], (T.ConvParams(3, 4, 3),)),
+    (T.conv2d, [(1, 3, 8, 2)], (T.ConvParams(3, 4, 3),)),
+    (T.conv2d, [(0, 3, 8, 8)], (T.ConvParams(3, 4, 3, padding=1),)),
     (T.pool2d, [(1, 3, 8, 7)], ("max", 2, 2)),
     (T.pool2d, [(1, 3, 8, 8)], ("avg", 3, 1)),
     (T.pool2d, [(1, 3, 1, 8)], ("max", 2, 2)),
     (T.pool2d, [(1, 3, 8, 8)], ("mean", 2, 2)),
     (T.pool2d, [(1, 3, 8, 8)], ("max", 2, 0)),
+    (T.pool2d, [(1, 3, 8, 8)], ("max", 2.0, 2)),
+    (T.pool2d, [(1, 3, 8, 8)], ("avg", 2, 2.0)),
     (T.leaky_relu, [(1, 3, 4, 5)], ()),
     (T.relu, [(1, 3, 4, 5)], ()),
     (T.sigmoid, [(1, 3, 4, 5)], ()),
