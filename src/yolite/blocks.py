@@ -148,12 +148,12 @@ def cbam_forward(block: Cbam, f: T.Tensor) -> T.Tensor:
     def mlp(v: T.Tensor) -> T.Tensor:
         return T.conv2d(T.relu(T.conv2d(v, block.fc1)), block.fc2)
 
-    avg_vec = T.channel_pool(f, "avg")
-    max_vec = T.channel_pool(f, "max")
+    avg_vec = T.global_pool(f, "avg", (2, 3))
+    max_vec = T.global_pool(f, "max", (2, 3))
     channel_map = T.sigmoid(T.add(mlp(avg_vec), mlp(max_vec)))
     f1 = T.broadcast_mul(f, channel_map)
 
-    pooled = T.concat_channels(T.spatial_pool(f1, "max"), T.spatial_pool(f1, "avg"))
+    pooled = T.concat_channels(T.global_pool(f1, "max", 1), T.global_pool(f1, "avg", 1))
     spatial_map = T.sigmoid(T.conv2d(pooled, block.spatial))
     return T.broadcast_mul(f1, spatial_map)
 

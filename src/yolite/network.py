@@ -168,15 +168,18 @@ def build_proposed(classes: int = 80) -> NetworkGraph:
 MODELS = {"v4tiny": build_yolov4_tiny, "proposed": build_proposed}
 
 
-def _check_input_shape(shape) -> None:
-    n, c, h, w = shape
-    for value, axis in zip(shape, ("batch", "channels", "height", "width")):
-        integer(value, f"network input {axis}", ShapeError)
+def _check_input_shape(shape) -> tuple[int, int, int, int]:
+    """``shape`` as four Python ints, once it passes the network input rule."""
+    if len(shape) != 4:
+        raise ShapeError(f"network input must have 4 axes (n, c, h, w), got {len(shape)}")
+    n, c, h, w = (integer(value, f"network input {axis}", ShapeError)
+                  for value, axis in zip(shape, ("batch", "channels", "height", "width")))
     if c != 3:
         raise ShapeError(f"network input must have 3 channels, got {c}")
     if h != w or h % INPUT_MULTIPLE or h <= 0:
         raise ShapeError(f"input spatial size must be a square multiple of {INPUT_MULTIPLE}, "
                          f"got {h}x{w}")
+    return n, c, h, w
 
 
 def forward(g: NetworkGraph, x: T.Tensor) -> tuple[T.Tensor, ...]:
@@ -213,9 +216,12 @@ def _walk(g: NetworkGraph, first, keep: set | None = None,
     is not in ``keep`` is dropped right after the last node that reads it, or
     that makes it if none reads it, so a forward holds only the values still
     to be read.  ``on_node(node)``, if given, is called right after each node
-    runs and its dropped values are gone."""
-    _check_input_shape(first.shape)
-    failure = "shape inference failed" if isinstance(first, T.Meta) else "evaluation failed"
+    runs and its dropped values are gone.  A ``tensor.Meta`` input is walked
+    as a ``Meta`` of the checked shape's Python ints, on its own ledger."""
+    shape = _check_input_shape(first.shape)
+    failure = "evaluation failed"
+    if isinstance(first, T.Meta):
+        first, failure = first.derive(shape), "shape inference failed"
     drop = [[] for _ in g.nodes]
     if keep is not None:
         last = {}
@@ -262,7 +268,7 @@ def describe(g: NetworkGraph, input_size: int = 416) -> dict:
     return {
         "model": g.name,
         "classes": g.classes,
-        "input_size": input_size,
+        "input_size": shapes[INPUT_ID][2],
         "parameters": count_params(g),
         "conv_layers": len(iter_conv_entries(g)),
         "heads": {head: list(shapes[head]) for head in g.heads},

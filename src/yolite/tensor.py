@@ -104,9 +104,10 @@ def _small_ufunc_buffer():
         np.setbufsize(old)
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
+def _check_finite(arr: np.ndarray, message: str) -> None:
+    """Raise NonFiniteError(``message``) if ``arr`` holds a NaN or an Inf."""
     if not np.isfinite(arr).all():
-        raise NonFiniteError(f"{op} produced non-finite values")
+        raise NonFiniteError(message)
 
 
 class Tensor:
@@ -123,8 +124,7 @@ class Tensor:
             array = np.array(array, dtype=np.float32, order="C", copy=True)
             if array.ndim != 4:
                 raise ShapeError(f"tensor must be 4-D (n, c, h, w), got {array.ndim}-D")
-            if not np.isfinite(array).all():
-                raise NonFiniteError("tensor holds non-finite values")
+            _check_finite(array, "tensor holds non-finite values")
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
 
@@ -180,14 +180,11 @@ class BatchNorm:
         self.running_mean = np.ascontiguousarray(running_mean, dtype=np.float32)
         self.running_var = np.ascontiguousarray(running_var, dtype=np.float32)
         n = self.gamma.size
-        for name, arr in (("beta", self.beta), ("running_mean", self.running_mean),
-                          ("running_var", self.running_var)):
+        for name in self.__slots__:
+            arr = getattr(self, name)
             if arr.size != n:
                 raise ShapeError(f"batch-norm {name} length {arr.size} != gamma length {n}")
-            if not np.isfinite(arr).all():
-                raise NonFiniteError(f"batch-norm {name} holds non-finite values")
-        if not np.isfinite(self.gamma).all():
-            raise NonFiniteError("batch-norm gamma holds non-finite values")
+            _check_finite(arr, f"batch-norm {name} holds non-finite values")
         if (self.running_var < 0).any():
             raise ValueError("batch-norm running_var entries must be >= 0")
 
@@ -230,10 +227,10 @@ class ConvParams:
             raise ShapeError(f"bias length {self.bias.size} != out_channels = {out_channels}")
         # only arrays the caller passed are scanned: the zeros made here are
         # left unread, so a new graph's pages stay unmapped until written
-        if weights is not None and not np.isfinite(self.weights).all():
-            raise NonFiniteError("conv weights hold non-finite values")
-        if bias is not None and not np.isfinite(self.bias).all():
-            raise NonFiniteError("conv bias holds non-finite values")
+        if weights is not None:
+            _check_finite(self.weights, "conv weights hold non-finite values")
+        if bias is not None:
+            _check_finite(self.bias, "conv bias holds non-finite values")
         if bn is not None and bn.gamma.size != out_channels:
             raise ShapeError(f"batch-norm channel count {bn.gamma.size} != out_channels = {out_channels}")
         self.bn = bn
@@ -320,7 +317,7 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
         np.subtract(out, bn.running_mean[None, :, None, None], out=out)
         np.multiply(out, scale[None, :, None, None], out=out)
         np.add(out, bn.beta[None, :, None, None], out=out)
-    _check_finite(out, "conv2d")
+    _check_finite(out, "conv2d produced non-finite values")
     return Tensor(out, _trusted=True)
 
 
@@ -571,7 +568,7 @@ def pool2d(x: Tensor, kind: str, k: int, s: int) -> Tensor:
         return x.derive((n, c, oh, ow), "pool", k)
     win = _window_view(x.array, k, s, 0, oh, ow)
     acc = _fold([win[..., ky, kx] for ky, kx in np.ndindex(k, k)], kind)
-    _check_finite(acc, "pool2d")
+    _check_finite(acc, "pool2d produced non-finite values")
     return Tensor(acc, _trusted=True)
 
 
@@ -665,7 +662,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if isinstance(a, Meta):
         return a
     out = a.array + b.array
-    _check_finite(out, "add")
+    _check_finite(out, "add produced non-finite values")
     return Tensor(out, _trusted=True)
 
 
@@ -682,35 +679,30 @@ def broadcast_mul(a: Tensor, m: Tensor) -> Tensor:
     if isinstance(a, Meta):
         return a
     out = a.array * m.array
-    _check_finite(out, "broadcast_mul")
+    _check_finite(out, "broadcast_mul produced non-finite values")
     return Tensor(out, _trusted=True)
 
 
-def channel_pool(x: Tensor, kind: str) -> Tensor:
-    """Global spatial reduction per channel, to shape (n, c, 1, 1); pixels
-    fold in row-major order."""
+def global_pool(x: Tensor, kind: str, axis) -> Tensor:
+    """Global max or average reduction.  ``axis=(2, 3)`` folds each
+    channel's pixels, in row-major order, to (n, c, 1, 1); ``axis=1`` folds
+    each pixel's channels, in order, to (n, 1, h, w)."""
     if kind not in ("max", "avg"):
         raise ValueError(f"unknown reduction kind {kind!r}")
     n, c, h, w = x.shape
+    over_pixels = isinstance(axis, tuple) and axis == (2, 3)
+    if not over_pixels and (isinstance(axis, tuple) or integer(axis, "global_pool axis") != 1):
+        raise ValueError(f"global_pool axis must be (2, 3) or 1, got {axis!r}")
     if min(n, c, h, w) == 0:
-        raise ShapeError("channel_pool needs a non-empty tensor")
+        raise ShapeError("global_pool needs a non-empty tensor")
+    shape = (n, c, 1, 1) if over_pixels else (n, 1, h, w)
     if isinstance(x, Meta):
-        return x.derive((n, c, 1, 1))
-    flat = x.array.reshape(n, c, h * w)
-    return Tensor(_fold(np.moveaxis(flat, 2, 0), kind).reshape(n, c, 1, 1), _trusted=True)
-
-
-def spatial_pool(x: Tensor, kind: str) -> Tensor:
-    """Across-channel reduction per pixel, to shape (n, 1, h, w); channels
-    fold in order."""
-    if kind not in ("max", "avg"):
-        raise ValueError(f"unknown reduction kind {kind!r}")
-    n, c, h, w = x.shape
-    if min(n, c, h, w) == 0:
-        raise ShapeError("spatial_pool needs a non-empty tensor")
-    if isinstance(x, Meta):
-        return x.derive((n, 1, h, w))
-    return Tensor(_fold(np.moveaxis(x.array, 1, 0), kind).reshape(n, 1, h, w), _trusted=True)
+        return x.derive(shape)
+    if over_pixels:
+        views = np.moveaxis(x.array.reshape(n, c, h * w), 2, 0)
+    else:
+        views = np.moveaxis(x.array, 1, 0)
+    return Tensor(_fold(views, kind).reshape(shape), _trusted=True)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:

@@ -129,9 +129,9 @@ def test_criterion_07_primitive_oracle_battery():
         w = int(rng.integers(1, 33))
         kind = "max" if i % 2 else "avg"
         x = rand(1, c, h, w)
-        assert bits_equal(T.channel_pool(T.Tensor(x), kind).array,
+        assert bits_equal(T.global_pool(T.Tensor(x), kind, (2, 3)).array,
                           oracles.channel_pool_naive(x, kind)), f"channel case {i}"
-        assert bits_equal(T.spatial_pool(T.Tensor(x), kind).array,
+        assert bits_equal(T.global_pool(T.Tensor(x), kind, 1).array,
                           oracles.spatial_pool_naive(x, kind)), f"spatial case {i}"
 
     # upsample: 100 cases

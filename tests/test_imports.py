@@ -125,3 +125,28 @@ def test_only_errors_states_the_integer_rule():
     """``errors.integer`` is the package's one integer check: no other
     module tests ``isinstance(..., bool)``."""
     assert {m for m in MODULES if bool_tests(m)} == {"errors"}
+
+
+def functions_calling(module: str, attr: str) -> list[str]:
+    """The name of the innermost function around each ``np.<attr>`` in
+    ``module``, in source order ("<module>" outside any function)."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.value, ast.Name) and node.value.id == "np"):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text()), "<module>")
+    return found
+
+
+def test_tensor_states_the_finite_rule_once():
+    """Inside ``tensor``, only ``_check_finite`` calls ``np.isfinite``: every
+    other finiteness check there goes through it."""
+    assert functions_calling("tensor", "isfinite") == ["_check_finite"]
+    assert "decode_head" in functions_calling("detect", "isfinite")  # the check sees a caller

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import weakref
 
@@ -276,6 +277,14 @@ class TestForward:
         with pytest.raises(ShapeError):
             N.forward(g, T.Tensor.zeros(1, 3, 64, 96))
 
+    @pytest.mark.parametrize("shape", [(1, 3, 32), (1, 3, 32, 32, 1), ()])
+    def test_the_input_check_names_a_wrong_axis_count(self, shape):
+        g = N.build_proposed(2)
+        message = rf"^network input must have 4 axes \(n, c, h, w\), got {len(shape)}$"
+        for walk in (lambda: N.infer_shapes(g, shape), lambda: N.forward(g, T.Meta(shape))):
+            with pytest.raises(ShapeError, match=message):
+                walk()
+
     @pytest.mark.parametrize("model", sorted(N.MODELS))
     @pytest.mark.parametrize("side", [-32, -64])
     def test_the_input_check_rejects_a_negative_side(self, model, side):
@@ -419,6 +428,17 @@ class TestDescribe:
         g = N.build_yolov4_tiny(80)
         doc = N.describe(g)
         assert sum(n["params"] for n in doc["nodes"]) == doc["parameters"]
+
+    @pytest.mark.parametrize("model", sorted(N.MODELS))
+    def test_a_numpy_integer_size_gives_the_python_int_documents(self, model):
+        # the checked input sides are Python ints, so no numpy integer
+        # reaches a shape, a cost row or the reported input size
+        g = N.MODELS[model](2)
+        for doc in (lambda size: N.describe(g, size),
+                    lambda size: A.flops_of_graph(g, size).to_json_dict()):
+            assert json.dumps(doc(np.int64(64))) == json.dumps(doc(64))
+        shapes = N.infer_shapes(g, (np.int64(1), np.int32(3), np.int64(64), np.uint8(64)))
+        assert all(type(side) is int for shape in shapes.values() for side in shape)
 
 
 # The convs of each model that fold channel-last (einsum subscript "yxo")

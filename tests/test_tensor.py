@@ -966,30 +966,52 @@ class TestReductions:
     def test_constant_under_both(self):
         x = T.Tensor.full((1, 3, 4, 4), 2.5)
         for kind in ("avg", "max"):
-            assert np.all(T.channel_pool(x, kind).array == 2.5)
-            assert np.all(T.spatial_pool(x, kind).array == 2.5)
+            assert np.all(T.global_pool(x, kind, (2, 3)).array == 2.5)
+            assert np.all(T.global_pool(x, kind, 1).array == 2.5)
 
     def test_channel_avg_example(self):
         x = T.Tensor(np.array([[[[0.0, 0.0], [0.0, 4.0]]]], np.float32))
-        assert T.channel_pool(x, "avg").array[0, 0, 0, 0] == 1.0
+        assert T.global_pool(x, "avg", (2, 3)).array[0, 0, 0, 0] == 1.0
 
-    def test_matches_naive(self):
+    @pytest.mark.parametrize("shape", [(2, 5, 6, 7), (2, 1, 3, 4), (1, 1, 3, 4),
+                                       (2, 5, 1, 1), (1, 1, 1, 1)])
+    def test_matches_naive(self, shape):
+        # a batch of two, one channel and a 1x1 map: each axis folds its
+        # own terms, whichever others have length one
         rng = np.random.default_rng(6)
-        x = rand_tensor(rng, 2, 5, 6, 7)
+        x = rand_tensor(rng, *shape)
+        n, c, h, w = shape
         for kind in ("avg", "max"):
-            assert bits_equal(T.channel_pool(x, kind).array,
-                              oracles.channel_pool_naive(x.array, kind))
-            assert bits_equal(T.spatial_pool(x, kind).array,
-                              oracles.spatial_pool_naive(x.array, kind))
+            over_pixels = T.global_pool(x, kind, (2, 3))
+            over_channels = T.global_pool(x, kind, 1)
+            assert over_pixels.shape == (n, c, 1, 1)
+            assert over_channels.shape == (n, 1, h, w)
+            assert bits_equal(over_pixels.array, oracles.channel_pool_naive(x.array, kind))
+            assert bits_equal(over_channels.array, oracles.spatial_pool_naive(x.array, kind))
 
     def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            T.channel_pool(T.Tensor.zeros(1, 0, 2, 2), "avg")
+        for axis in ((2, 3), 1):
+            with pytest.raises(ShapeError, match="^global_pool needs a non-empty tensor$"):
+                T.global_pool(T.Tensor.zeros(1, 0, 2, 2), "avg", axis)
 
     def test_unknown_kind_rejected(self):
-        for pool in (T.channel_pool, T.spatial_pool):
+        for axis in ((2, 3), 1):
             with pytest.raises(ValueError, match="^unknown reduction kind 'min'$"):
-                pool(T.Tensor.zeros(1, 2, 2, 2), "min")
+                T.global_pool(T.Tensor.zeros(1, 2, 2, 2), "min", axis)
+
+    @pytest.mark.parametrize("axis", [0, 2, 3, (2,), (3, 2), (1, 2, 3), (1,)])
+    def test_other_axes_rejected(self, axis):
+        with pytest.raises(ValueError, match=r"^global_pool axis must be \(2, 3\) or 1, got "):
+            T.global_pool(T.Tensor.zeros(1, 2, 2, 2), "max", axis)
+
+    @pytest.mark.parametrize("axis", [True, 1.0, "1", [2, 3]])
+    def test_an_axis_that_is_no_integer_is_rejected(self, axis):
+        with pytest.raises(ValueError, match="^global_pool axis must be an integer, got "):
+            T.global_pool(T.Tensor.zeros(1, 2, 2, 2), "max", axis)
+
+    def test_numpy_integer_axis_accepted(self):
+        x = T.Tensor.full((1, 3, 2, 2), 1.5)
+        assert T.global_pool(x, "max", np.int64(1)).shape == (1, 1, 2, 2)
 
 
 class TestUpsample:
@@ -1039,11 +1061,13 @@ SHAPE_ONLY_CASES = [
     (T.broadcast_mul, [(1, 3, 4, 4), (1, 3, 1, 1)], ()),
     (T.broadcast_mul, [(1, 3, 4, 4), (1, 1, 4, 4)], ()),
     (T.broadcast_mul, [(1, 3, 4, 4), (1, 3, 4, 1)], ()),
-    (T.channel_pool, [(1, 3, 4, 5)], ("avg",)),
-    (T.channel_pool, [(1, 3, 4, 5)], ("sum",)),
-    (T.channel_pool, [(1, 0, 4, 5)], ("max",)),
-    (T.spatial_pool, [(1, 3, 4, 5)], ("max",)),
-    (T.spatial_pool, [(1, 3, 0, 5)], ("avg",)),
+    (T.global_pool, [(1, 3, 4, 5)], ("avg", (2, 3))),
+    (T.global_pool, [(1, 3, 4, 5)], ("sum", (2, 3))),
+    (T.global_pool, [(1, 0, 4, 5)], ("max", (2, 3))),
+    (T.global_pool, [(1, 3, 4, 5)], ("max", (1, 2))),
+    (T.global_pool, [(2, 3, 4, 5)], ("max", 1)),
+    (T.global_pool, [(1, 3, 0, 5)], ("avg", 1)),
+    (T.global_pool, [(2, 1, 1, 1)], ("avg", (2, 3))),
     (T.upsample_nearest2x, [(1, 3, 4, 5)], ()),
 ]
 
@@ -1104,6 +1128,21 @@ def conv_battery_cases():
         yield *case(n, c, oc, k, h, w, s, p), int(rng.integers(1, 5))
     yield *case(2, 2, 1, 7, 13, 12, 2, 3), 2
     yield *case(2, 3, 5, 3, 12, 15, 2, 1), 2
+
+
+# Each folding pool as f(x, kind), by the name of its scalar reference in
+# ``oracles`` (without "_naive"): pool2d on 2x2 windows at stride 2, and
+# global_pool over each channel's pixels and over each pixel's channels.
+POOLS = {
+    "pool2d": lambda x, kind: T.pool2d(x, kind, 2, 2),
+    "channel_pool": lambda x, kind: T.global_pool(x, kind, (2, 3)),
+    "spatial_pool": lambda x, kind: T.global_pool(x, kind, 1),
+}
+
+
+def oracle_pool(op: str, x: np.ndarray, kind: str) -> np.ndarray:
+    args = (2, 2) if op == "pool2d" else ()
+    return getattr(oracles, f"{op}_naive")(x, kind, *args)
 
 
 class TestRandomizedOracleBattery:
@@ -1225,21 +1264,20 @@ class TestRandomizedOracleBattery:
         assert picked <= forced
         assert len(picked) == (3 if fold == "ufunc" else 4)
 
-    @pytest.mark.parametrize("op", ["pool2d", "channel_pool", "spatial_pool"])
+    @pytest.mark.parametrize("op", sorted(POOLS))
     def test_signed_zero_ties(self, op):
         # All 16 sign patterns of four zeros, each folded in order: one 2x2
-        # window or channel per pattern, or for spatial_pool one pixel per
-        # pattern across four channels.
+        # window or channel per pattern, or for spatial_pool (global_pool
+        # over axis 1) one pixel per pattern across four channels.
         signs = (np.arange(16)[:, None] >> np.arange(4)) & 1
         zeros = np.where(signs == 1, -0.0, 0.0).astype(np.float32)
         if op == "spatial_pool":
             x = np.ascontiguousarray(zeros.T).reshape(1, 4, 4, 4)
         else:
             x = zeros.reshape(1, 16, 2, 2)
-        args = (2, 2) if op == "pool2d" else ()
         for kind in ("max", "avg"):
-            got = getattr(T, op)(T.Tensor(x), kind, *args).array
-            assert bits_equal(got, getattr(oracles, f"{op}_naive")(x, kind, *args)), kind
+            got = POOLS[op](T.Tensor(x), kind).array
+            assert bits_equal(got, oracle_pool(op, x, kind)), kind
 
     def test_zeros_among_negatives_whatever_np_maximum_does_on_ties(self, monkeypatch):
         # Every 4-long fold over (-2, -1, -0, +0, 1), among them the windows
@@ -1259,17 +1297,16 @@ class TestRandomizedOracleBattery:
             out[...] = where(a > b, a, b)
             return out
 
-        for op in ("pool2d", "channel_pool", "spatial_pool"):
+        for op in sorted(POOLS):
             if op == "spatial_pool":
                 x = np.ascontiguousarray(folds.T).reshape(1, 4, -1, 1)
             else:
                 x = folds.reshape(1, -1, 2, 2)
-            args = (2, 2) if op == "pool2d" else ()
-            want = getattr(oracles, f"{op}_naive")(x, "max", *args)
+            want = oracle_pool(op, x, "max")
             for maximum in (np.maximum, keep_first, keep_second):
                 with monkeypatch.context() as mp:
                     mp.setattr(np, "maximum", maximum)
-                    got = getattr(T, op)(T.Tensor(x), "max", *args).array
+                    got = POOLS[op](T.Tensor(x), "max").array
                 assert bits_equal(got, want), (op, maximum.__name__)
 
     def test_pool_battery(self):
